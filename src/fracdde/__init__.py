@@ -18,10 +18,8 @@ from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
 from .numerics import (
     FractionalOrder,
     corner_weight_table,
-    delayed_series_oracle,
     gamma_function,
     interior_weight_table,
-    mittag_leffler,
     trapezoid_weights,
 )
 from .solver import (
@@ -61,8 +59,6 @@ __all__ = [
     "trapezoid_weights",
     "corner_weight_table",
     "interior_weight_table",
-    "mittag_leffler",
-    "delayed_series_oracle",
     "DelayPair",
     "SystemRhs",
     "CommensurateGrid",

@@ -17,15 +17,14 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import DegenerateCoefficientsError, IncommensurableDelaysError, NonConvergenceError
+from .errors import DegenerateCoefficientsError, IncommensurableDelaysError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
 from .solver import DelayPair, SystemRhs, build_grid, phase_columns, simulate
 from .stability import (
     LinearCoefficients,
     StabilityVerdict,
-    classify,
+    _classify_with_boundary,
     critical_curve,
-    delay_plane_boundary,
     find_equilibria,
     linearize,
     stable_at_zero_delay,
@@ -161,7 +160,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
     delays = DelayPair(args.tau1, args.tau2)
-    verdict = classify(
+    verdict, boundary = _classify_with_boundary(
         args.alpha,
         coef,
         delays,
@@ -170,17 +169,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         samples=args.samples,
         max_branch=args.max_branch,
     )
-    boundary = None
-    at_zero = delays.tau1 == 0.0 and delays.tau2 == 0.0
-    if not at_zero and stable_at_zero_delay(coef) is StabilityVerdict.STABLE_AT_ZERO_DELAYS:
-        boundary = delay_plane_boundary(
-            args.alpha,
-            coef,
-            delays.tau1,
-            v_range=_v_range(args),
-            samples=args.samples,
-            max_branch=args.max_branch,
-        )
     print(
         json.dumps(
             {
@@ -312,7 +300,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ValueError,
         IncommensurableDelaysError,
         DegenerateCoefficientsError,
-        NonConvergenceError,
         OSError,
     ) as exc:
         print(f"fracdde: error: {exc}", file=sys.stderr)

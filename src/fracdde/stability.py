@@ -276,10 +276,14 @@ def default_v_window(
 ) -> tuple[float, float]:
     """Default crossing-frequency search window.
 
-    An imaginary root i*v forces ``v**alpha <= |a| + |b|``, so crossings
-    live below ``(|a|+|b|)**(1/alpha)``; the window extends to four times
-    that with a tiny positive lower end (v = 0 itself is never a crossing
-    of interest and the parametrization is singular there).
+    Eliminating the trigonometric unknowns from lambda = i*v confines the
+    crossings to the closed-form band ``||a| - |b|| <= v**alpha <= |a| + |b|``,
+    the frequencies at which both arccos arguments lie in [-1, 1].  The
+    window extends to four times the upper band edge with a tiny positive
+    lower end (v = 0 itself is never a crossing of interest and the
+    parametrization is singular there).  Both band edges are square-root
+    folds of the branch functions, which is why the line search of
+    :func:`critical_tau2_for_tau1` samples them explicitly.
     """
     al = order_value(alpha)
     c = _as_coef(coef)
@@ -287,17 +291,43 @@ def default_v_window(
     return (1e-6, hi)
 
 
-def _arccos_arguments(al: float, c: LinearCoefficients, v):
-    """Arccos arguments (A1, A2) and v**alpha; v may be scalar or array.
+def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
+    """Every arccos branch (sign, m) with winding number up to ``max_branch``."""
+    return [(sign, m) for sign in (1, -1) for m in range(max_branch + 1)]
 
-    Both are written with the same expression tree with the roles of a and b
-    exchanged, so swapping the coefficients swaps the two results bitwise.
+
+def _branches(
+    al: float, c: LinearCoefficients, v: np.ndarray, labels: Sequence[tuple[int, int]]
+):
+    """Parametric delays on the arccos branches ``labels`` at the frequencies ``v``.
+
+    Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in ``labels``,
+    one column per entry of the 1-d array ``v``, and ``va = v**alpha``.  Both delays are NaN wherever either arccos argument
+    leaves [-1, 1] beyond rounding slack, i.e. outside the crossing band.
+    The two arccos arguments share one expression tree with the roles of a
+    and b exchanged, so swapping the coefficients swaps the delays bitwise.
     """
     va = v ** al
     v2a = v ** (2.0 * al)
     a1 = (v2a + (c.a * c.a - c.b * c.b)) / ((2.0 * c.a) * va)
     a2 = (v2a + (c.b * c.b - c.a * c.a)) / ((2.0 * c.b) * va)
-    return a1, a2, va
+    outside = (np.abs(a1) > 1.0 + _CLAMP_SLACK) | (np.abs(a2) > 1.0 + _CLAMP_SLACK)
+    sign, m = np.array(labels, dtype=float).T[:, :, None]
+    half = 0.5 * math.pi * al
+    taus = []
+    for arg in (a1, a2):
+        th = np.arccos(np.clip(arg, -1.0, 1.0))
+        th[outside] = np.nan
+        taus.append((sign * th - half + _TWO_PI * m) / v)
+    return taus[0], taus[1], va
+
+
+def _residual(al: float, c: LinearCoefficients, v, tau1, tau2, va):
+    """Larger absolute defect of the two real crossing equations, elementwise."""
+    half = 0.5 * math.pi * al
+    r1 = va * math.cos(half) - (c.a * np.cos(v * tau1) + c.b * np.cos(v * tau2))
+    r2 = va * math.sin(half) + (c.a * np.sin(v * tau1) + c.b * np.sin(v * tau2))
+    return np.maximum(np.abs(r1), np.abs(r2))
 
 
 def parametric_delays(
@@ -328,27 +358,27 @@ def parametric_delays(
         raise ValueError("branch signs must be -1 or +1")
     if m1 < 0 or m2 < 0:
         raise ValueError("winding numbers must be nonnegative")
-    a1, a2, _ = _arccos_arguments(al, c, v)
-    if abs(a1) > 1.0 + _CLAMP_SLACK or abs(a2) > 1.0 + _CLAMP_SLACK:
-        return None
-    th1 = math.acos(min(1.0, max(-1.0, a1)))
-    th2 = math.acos(min(1.0, max(-1.0, a2)))
-    half = 0.5 * math.pi * al
-    tau1 = (sign1 * th1 - half + _TWO_PI * m1) / v
-    tau2 = (sign2 * th2 - half + _TWO_PI * m2) / v
-    return (tau1, tau2)
+    tau1, tau2, _ = _branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
+    t1, t2 = float(tau1[0, 0]), float(tau2[1, 0])
+    return None if math.isnan(t1) else (t1, t2)
 
 
-def _resolve_window(
+def _resolve_search(
     al: float,
     c: LinearCoefficients,
     v_range: tuple[float, float] | None,
-) -> tuple[float, float]:
+    samples: int,
+    max_branch: int,
+) -> tuple[float, float, int, int]:
     lo, hi = v_range if v_range is not None else default_v_window(al, c)
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"frequency window must satisfy 0 < lo < hi, got {(lo, hi)!r}")
-    return (lo, hi)
+    if int(samples) < 2:
+        raise ValueError("samples must be at least 2")
+    if int(max_branch) < 0:
+        raise ValueError("max_branch must be nonnegative")
+    return (lo, hi, int(samples), int(max_branch))
 
 
 def critical_curve(
@@ -375,107 +405,36 @@ def critical_curve(
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    lo, hi = _resolve_window(al, c, v_range)
-    samples = int(samples)
-    max_branch = int(max_branch)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if max_branch < 0:
-        raise ValueError("max_branch must be nonnegative")
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
     residual_tol = float(residual_tol)
 
     vs = np.linspace(lo, hi, samples)
-    a1, a2, va = _arccos_arguments(al, c, vs)
-    valid = (np.abs(a1) <= 1.0 + _CLAMP_SLACK) & (np.abs(a2) <= 1.0 + _CLAMP_SLACK)
-    if not valid.any():
-        return []
-    vv = vs[valid]
-    th1 = np.arccos(np.clip(a1[valid], -1.0, 1.0))
-    th2 = np.arccos(np.clip(a2[valid], -1.0, 1.0))
-    va = va[valid]
-    half = 0.5 * math.pi * al
-    cos_term = va * math.cos(half)
-    sin_term = va * math.sin(half)
-
-    # Trig factors depend only on one (sign, m) pair, so precompute the
-    # tau2 side once and reuse it against every tau1 branch.
-    second_branches = []
-    for sign2 in (1, -1):
-        for m2 in range(max_branch + 1):
-            tau2 = (sign2 * th2 - half + _TWO_PI * m2) / vv
-            ok2 = tau2 >= 0.0
-            if ok2.any():
-                second_branches.append(
-                    (sign2, m2, tau2, ok2, c.b * np.cos(vv * tau2), c.b * np.sin(vv * tau2))
-                )
-
+    labels = _branch_labels(max_branch)
+    tau1, tau2, va = _branches(al, c, vs, labels)
+    inside = ~np.isnan(tau1[0])
+    vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
+    ok2 = tau2 >= 0.0
     points: list[CriticalCurvePoint] = []
-    for sign1 in (1, -1):
-        for m1 in range(max_branch + 1):
-            tau1 = (sign1 * th1 - half + _TWO_PI * m1) / vv
-            ok1 = tau1 >= 0.0
-            if not ok1.any():
-                continue
-            a_cos1 = c.a * np.cos(vv * tau1)
-            a_sin1 = c.a * np.sin(vv * tau1)
-            for sign2, m2, tau2, ok2, b_cos2, b_sin2 in second_branches:
-                r1 = cos_term - (a_cos1 + b_cos2)
-                r2 = sin_term + (a_sin1 + b_sin2)
-                residual = np.maximum(np.abs(r1), np.abs(r2))
-                keep = ok1 & ok2 & (residual <= residual_tol)
-                for i in np.nonzero(keep)[0]:
-                    points.append(
-                        CriticalCurvePoint(
-                            v=float(vv[i]),
-                            tau1=float(tau1[i]),
-                            tau2=float(tau2[i]),
-                            sign1=sign1,
-                            m1=m1,
-                            sign2=sign2,
-                            m2=m2,
-                            residual=float(residual[i]),
-                        )
-                    )
+    # One tau1 branch at a time against the whole tau2 block keeps the
+    # temporaries at (branches x samples) rather than its square.
+    for r1, t1 in enumerate(tau1):
+        ok1 = t1 >= 0.0
+        if not ok1.any():
+            continue
+        residual = _residual(al, c, vs, t1, tau2, va)
+        r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
+        points.extend(
+            CriticalCurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
+            for v, t1_i, t2_i, r2, res in zip(
+                vs[cols].tolist(),
+                t1[cols].tolist(),
+                tau2[r2s, cols].tolist(),
+                r2s.tolist(),
+                residual[r2s, cols].tolist(),
+            )
+        )
     points.sort(key=lambda p: (p.v, p.m1, p.sign1, p.m2, p.sign2))
     return points
-
-
-def _scalar_residual(
-    al: float, c: LinearCoefficients, v: float, tau1: float, tau2: float, va: float
-) -> float:
-    half = 0.5 * math.pi * al
-    r1 = va * math.cos(half) - (c.a * math.cos(v * tau1) + c.b * math.cos(v * tau2))
-    r2 = va * math.sin(half) + (c.a * math.sin(v * tau1) + c.b * math.sin(v * tau2))
-    return max(abs(r1), abs(r2))
-
-
-def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
-
-
-def _refine_validity_edge(
-    is_valid: Callable[[float], bool], v_bad: float, v_good: float, iters: int = 60
-) -> float:
-    # Shrink toward the window boundary, returning a point on the valid side.
-    for _ in range(iters):
-        mid = 0.5 * (v_bad + v_good)
-        if is_valid(mid):
-            v_good = mid
-        else:
-            v_bad = mid
-    return v_good
 
 
 def critical_tau2_for_tau1(
@@ -495,13 +454,15 @@ def critical_tau2_for_tau1(
     boundary along that line; None means the line meets no crossing inside
     the frequency window.
 
-    Each branch function tau1(v) is sampled over the window, every bracketed
-    crossing of the requested value is sharpened by bisection, and all valid
-    tau2 companions at the crossing frequencies are collected.  The valid
-    frequency window ends where the arccos arguments leave [-1, 1]; because
-    the branch functions fold there with square-root speed, the sweep also
-    refines each window edge and checks the sliver between the last interior
-    sample and the edge, which a plain scanline would miss.
+    Every branch function tau1(v) is sampled over the window, every
+    bracketed crossing of the requested value is sharpened by bisection,
+    and the smallest valid tau2 companion at the crossing frequencies is
+    returned.  Crossings exist only in the closed-form band
+    ``||a| - |b|| <= v**alpha <= |a| + |b|``.  At both band edges the branch
+    functions fold with square-root speed, so a crossing can lie between an
+    edge and the nearest interior sample, where a plain scanline would miss
+    it; the band edges that fall inside the window are therefore sampled
+    as well.
 
     Raises
     ------
@@ -519,78 +480,36 @@ def critical_tau2_for_tau1(
             "the crossing search requires coefficients stable at zero delays "
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
-    lo, hi = _resolve_window(al, c, v_range)
-    samples = int(samples)
-    max_branch = int(max_branch)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if max_branch < 0:
-        raise ValueError("max_branch must be nonnegative")
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
     residual_tol = float(residual_tol)
-    half = 0.5 * math.pi * al
 
-    def is_valid(v: float) -> bool:
-        a1, a2, _ = _arccos_arguments(al, c, v)
-        return abs(a1) <= 1.0 + _CLAMP_SLACK and abs(a2) <= 1.0 + _CLAMP_SLACK
+    edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
+    vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
+    labels = _branch_labels(max_branch)
+    y = _branches(al, c, vs, labels)[0] - q
+    rows, cols = np.nonzero(y[:, :-1] * y[:, 1:] < 0.0)
+    v_lo, v_hi, f_lo = vs[cols], vs[cols + 1], y[rows, cols]
+    brackets = np.arange(len(rows))
+    # All brackets are bisected together; once every midpoint rounds onto an
+    # end of its bracket, further steps would change nothing.
+    for _ in range(90):
+        mid = 0.5 * (v_lo + v_hi)
+        if np.all((mid == v_lo) | (mid == v_hi)):
+            break
+        f_mid = _branches(al, c, mid, labels)[0][rows, brackets] - q
+        hit = f_mid == 0.0
+        below = (f_lo < 0.0) == (f_mid < 0.0)
+        v_lo = np.where(below | hit, mid, v_lo)
+        v_hi = np.where(below & ~hit, v_hi, mid)
+        f_lo = np.where(below, f_mid, f_lo)
 
-    def tau1_branch(v: float, sign1: int, m1: int) -> float:
-        a1, a2, _ = _arccos_arguments(al, c, v)
-        if abs(a1) > 1.0 + _CLAMP_SLACK or abs(a2) > 1.0 + _CLAMP_SLACK:
-            return math.nan
-        th1 = math.acos(min(1.0, max(-1.0, a1)))
-        return (sign1 * th1 - half + _TWO_PI * m1) / v
-
-    vs = np.linspace(lo, hi, samples)
-    a1_all, a2_all, _ = _arccos_arguments(al, c, vs)
-    valid = (np.abs(a1_all) <= 1.0 + _CLAMP_SLACK) & (np.abs(a2_all) <= 1.0 + _CLAMP_SLACK)
-
-    crossings: list[tuple[float, int, int]] = []
-    for i0, i1 in _contiguous_runs(valid):
-        seg = [float(v) for v in vs[i0 : i1 + 1]]
-        if i0 > 0:
-            seg.insert(0, _refine_validity_edge(is_valid, float(vs[i0 - 1]), seg[0]))
-        if i1 < samples - 1:
-            seg.append(_refine_validity_edge(is_valid, float(vs[i1 + 1]), seg[-1]))
-        for sign1 in (1, -1):
-            for m1 in range(max_branch + 1):
-                y = [tau1_branch(v, sign1, m1) - q for v in seg]
-                for t in range(len(seg)):
-                    if math.isnan(y[t]):
-                        continue
-                    if y[t] == 0.0:
-                        crossings.append((seg[t], sign1, m1))
-                        continue
-                    if t + 1 == len(seg) or math.isnan(y[t + 1]) or y[t] * y[t + 1] >= 0.0:
-                        continue
-                    v_lo, v_hi, f_lo = seg[t], seg[t + 1], y[t]
-                    for _ in range(90):
-                        mid = 0.5 * (v_lo + v_hi)
-                        f_mid = tau1_branch(mid, sign1, m1) - q
-                        if f_mid == 0.0:
-                            v_lo = v_hi = mid
-                            break
-                        if (f_lo < 0.0) != (f_mid < 0.0):
-                            v_hi = mid
-                        else:
-                            v_lo, f_lo = mid, f_mid
-                    crossings.append((0.5 * (v_lo + v_hi), sign1, m1))
-
-    best: float | None = None
-    for v_star, sign1, m1 in crossings:
-        a1, a2, va = _arccos_arguments(al, c, v_star)
-        th2 = math.acos(min(1.0, max(-1.0, a2)))
-        t1 = tau1_branch(v_star, sign1, m1)
-        if math.isnan(t1):
-            continue
-        for sign2 in (1, -1):
-            for m2 in range(max_branch + 1):
-                t2 = (sign2 * th2 - half + _TWO_PI * m2) / v_star
-                if t2 < 0.0:
-                    continue
-                if _scalar_residual(al, c, v_star, t1, t2, va) <= residual_tol:
-                    if best is None or t2 < best:
-                        best = t2
-    return best
+    exact_rows, exact_cols = np.nonzero(y == 0.0)
+    v_star = np.concatenate([vs[exact_cols], 0.5 * (v_lo + v_hi)])
+    row_star = np.concatenate([exact_rows, rows])
+    tau1_star, tau2_star, va = _branches(al, c, v_star, labels)
+    t1 = tau1_star[row_star, np.arange(len(v_star))]
+    ok = (tau2_star >= 0.0) & (_residual(al, c, v_star, t1, tau2_star, va) <= residual_tol)
+    return float(tau2_star[ok].min()) if ok.any() else None
 
 
 def delay_plane_boundary(
@@ -642,6 +561,24 @@ def classify(
     the frequency window the delays are classified Stable, since no root
     can have crossed the imaginary axis.
     """
+    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range, samples, max_branch)[0]
+
+
+def _classify_with_boundary(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    delays: DelayPair | tuple[float, float],
+    tolerance: float,
+    v_range: tuple[float, float] | None,
+    samples: int,
+    max_branch: int,
+) -> tuple[StabilityVerdict, float | None]:
+    """The verdict of :func:`classify` and the boundary tau2 behind it.
+
+    The boundary is None when none applies: at zero delays, when the
+    coefficients are not stable at zero delays, or when the frequency
+    window holds no crossing locus.
+    """
     c = _require_nondegenerate(coef)
     d = _as_delays(delays)
     tolerance = float(tolerance)
@@ -649,18 +586,16 @@ def classify(
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     zero_verdict = stable_at_zero_delay(c)
     if d.tau1 == 0.0 and d.tau2 == 0.0:
-        return zero_verdict
+        return zero_verdict, None
     if zero_verdict is StabilityVerdict.ON_BOUNDARY:
-        return StabilityVerdict.ON_BOUNDARY
+        return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
-        return StabilityVerdict.UNSTABLE
+        return StabilityVerdict.UNSTABLE, None
     boundary = delay_plane_boundary(
         alpha, c, d.tau1, v_range=v_range, samples=samples, max_branch=max_branch
     )
-    if boundary is None:
-        return StabilityVerdict.STABLE
-    if d.tau2 < boundary - tolerance:
-        return StabilityVerdict.STABLE
+    if boundary is None or d.tau2 < boundary - tolerance:
+        return StabilityVerdict.STABLE, boundary
     if d.tau2 > boundary + tolerance:
-        return StabilityVerdict.UNSTABLE
-    return StabilityVerdict.ON_BOUNDARY
+        return StabilityVerdict.UNSTABLE, boundary
+    return StabilityVerdict.ON_BOUNDARY, boundary

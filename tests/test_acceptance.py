@@ -19,7 +19,6 @@ from fracdde import (
     classify,
     critical_curve,
     critical_tau2_for_tau1,
-    delayed_series_oracle,
     find_equilibria,
     ikeda_rhs,
     linearize,
@@ -30,6 +29,7 @@ from fracdde import (
     trapezoid_weights,
     ucar_rhs,
 )
+from oracles import delayed_series_oracle
 
 UCAR_COEF = (1.0, -3.0)
 

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from fracdde import DelayPair, build_grid, critical_curve, phase_columns, simulate, ucar_rhs
+from fracdde import (
+    DelayPair,
+    build_grid,
+    critical_curve,
+    phase_columns,
+    simulate,
+    stability,
+    ucar_rhs,
+)
 from fracdde.cli import main
 
 
@@ -205,6 +213,24 @@ class TestClassifyCommand:
         assert doc["alpha"] == 0.9
         assert doc["tau1"] == 0.4 and doc["tau2"] == 0.5
         assert doc["critical_tau2"] > 0.5
+
+    def test_boundary_computed_once(self, capsys, monkeypatch):
+        calls = []
+        line_search = stability.critical_tau2_for_tau1
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return line_search(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "critical_tau2_for_tau1", counting)
+        code, doc = self.run(
+            ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9",
+             "--tau1", "0.4", "--tau2", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["critical_tau2"] > 0.5
+        assert len(calls) == 1
 
     def test_unstable_point(self, capsys):
         code, doc = self.run(

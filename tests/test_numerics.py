@@ -7,12 +7,11 @@ from fracdde import (
     FractionalOrder,
     NonConvergenceError,
     corner_weight_table,
-    delayed_series_oracle,
     gamma_function,
     interior_weight_table,
-    mittag_leffler,
     trapezoid_weights,
 )
+from oracles import delayed_series_oracle, mittag_leffler
 from reference_values import (
     GAMMA_REFERENCE,
     INTERIOR_WEIGHT_HALF_N2_J1,

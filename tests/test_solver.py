@@ -10,13 +10,12 @@ from fracdde import (
     SystemRhs,
     Trajectory,
     build_grid,
-    delayed_series_oracle,
     gamma_function,
-    mittag_leffler,
     phase_columns,
     simulate,
     ucar_rhs,
 )
+from oracles import delayed_series_oracle, mittag_leffler
 
 
 def linear_rhs(a, b):

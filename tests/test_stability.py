@@ -162,6 +162,24 @@ class TestParametricDelays:
         assert parametric_delays(1.0, UCAR_COEF, 1.0) is None
         assert parametric_delays(1.0, UCAR_COEF, 5.0) is None
 
+    def test_none_exactly_outside_closed_form_band(self, rng):
+        # Crossings need ||a| - |b|| <= v**alpha <= |a| + |b|.  Frequencies
+        # within 1e-6 (relative) of a band edge are skipped: there the
+        # rounding slack of the arccos arguments decides.
+        checked = 0
+        for _ in range(200):
+            alpha = float(rng.uniform(0.2, 1.0))
+            a = float(rng.uniform(0.1, 5.0) * rng.choice((-1.0, 1.0)))
+            b = float(rng.uniform(0.1, 5.0) * rng.choice((-1.0, 1.0)))
+            lo, hi = abs(abs(a) - abs(b)), abs(a) + abs(b)
+            for va in rng.uniform(0.0, 1.5 * hi, 5):
+                if min(abs(va - lo), abs(va - hi)) < 1e-6 * hi or va == 0.0:
+                    continue
+                pair = parametric_delays(alpha, (a, b), va ** (1.0 / alpha))
+                assert (pair is None) == (not lo <= va <= hi), (alpha, a, b, va)
+                checked += 1
+        assert checked > 900
+
     def test_rejects_bad_branch(self):
         with pytest.raises(ValueError):
             parametric_delays(1.0, UCAR_COEF, 3.0, sign1=0)
@@ -211,15 +229,11 @@ class TestCriticalCurve:
         assert checked > 100
 
     def test_points_match_scalar_parametrization(self):
-        # numpy and libm may round pow/arccos differently by an ulp, so the
-        # vector and scalar paths agree to rounding, not bitwise.
         points = critical_curve(0.8, UCAR_COEF, samples=150, max_branch=2)
         assert points
         for p in points[:: max(1, len(points) // 50)]:
             pair = parametric_delays(0.8, UCAR_COEF, p.v, p.sign1, p.m1, p.sign2, p.m2)
-            assert pair is not None
-            assert pair[0] == pytest.approx(p.tau1, rel=5e-14, abs=5e-15)
-            assert pair[1] == pytest.approx(p.tau2, rel=5e-14, abs=5e-15)
+            assert pair == (p.tau1, p.tau2)
 
     def test_swap_symmetry_is_bitwise(self):
         for alpha, a, b in [(1.0, 1.0, -3.0), (0.7, -3.0, -22.5), (0.55, 2.0, -2.5)]:
@@ -274,6 +288,26 @@ class TestCriticalTau2ForTau1:
         got = critical_tau2_for_tau1(0.7, (-3.0, b), 0.02)
         assert got is not None
         assert got == pytest.approx(0.0199867, abs=2e-5)
+
+    def test_lower_edge_sliver_crossing_is_found(self):
+        # For these coefficients at order 1 the crossing band starts at v = 2,
+        # where two branches fold together at tau1 = pi/4.  The line
+        # tau1 = 0.78 meets the locus between v = 2 and the first valid
+        # sample of the default window (v = 2.001), which a plain scanline
+        # over the window samples would miss.
+        q = 0.78
+        lo, hi = 2.0, 2.001
+        for _ in range(200):
+            v = 0.5 * (lo + hi)
+            if (math.acos((v * v - 8.0) / (2.0 * v)) - 0.5 * math.pi) / v > q:
+                lo = v
+            else:
+                hi = v
+        expected = (math.acos((v * v + 8.0) / (-6.0 * v)) - 0.5 * math.pi) / v
+        got = critical_tau2_for_tau1(1.0, UCAR_COEF, q)
+        assert got is not None
+        assert got == pytest.approx(expected, abs=1e-9)
+        assert independent_residual(1.0, 1.0, -3.0, v, q, got) <= 1e-9
 
     def test_none_when_line_misses_curve(self):
         assert critical_tau2_for_tau1(1.0, UCAR_COEF, 50.0, max_branch=2) is None
