@@ -9,6 +9,14 @@ integral equation x(t) = phi(0) + I^alpha[g(...)](t).  The stepper discretizes
 that integral with product-trapezoidal weights on a uniform grid chosen so
 that both delays are whole numbers of steps, which keeps every delayed sample
 on the grid and makes the scheme explicit.
+
+Every step needs the whole memory of g.  The stepper splits that sum in two
+(the divide-and-conquer scheme of Hairer, Lubich and Schlichte, SIAM J. Sci.
+Stat. Comput. 6 (1985) 532-541): the near part, the samples of the current
+block of ``_BLOCK`` steps, is a short dot product inside the scalar loop; the
+far part reaches each block already summed, added by convolutions of finished
+halves of the history against the weight table, direct for short ones and by
+FFT for long ones.  A run of N steps costs O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -36,6 +44,12 @@ __all__ = [
 History = float | Callable[[float], float]
 
 _DIVISOR_LIMIT = 1024
+
+# Steps advanced by the scalar loop between far-field updates, and the
+# convolution length above which the far field is added by FFT rather than
+# directly.  Both are powers of two, and so is every convolution length.
+_BLOCK = 32
+_FFT_THRESHOLD = 256
 
 
 @dataclass(frozen=True)
@@ -212,10 +226,12 @@ def simulate(
     """Integrate the two-delay problem over the given grid.
 
     The right-hand side is evaluated exactly once per grid point and the
-    evaluations are memoized, so step ``n`` costs one dot product of length
-    ``n`` against the interior weight table and the whole run is O(N^2).
-    Delayed indices always lag the step target by at least one point
-    (``k1, k2 >= 1``), so no implicit solve is ever needed.
+    evaluations are memoized.  Step ``j`` adds a short dot product over the
+    samples of its own block to a far-field sum over all older samples,
+    which divide-and-conquer convolutions of the finished history have
+    already accumulated, so the whole run is O(N log^2 N).  Delayed indices
+    always lag the step target by at least one point (``k1, k2 >= 1``), so no
+    implicit solve is ever needed.
 
     A history callable is sampled on [-tau_max, 0] and must be finite there.
     If the state leaves the finite float range the run stops and the partial
@@ -249,7 +265,7 @@ def simulate(
         if not math.isfinite(value):
             raise ValueError(f"history is not finite at t = {j * h:g}")
         x[j + k] = value
-    phi0 = x[k]
+    phi0 = float(x[k])
 
     interior = interior_weight_table(al, max(n_total, 1))
     corner = corner_weight_table(al, n_total)
@@ -259,24 +275,75 @@ def simulate(
     # produce inf with a warning where float raises OverflowError, and the
     # truncation contract is defined in terms of the latter.
     f = np.empty(n_total + 1, dtype=float)
-    f[0] = _eval_rhs(rhs, float(x[k - k1]), float(x[k - k2]))
-    truncated_at: int | None = None
-    # Overflow to inf is the expected signal of a diverging trajectory and
-    # is handled below, so numpy must not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_total):
-            j = n + 1
-            f[j] = _eval_rhs(rhs, float(x[k + j - k1]), float(x[k + j - k2]))
-            s = corner[n] * f[0] + f[j]
-            if n >= 1:
-                # f[n:0:-1] pairs f[n] with offset 1, down to f[1] with offset n.
-                s += float(np.dot(interior[1 : n + 1], f[n:0:-1]))
+    f0 = f[0] = _eval_rhs(rhs, float(x[k - k1]), float(x[k - k2]))
+    # far[j] collects interior[j - l] * f[l] over every l in 1..j-1 that lies
+    # outside the block containing j; spectra caches the weight FFTs by length.
+    far = np.zeros(n_total + 1, dtype=float)
+    spectra: dict[int, np.ndarray] = {}
+    # near[-m:] holds interior[m], ..., interior[1], contiguous for np.dot.
+    near = interior[_BLOCK - 1 : 0 : -1].copy()
+
+    def advance_block(lo: int, hi: int) -> int | None:
+        # Python floats from here on: the same IEEE arithmetic as numpy
+        # scalars, without their per-operation overhead.
+        corner_terms = (corner[lo - 1 : hi - 1] * f0).tolist()
+        far_terms = far[lo:hi].tolist()
+        for j in range(lo, hi):
+            fj = _eval_rhs(rhs, float(x[k + j - k1]), float(x[k + j - k2]))
+            f[j] = fj
+            s = corner_terms[j - lo] + fj + far_terms[j - lo]
+            if j > lo:
+                # f[lo:j] pairs f[lo] with offset j - lo, down to f[j-1] with offset 1.
+                s += float(np.dot(near[lo - j :], f[lo:j]))
             value = phi0 + c * s
             if not math.isfinite(value):
-                truncated_at = j
                 x[k + j :] = np.nan
-                break
+                return j
             x[k + j] = value
+        return None
+
+    def add_far(lo: int, mid: int, hi: int, size: int) -> None:
+        # Add the finished f[lo:mid] to far[mid:hi].  Target j reads source l
+        # at offset j - l in 1..hi-lo-1; with w = interior[1:], that is entry
+        # (l - lo) + (j - l - 1) = j - lo - 1 of the linear convolution of
+        # f[lo:mid] with w, a window that a cyclic convolution of length
+        # size >= hi - lo - 1 leaves unaliased.
+        seg = f[lo:mid]
+        peak = float(np.max(np.abs(seg)))
+        if peak == 0.0:
+            # A run sitting on an equilibrium: add exactly nothing.
+            return
+        if size <= _FFT_THRESHOLD:
+            far[mid:hi] += np.convolve(interior[1 : hi - lo], seg, mode="valid")
+            return
+        w_hat = spectra.get(size)
+        if w_hat is None:
+            w_hat = spectra[size] = np.fft.rfft(interior[1:size], size)
+        # Scale by an exact power of two so that the transform works near 1
+        # and cannot overflow before the direct sum would.
+        e = math.frexp(peak)[1]
+        y = np.fft.irfft(np.fft.rfft(np.ldexp(seg, -e), size) * w_hat, size)
+        far[mid:hi] += np.ldexp(y[mid - lo - 1 : hi - lo - 1], e)
+
+    def advance(lo: int, size: int) -> int | None:
+        # Steps lo..lo+size-1, clipped to the horizon; size is _BLOCK * 2**p.
+        hi = min(lo + size, n_total + 1)
+        if size <= _BLOCK:
+            return advance_block(lo, hi)
+        mid = lo + size // 2
+        stop = advance(lo, size // 2)
+        if stop is not None or mid >= hi:
+            return stop
+        add_far(lo, mid, hi, size)
+        return advance(mid, size // 2)
+
+    size = _BLOCK
+    while size < n_total:
+        size *= 2
+    # Overflow to inf is the expected signal of a diverging trajectory and
+    # is handled in advance_block, so numpy must not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        truncated_at = advance(1, size)
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
 
 

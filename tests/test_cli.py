@@ -13,7 +13,9 @@ from fracdde import (
     stability,
     ucar_rhs,
 )
+from fracdde import cli
 from fracdde.cli import main
+from fracdde.stability import CriticalCurvePoint
 
 
 def read_csv(path):
@@ -48,6 +50,7 @@ class TestSimulateCommand:
         for row, expected in zip(rows, table):
             for text, value in zip(row, expected):
                 assert float(text) == value
+                assert text == format(value, ".17g")
 
     def test_linear_model(self, tmp_path):
         out = tmp_path / "lin.csv"
@@ -148,6 +151,30 @@ class TestCurvesCommand:
         assert all(float(r[7]) <= 1e-9 for r in rows)
         points = critical_curve(1.0, (1.0, -3.0), samples=500, max_branch=2)
         assert len(rows) == len(points)
+
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
+        # The batched row template must print exactly what format(v, ".17g")
+        # and str(int) print, signed zeros and extreme exponents included.
+        points = [
+            CriticalCurvePoint(0.1, 1.0 / 3.0, -0.0, 1, 0, -1, 0, 0.0),
+            CriticalCurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
+            CriticalCurvePoint(7.0, math.pi, 1e16, 1, 8, -1, 2, 1.2345678901234567e-10),
+        ]
+        monkeypatch.setattr(cli, "critical_curve", lambda *args, **kwargs: list(points))
+        out = tmp_path / "curve.csv"
+        assert main(["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(out)]) == 0
+        points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
+        expected = "v,tau1,tau2,sign1,m1,sign2,m2,residual\n" + "".join(
+            ",".join(
+                [format(p.v, ".17g"), format(p.tau1, ".17g"), format(p.tau2, ".17g")]
+                + [str(p.sign1), str(p.m1), str(p.sign2), str(p.m2)]
+                + [format(p.residual, ".17g")]
+            )
+            + "\n"
+            for p in points
+        )
+        assert "-0," in expected and "e+308" in expected
+        assert out.read_bytes() == expected.encode()
 
     def test_model_sourcing_matches_direct_coefficients(self, tmp_path):
         direct = tmp_path / "direct.csv"

@@ -15,7 +15,7 @@ from fracdde import (
     simulate,
     ucar_rhs,
 )
-from oracles import delayed_series_oracle, mittag_leffler
+from oracles import delayed_series_oracle, direct_sum_stepper, mittag_leffler
 
 
 def linear_rhs(a, b):
@@ -77,6 +77,16 @@ class TestSimulate:
         # g vanishes identically along the trajectory, so every computed
         # value is bitwise the history constant.
         grid = build_grid(DelayPair(0.4, 0.5), 5.0, 0.01)
+        for x_star in (0.0, 1.0, -1.0):
+            traj = simulate(ucar_rhs(), 0.85, grid, x_star)
+            assert np.all(traj.values == x_star)
+            assert not traj.is_truncated
+
+    def test_equilibrium_stays_fixed_through_fft_path(self):
+        # 5000 steps take the far-field sum through FFT convolutions; an
+        # all-zero history segment must add exactly nothing there.
+        grid = build_grid(DelayPair(0.4, 0.5), 50.0, 0.01)
+        assert grid.n_steps == 5000
         for x_star in (0.0, 1.0, -1.0):
             traj = simulate(ucar_rhs(), 0.85, grid, x_star)
             assert np.all(traj.values == x_star)
@@ -199,6 +209,55 @@ class TestSimulate:
         assert t[grid.history_steps] == 0.0
         assert t[-1] == pytest.approx(1.0)
         assert traj.n_steps == grid.n_steps
+
+
+def _max_relative_deviation(got, expected):
+    return float(np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))))
+
+
+class TestFastMemorySum:
+    """simulate against the O(N^2) direct-sum stepper it replaces."""
+
+    # Step counts around the base block (32) and the FFT threshold (256),
+    # plus two runs deep into the FFT levels.
+    @pytest.mark.parametrize("n_steps", [31, 32, 33, 64, 65, 255, 256, 257, 1000, 5000])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (101, 150)])
+    def test_converging_runs_match_direct_sum(self, n_steps, alpha, k1, k2):
+        grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
+        rhs = linear_rhs(-0.5, -0.25)
+        history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
+        traj = simulate(rhs, alpha, grid, history)
+        ref = direct_sum_stepper(rhs, alpha, grid, history)
+        assert not traj.is_truncated and not ref.is_truncated
+        assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
+
+    def test_nonlinear_run_matches_direct_sum(self):
+        grid = build_grid(DelayPair(0.4, 0.5), 40.0, 0.01)
+        traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
+        ref = direct_sum_stepper(ucar_rhs(), 0.9, grid, 0.8)
+        assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rhs, alpha, k1, k2, n_steps, history",
+        [
+            (ucar_rhs(), 0.881, 47, 110, 2125, 3.805),
+            (ucar_rhs(), 0.972, 93, 102, 3625, 2.502),
+            (ucar_rhs(), 0.935, 65, 112, 2875, 3.12),
+            (ucar_rhs(), 0.961, 56, 113, 1375, 3.666),
+            # Grows slowly enough to cross many FFT levels before overflowing.
+            (linear_rhs(2.5, 1.5), 0.8, 1, 3, 20000, 1.0),
+        ],
+    )
+    def test_diverging_runs_truncate_at_the_same_step(self, rhs, alpha, k1, k2, n_steps, history):
+        grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
+        traj = simulate(rhs, alpha, grid, history)
+        ref = direct_sum_stepper(rhs, alpha, grid, history)
+        assert traj.truncated_at is not None
+        assert traj.truncated_at == ref.truncated_at
+        end = grid.history_steps + traj.truncated_at
+        assert _max_relative_deviation(traj.values[:end], ref.values[:end]) <= 1e-12
+        assert np.all(np.isnan(traj.values[end:]))
 
 
 class TestPhaseColumns:
