@@ -17,9 +17,11 @@ import json
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateCoefficientsError, IncommensurableDelaysError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
-from .solver import DelayPair, SystemRhs, build_grid, phase_columns, simulate
+from .solver import DelayPair, SystemRhs, build_grid, simulate
 from .stability import (
     LinearCoefficients,
     StabilityVerdict,
@@ -45,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 # 17 significant digits round-trip any double exactly; "%.17g" prints the
 # same text as format(value, ".17g") and "%d" the same as str(int).
-_SIMULATE_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+_FLOAT = "%.17g"
 _CURVES_ROW = "%.17g,%.17g,%.17g,%d,%d,%d,%d,%.17g\n"
 # Trajectory rows are formatted this many at a time: one join per chunk, and
 # no whole-table list of rows or strings held in memory.
@@ -113,12 +115,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         DelayPair(args.tau1, args.tau2), args.T, args.h, tolerance=args.grid_tolerance
     )
     traj = simulate(rhs, args.alpha, grid, args.history)
-    table = phase_columns(traj, grid)
+    # The rows of phase_columns, without building its table: row j is
+    # t_j, x[k + j], x[k + j - k1], x[k + j - k2].
+    k = traj.history_steps
+    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
     with open(args.out, "w", newline="") as fh:
         fh.write("t,x,x_tau1,x_tau2\n")
-        for start in range(0, len(table), _ROWS_PER_WRITE):
-            chunk = table[start : start + _ROWS_PER_WRITE].tolist()
-            fh.write("".join([_SIMULATE_ROW % tuple(row) for row in chunk]))
+        for start in range(0, rows, _ROWS_PER_WRITE):
+            n = min(_ROWS_PER_WRITE, rows - start)
+            t = _formatted(np.arange(start, start + n) * traj.h)
+            x, x1, x2 = _formatted_windows(
+                traj.values, (k + start, k + start - grid.k1, k + start - grid.k2), n
+            )
+            fh.write("\n".join(map(",".join, zip(t, x, x1, x2))))
+            fh.write("\n")
     if traj.truncated_at is not None:
         print(
             f"state left the finite range at step {traj.truncated_at} "
@@ -127,6 +137,33 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         return _TRUNCATION_EXIT
     return 0
+
+
+def _formatted(values: np.ndarray) -> list[str]:
+    return list(map(_FLOAT.__mod__, values.tolist()))
+
+
+def _formatted_windows(
+    values: np.ndarray, starts: tuple[int, ...], n: int
+) -> list[list[str]]:
+    """The strings of values[a : a + n] for each a in starts.
+
+    Overlapping windows share one run of strings, so every value is
+    formatted at most once, and windows far apart cost no more than their
+    own length.
+    """
+    runs: list[tuple[int, list[str]]] = []
+    for a in sorted(set(starts)):
+        if runs and a <= runs[-1][0] + len(runs[-1][1]):
+            first, strings = runs[-1]
+            strings += _formatted(values[first + len(strings) : a + n])
+        else:
+            runs.append((a, _formatted(values[a : a + n])))
+    windows = []
+    for a in starts:
+        first, strings = next(run for run in reversed(runs) if run[0] <= a)
+        windows.append(strings[a - first : a - first + n])
+    return windows
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .solver import SystemRhs
 
 __all__ = ["UcarParams", "IkedaParams", "ucar_rhs", "ikeda_rhs"]
@@ -68,8 +70,9 @@ def ikeda_rhs(params: IkedaParams | None = None) -> SystemRhs:
     p = params if params is not None else IkedaParams()
     c1, c2 = p.c1, p.c2
 
+    # np.sin, not math.sin: simulate calls g on float64 arrays.
     def g(x1: float, x2: float) -> float:
-        return c1 * x1 + c2 * math.sin(x2)
+        return c1 * x1 + c2 * np.sin(x2)
 
     def dg_dx1(x1: float, x2: float) -> float:
         return c1

@@ -10,13 +10,22 @@ that integral with product-trapezoidal weights on a uniform grid chosen so
 that both delays are whole numbers of steps, which keeps every delayed sample
 on the grid and makes the scheme explicit.
 
+Both delays are at least ``kmin = min(k1, k2)`` steps, so the right-hand
+side at the next ``kmin`` grid points reads only states already computed:
+the stepper advances in chunks of up to ``kmin`` steps, with one vectorized
+call of the elementwise ``g`` per chunk.  Delays shorter than ``_MIN_CHUNK``
+steps make chunks too short to pay for numpy's call overhead, and those runs
+are stepped one point at a time with ``g`` called on floats.
+
 Every step needs the whole memory of g.  The stepper splits that sum in two
 (the divide-and-conquer scheme of Hairer, Lubich and Schlichte, SIAM J. Sci.
 Stat. Comput. 6 (1985) 532-541): the near part, the samples of the current
-block of ``_BLOCK`` steps, is a short dot product inside the scalar loop; the
-far part reaches each block already summed, added by convolutions of finished
-halves of the history against the weight table, direct for short ones and by
-FFT for long ones.  A run of N steps costs O(N log^2 N).
+block of ``_BLOCK`` steps, is one product with the block's lower-triangular
+weight matrix per chunk (a short dot product per step in the one-point
+loop); the far part reaches each block already summed, added by
+convolutions of finished halves of the history against the weight table,
+direct for short ones and by FFT for long ones.  A run of N steps costs
+O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -28,7 +37,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import IncommensurableDelaysError
-from .numerics import FractionalOrder, corner_weight_table, interior_weight_table, order_value
+from .numerics import (
+    FractionalOrder,
+    corner_weight_table,
+    gamma_function,
+    interior_weight_table,
+    order_value,
+)
 
 __all__ = [
     "DelayPair",
@@ -45,11 +60,14 @@ History = float | Callable[[float], float]
 
 _DIVISOR_LIMIT = 1024
 
-# Steps advanced by the scalar loop between far-field updates, and the
-# convolution length above which the far field is added by FFT rather than
-# directly.  Both are powers of two, and so is every convolution length.
+# Steps advanced between far-field updates, and the convolution length
+# above which the far field is added by FFT rather than directly.  Both are
+# powers of two, and so is every convolution length.
 _BLOCK = 32
 _FFT_THRESHOLD = 256
+# Shortest delay, in steps, advanced in vectorized chunks; below it a chunk
+# costs more in numpy call overhead than one scalar step per point.
+_MIN_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -82,10 +100,16 @@ def _as_delays(delays: DelayPair | tuple[float, float]) -> DelayPair:
 class SystemRhs:
     """Right-hand side g(x_tau1, x_tau2) with optional analytic partials.
 
-    ``g`` maps the two delayed states to the fractional derivative.  The
-    partial derivatives, when supplied, are evaluated at diagonal points
-    (x, x) by the linearization; omitting them switches the caller to finite
-    differences.
+    ``g`` maps the two delayed states to the fractional derivative.  It must
+    be elementwise: :func:`simulate` calls it with two float64 arrays of
+    equal length and expects the values pointwise (an array of that length,
+    or a scalar that broadcasts), and it calls it with floats too.  Write it
+    with arithmetic operators and numpy functions (``np.sin``, not
+    ``math.sin``); ``simulate`` raises TypeError on the first call if ``g``
+    rejects arrays.  The linearization and the equilibrium search call ``g``
+    with floats only.  The partial derivatives, when supplied, are evaluated
+    at diagonal points (x, x) by the linearization, with floats; omitting
+    them switches the caller to finite differences.
     """
 
     g: Callable[[float, float], float]
@@ -207,16 +231,6 @@ def _history_callable(history: History) -> Callable[[float], float]:
     return lambda _t: value
 
 
-def _eval_rhs(rhs: SystemRhs, x1: float, x2: float) -> float:
-    # Python floats raise OverflowError from ** and math functions where
-    # IEEE arithmetic would produce inf; map that back to inf so a diverging
-    # trajectory is reported as truncation rather than as an exception.
-    try:
-        return float(rhs.g(x1, x2))
-    except OverflowError:
-        return math.inf
-
-
 def simulate(
     rhs: SystemRhs,
     alpha: FractionalOrder | float,
@@ -226,12 +240,17 @@ def simulate(
     """Integrate the two-delay problem over the given grid.
 
     The right-hand side is evaluated exactly once per grid point and the
-    evaluations are memoized.  Step ``j`` adds a short dot product over the
-    samples of its own block to a far-field sum over all older samples,
-    which divide-and-conquer convolutions of the finished history have
-    already accumulated, so the whole run is O(N log^2 N).  Delayed indices
-    always lag the step target by at least one point (``k1, k2 >= 1``), so no
-    implicit solve is ever needed.
+    evaluations are memoized.  ``rhs.g`` must be elementwise: both delays
+    are at least ``kmin = min(k1, k2)`` steps, so the next ``kmin`` states
+    depend only on states already computed, and ``g`` is called once per
+    chunk of up to ``kmin`` grid points with two float64 arrays.  A ``g``
+    that rejects arrays (one written with :func:`math.sin`, say) raises
+    TypeError on its first call.  Step ``j`` adds the samples of its own
+    block of ``_BLOCK`` steps, one small matrix product per chunk, to a
+    far-field sum over all older samples, which divide-and-conquer
+    convolutions of the finished history have already accumulated, so the
+    whole run is O(N log^2 N).  When ``kmin`` is below ``_MIN_CHUNK`` the
+    steps are taken one at a time instead, with ``g`` called on floats.
 
     A history callable is sampled on [-tau_max, 0] and must be finite there.
     If the state leaves the finite float range the run stops and the partial
@@ -241,7 +260,7 @@ def simulate(
     Parameters
     ----------
     rhs : SystemRhs
-        Right-hand side of the equation.
+        Right-hand side of the equation; ``rhs.g`` must be elementwise.
     alpha : float or FractionalOrder
         Caputo derivative order in (0, 1].
     grid : CommensurateGrid
@@ -252,12 +271,19 @@ def simulate(
     Returns
     -------
     Trajectory
+
+    Raises
+    ------
+    TypeError
+        If ``rhs.g`` does not accept float64 arrays.
     """
     al = order_value(alpha)
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
     k = grid.history_steps
+    kmin = min(k1, k2)
     h = grid.h
     phi = _history_callable(history)
+    g = rhs.g
 
     x = np.empty(n_total + k + 1, dtype=float)
     for j in range(-k, 1):
@@ -269,44 +295,90 @@ def simulate(
 
     interior = interior_weight_table(al, max(n_total, 1))
     corner = corner_weight_table(al, n_total)
-    c = h ** al / math.gamma(al + 2.0)
+    c = h ** al / gamma_function(al + 2.0)
 
-    # Hand built-in floats to the right-hand side: numpy scalars silently
-    # produce inf with a warning where float raises OverflowError, and the
-    # truncation contract is defined in terms of the latter.
+    # The memory sum of step j in a block starting at lo is
+    # acc[j] + sum over l in lo..j of w[j - l] * f[l], with w[0] = 1 the
+    # trailing weight and w[m] = interior[m]; toeplitz holds the block's
+    # weights as a lower-triangular matrix.
+    w = np.concatenate(([1.0], interior[1:_BLOCK]))
+    lag = np.subtract.outer(np.arange(len(w)), np.arange(len(w)))
+    toeplitz = np.tril(w[np.abs(lag)])
     f = np.empty(n_total + 1, dtype=float)
-    f0 = f[0] = _eval_rhs(rhs, float(x[k - k1]), float(x[k - k2]))
-    # far[j] collects interior[j - l] * f[l] over every l in 1..j-1 that lies
-    # outside the block containing j; spectra caches the weight FFTs by length.
-    far = np.zeros(n_total + 1, dtype=float)
+    # Steps 0..known read only the history, so g covers them in one call:
+    # the first call, at least two points long, where a g that is not
+    # elementwise shows itself.
+    known = min(kmin, n_total)
+    # acc[j] collects corner[j - 1] * f[0] and interior[j - l] * f[l] over
+    # every l in 1..j-1 outside the block containing j; spectra caches the
+    # weight FFTs by length.
+    acc = np.empty(n_total + 1, dtype=float)
     spectra: dict[int, np.ndarray] = {}
-    # near[-m:] holds interior[m], ..., interior[1], contiguous for np.dot.
-    near = interior[_BLOCK - 1 : 0 : -1].copy()
+    # The per-step body keeps its block's f in fb; heads[m] = fb[:m] and
+    # tails[m] = toeplitz[m, :m] = (interior[m], ..., interior[1]) are fixed
+    # views, so its dot products take no slices.
+    fb = np.empty(len(w), dtype=float)
+    heads = [fb[:m] for m in range(len(w))]
+    tails = [toeplitz[m, :m] for m in range(len(w))]
 
-    def advance_block(lo: int, hi: int) -> int | None:
+    def step_each(lo: int, hi: int, evaluated: int) -> int | None:
+        # One step at a time, calling g on floats past f[evaluated].
         # Python floats from here on: the same IEEE arithmetic as numpy
         # scalars, without their per-operation overhead.
-        corner_terms = (corner[lo - 1 : hi - 1] * f0).tolist()
-        far_terms = far[lo:hi].tolist()
-        for j in range(lo, hi):
-            fj = _eval_rhs(rhs, float(x[k + j - k1]), float(x[k + j - k2]))
-            f[j] = fj
-            s = corner_terms[j - lo] + fj + far_terms[j - lo]
-            if j > lo:
-                # f[lo:j] pairs f[lo] with offset j - lo, down to f[j-1] with offset 1.
-                s += float(np.dot(near[lo - j :], f[lo:j]))
+        ready = min(hi, evaluated + 1) - lo
+        if ready > 0:
+            fb[:ready] = f[lo : lo + ready]
+        acc_terms = acc[lo:hi].tolist()
+        for m in range(hi - lo):
+            j = lo + m
+            if j > evaluated:
+                try:
+                    fj = float(g(x.item(k + j - k1), x.item(k + j - k2)))
+                except OverflowError:
+                    # Python floats raise from ** and math functions where
+                    # IEEE arithmetic gives inf; a diverging state is a
+                    # truncation, not an exception.
+                    fj = math.inf
+                fb[m] = fj
+            else:
+                fj = fb.item(m)
+            s = acc_terms[m] + fj
+            if m:
+                s += float(tails[m].dot(heads[m]))
             value = phi0 + c * s
             if not math.isfinite(value):
                 x[k + j :] = np.nan
                 return j
             x[k + j] = value
+        f[lo:hi] = fb[: hi - lo]
         return None
 
+    def step_chunks(lo: int, hi: int) -> int | None:
+        # Chunks of at most kmin steps: every delayed argument of a chunk
+        # lies before it, so one g call and one product with the block's
+        # weights advance the whole chunk.
+        for s in range(lo, hi, kmin):
+            e = min(s + kmin, hi)
+            a = max(s, known + 1)
+            if a < e:
+                f[a:e] = g(x[k + a - k1 : k + e - k1], x[k + a - k2 : k + e - k2])
+            y = toeplitz[s - lo : e - lo, : e - lo].dot(f[lo:e])
+            y += acc[s:e]
+            y *= c
+            y += phi0
+            x[k + s : k + e] = y
+        if np.isfinite(x[k + lo : k + hi]).all():
+            return None
+        # The zero upper triangle times a non-finite f puts NaN on the
+        # earlier rows of its chunk, so find the first non-finite state
+        # again step by step, from the f already evaluated.
+        return step_each(lo, hi, hi - 1)
+
     def add_far(lo: int, mid: int, hi: int, size: int) -> None:
-        # Add the finished f[lo:mid] to far[mid:hi].  Target j reads source l
-        # at offset j - l in 1..hi-lo-1; with w = interior[1:], that is entry
+        # Add the finished f[lo:mid] to acc[mid:hi].  Target j reads source l
+        # at offset j - l in 1..hi-lo-1; with v = interior[1:], that is entry
         # (l - lo) + (j - l - 1) = j - lo - 1 of the linear convolution of
-        # f[lo:mid] with w, a window that a cyclic convolution of length
+        # f[lo:mid] with v, a window that a cyclic convolution of length
         # size >= hi - lo - 1 leaves unaliased.
         seg = f[lo:mid]
         peak = float(np.max(np.abs(seg)))
@@ -314,7 +386,7 @@ def simulate(
             # A run sitting on an equilibrium: add exactly nothing.
             return
         if size <= _FFT_THRESHOLD:
-            far[mid:hi] += np.convolve(interior[1 : hi - lo], seg, mode="valid")
+            acc[mid:hi] += np.convolve(interior[1 : hi - lo], seg, mode="valid")
             return
         w_hat = spectra.get(size)
         if w_hat is None:
@@ -323,13 +395,15 @@ def simulate(
         # and cannot overflow before the direct sum would.
         e = math.frexp(peak)[1]
         y = np.fft.irfft(np.fft.rfft(np.ldexp(seg, -e), size) * w_hat, size)
-        far[mid:hi] += np.ldexp(y[mid - lo - 1 : hi - lo - 1], e)
+        acc[mid:hi] += np.ldexp(y[mid - lo - 1 : hi - lo - 1], e)
 
     def advance(lo: int, size: int) -> int | None:
         # Steps lo..lo+size-1, clipped to the horizon; size is _BLOCK * 2**p.
         hi = min(lo + size, n_total + 1)
         if size <= _BLOCK:
-            return advance_block(lo, hi)
+            if kmin >= _MIN_CHUNK:
+                return step_chunks(lo, hi)
+            return step_each(lo, hi, known)
         mid = lo + size // 2
         stop = advance(lo, size // 2)
         if stop is not None or mid >= hi:
@@ -341,8 +415,19 @@ def simulate(
     while size < n_total:
         size *= 2
     # Overflow to inf is the expected signal of a diverging trajectory and
-    # is handled in advance_block, so numpy must not warn about it.
+    # is handled by the truncation checks, so numpy must not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            f[: known + 1] = g(
+                x[k - k1 : k - k1 + known + 1], x[k - k2 : k - k2 + known + 1]
+            )
+        except (TypeError, ValueError) as exc:
+            raise TypeError(
+                "SystemRhs.g failed on float64 arrays; simulate needs an elementwise "
+                "g, written with numpy operations (np.sin, not math.sin)"
+            ) from exc
+        acc[0] = 0.0
+        acc[1:] = corner[:n_total] * f[0]
         truncated_at = advance(1, size)
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
 

@@ -27,8 +27,6 @@ from fracdde.solver import (
     History,
     SystemRhs,
     Trajectory,
-    _eval_rhs,
-    _history_callable,
 )
 
 _ML_TERM_FLOOR = 1e-14
@@ -160,11 +158,9 @@ def direct_sum_stepper(
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
     k = grid.history_steps
     h = grid.h
-    phi = _history_callable(history)
-
     x = np.empty(n_total + k + 1, dtype=float)
     for j in range(-k, 1):
-        value = float(phi(j * h))
+        value = float(history(j * h) if callable(history) else history)
         if not math.isfinite(value):
             raise ValueError(f"history is not finite at t = {j * h:g}")
         x[j + k] = value
@@ -174,18 +170,24 @@ def direct_sum_stepper(
     corner = corner_weight_table(al, n_total)
     c = h ** al / math.gamma(al + 2.0)
 
-    # Hand built-in floats to the right-hand side: numpy scalars silently
-    # produce inf with a warning where float raises OverflowError, and the
-    # truncation contract is defined in terms of the latter.
+    def rhs_at(j: int) -> float:
+        # One scalar call per grid point, on built-in floats.  Their ** and
+        # math functions raise OverflowError where IEEE arithmetic gives
+        # inf; a diverging state is a truncation, not an exception.
+        try:
+            return float(rhs.g(float(x[k + j - k1]), float(x[k + j - k2])))
+        except OverflowError:
+            return math.inf
+
     f = np.empty(n_total + 1, dtype=float)
-    f[0] = _eval_rhs(rhs, float(x[k - k1]), float(x[k - k2]))
+    f[0] = rhs_at(0)
     truncated_at: int | None = None
     # Overflow to inf is the expected signal of a diverging trajectory and
     # is handled below, so numpy must not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_total):
             j = n + 1
-            f[j] = _eval_rhs(rhs, float(x[k + j - k1]), float(x[k + j - k2]))
+            f[j] = rhs_at(j)
             s = corner[n] * f[0] + f[j]
             if n >= 1:
                 # f[n:0:-1] pairs f[n] with offset 1, down to f[1] with offset n.

@@ -6,6 +6,7 @@ import pytest
 
 from fracdde import (
     DelayPair,
+    SystemRhs,
     build_grid,
     critical_curve,
     phase_columns,
@@ -51,6 +52,33 @@ class TestSimulateCommand:
             for text, value in zip(row, expected):
                 assert float(text) == value
                 assert text == format(value, ".17g")
+
+    @pytest.mark.parametrize("tau1, tau2", [(50.0, 0.07), (0.03, 45.0), (0.4, 0.5)])
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path, tau1, tau2):
+        # Rows are written 4096 at a time, each state formatted once per
+        # chunk; a delay of 4500 or 5000 steps puts a delayed column in a
+        # window of its own.  The bytes must equal one "%.17g" row at a time.
+        out = tmp_path / "lin.csv"
+        argv = [
+            "simulate",
+            "--model", "linear", "--a", "-0.5", "--b", "0.3",
+            "--alpha", "0.8",
+            "--tau1", str(tau1), "--tau2", str(tau2),
+            "--T", "120", "--h", "0.01",
+            "--history", "1.5",
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        grid = build_grid(DelayPair(tau1, tau2), 120.0, 0.01)
+        rhs = SystemRhs(g=lambda x1, x2: -0.5 * x1 + 0.3 * x2)
+        table = phase_columns(simulate(rhs, 0.8, grid, 1.5), grid)
+        expected = ["t,x,x_tau1,x_tau2\n"]
+        expected += ["%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist()]
+        got = out.read_text().splitlines(keepends=True)
+        assert len(table) == 12001
+        assert len(got) == len(expected)
+        first_bad = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]), None)
+        assert first_bad is None, (first_bad, got[first_bad], expected[first_bad])
 
     def test_linear_model(self, tmp_path):
         out = tmp_path / "lin.csv"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fracdde import IkedaParams, UcarParams, ikeda_rhs, linearize, ucar_rhs
@@ -54,6 +55,18 @@ class TestIkeda:
         coef_up = linearize(rhs, x)
         assert coef_up.a == -3.0
         assert coef_up.b == pytest.approx(24.0 * math.cos(x), rel=1e-14)
+
+    def test_rhs_is_elementwise(self):
+        # simulate calls g on float64 arrays; every entry must equal the
+        # scalar call exactly.
+        rhs = ikeda_rhs()
+        rng = np.random.default_rng(5)
+        x1 = rng.uniform(-10.0, 10.0, 1000)
+        x2 = rng.uniform(-10.0, 10.0, 1000)
+        got = rhs.g(x1, x2)
+        assert got.shape == x1.shape
+        expected = [rhs.g(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
+        assert got.tolist() == expected
 
     def test_custom_parameters(self):
         rhs = ikeda_rhs(IkedaParams(c1=-1.0, c2=2.0))

@@ -189,6 +189,21 @@ class TestSimulate:
         traj = simulate(rhs, 1.0, grid, 3.0)
         assert traj.is_truncated
 
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (40, 50)])
+    def test_scalar_only_rhs_is_rejected_on_the_first_call(self, k1, k2):
+        # g must be elementwise; math.sin takes no arrays.  The first call
+        # covers at least two points, so a short delay is no way around it.
+        calls = []
+
+        def g(x1, x2):
+            calls.append(1)
+            return -x1 + math.sin(x2)
+
+        grid = CommensurateGrid(h=0.01, n_steps=100, k1=k1, k2=k2)
+        with pytest.raises(TypeError, match="elementwise"):
+            simulate(SystemRhs(g=g), 0.9, grid, 0.5)
+        assert len(calls) == 1
+
     def test_history_callable_is_sampled(self):
         grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.01)
         traj = simulate(linear_rhs(-1.0, 0.5), 0.9, grid, lambda t: math.cos(t))
@@ -219,10 +234,26 @@ class TestFastMemorySum:
     """simulate against the O(N^2) direct-sum stepper it replaces."""
 
     # Step counts around the base block (32) and the FFT threshold (256),
-    # plus two runs deep into the FFT levels.
+    # plus two runs deep into the FFT levels.  The delays put kmin = min(k1,
+    # k2), the chunk length, below and above the one-point cutoff (8) and
+    # around the block size.
     @pytest.mark.parametrize("n_steps", [31, 32, 33, 64, 65, 255, 256, 257, 1000, 5000])
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
-    @pytest.mark.parametrize("k1, k2", [(1, 1), (101, 150)])
+    @pytest.mark.parametrize(
+        "k1, k2",
+        [
+            (1, 1),
+            (101, 150),
+            (1, 2),
+            (4, 40),
+            (7, 9),
+            (8, 8),
+            (31, 40),
+            (32, 32),
+            (33, 50),
+            (160, 140),
+        ],
+    )
     def test_converging_runs_match_direct_sum(self, n_steps, alpha, k1, k2):
         grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
         rhs = linear_rhs(-0.5, -0.25)
@@ -230,6 +261,19 @@ class TestFastMemorySum:
         traj = simulate(rhs, alpha, grid, history)
         ref = direct_sum_stepper(rhs, alpha, grid, history)
         assert not traj.is_truncated and not ref.is_truncated
+        assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, 20])
+    @pytest.mark.parametrize("k1, k2", [(40, 50), (9, 12), (3, 100)])
+    def test_run_shorter_than_a_block_and_the_delays(self, n_steps, k1, k2):
+        # Every step reads only the history, and the weight tables are
+        # shorter than one block.
+        grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
+        rhs = linear_rhs(-0.5, -0.25)
+        history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
+        traj = simulate(rhs, 0.6, grid, history)
+        ref = direct_sum_stepper(rhs, 0.6, grid, history)
+        assert not traj.is_truncated
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     def test_nonlinear_run_matches_direct_sum(self):
@@ -247,6 +291,11 @@ class TestFastMemorySum:
             (ucar_rhs(), 0.961, 56, 113, 1375, 3.666),
             # Grows slowly enough to cross many FFT levels before overflowing.
             (linear_rhs(2.5, 1.5), 0.8, 1, 3, 20000, 1.0),
+            # g overflows to inf inside a chunk, not at its first step: step
+            # 90 is step 7 of the chunk of 9 at 83, and step 282 is step 25
+            # of the chunk of 33 at 257.
+            (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 0.8, 12, 9, 3000, 1.5),
+            (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 1.0, 40, 33, 3000, 1.5),
         ],
     )
     def test_diverging_runs_truncate_at_the_same_step(self, rhs, alpha, k1, k2, n_steps, history):
