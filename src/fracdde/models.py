@@ -21,7 +21,9 @@ class UcarParams:
 
     def __post_init__(self) -> None:
         for name, value in (("delta", self.delta), ("epsilon", self.epsilon)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number")
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -57,7 +59,9 @@ class IkedaParams:
 
     def __post_init__(self) -> None:
         for name, value in (("c1", self.c1), ("c2", self.c2)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -132,11 +132,15 @@ def find_equilibria(
 ) -> list[float]:
     """Locate roots of g(x, x) inside a bracket by scan plus bisection.
 
-    The bracket is sampled at ``resolution`` uniformly spaced points; every
-    sign change (and every exact zero sample) is refined by bisection until
-    ``|g(x, x)| <= 1e-12``.  Roots closer together than the scan spacing can
-    be missed; raise the resolution for wildly oscillatory right-hand sides.
-    Returns the roots sorted increasingly, duplicates merged.
+    The bracket is sampled at ``resolution`` uniformly spaced points.  Every
+    exact zero sample is a root.  All sign changes are refined together by
+    bisection, each until ``|g(x, x)| <= 1e-12`` or until its bracket
+    collapses onto adjacent floats.  A refined point where ``|g|`` exceeds
+    its value at both scan ends is a pole, not a root, and is dropped.
+    Roots closer together than the scan spacing can be missed; raise the
+    resolution for wildly oscillatory right-hand sides.  ``g`` is called
+    with floats only.  Returns the roots sorted increasingly, duplicates
+    merged.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -144,18 +148,14 @@ def find_equilibria(
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    fun = lambda x: float(rhs.g(float(x), float(x)))
+    fun = lambda xs: np.array([float(rhs.g(x, x)) for x in xs.tolist()])
     xs = np.linspace(lo, hi, resolution)
-    vals = np.array([fun(x) for x in xs])
-    roots: list[float] = []
-    for i in range(resolution - 1):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_to_zero(fun, float(xs[i]), float(xs[i + 1]), float(vals[i])))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    roots.sort()
+    vals = fun(xs)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    refined = _bisect(fun, xs[i], xs[i + 1], vals[i], _EQUILIBRIUM_TOL, 200)
+    size = np.abs(fun(refined))
+    pole = (size > np.abs(vals[i])) & (size > np.abs(vals[i + 1]))
+    roots = sorted(np.concatenate([xs[vals == 0.0], refined[~pole]]).tolist())
     merged: list[float] = []
     for r in roots:
         if merged and abs(r - merged[-1]) <= 1e-8 * max(1.0, abs(r)):
@@ -164,29 +164,27 @@ def find_equilibria(
     return merged
 
 
-def _bisect_to_zero(
-    fun: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    target: float = _EQUILIBRIUM_TOL,
-    max_iter: int = 200,
-) -> float:
-    best_x, best_f = lo, abs(f_lo)
+def _bisect(
+    fun: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, target: float, max_iter: int
+) -> np.ndarray:
+    """Bisect the sign-change brackets ``[lo, hi]`` of ``fun`` all together.
+
+    ``fun`` maps arrays to arrays and ``f_lo`` is its value at ``lo``.  A
+    midpoint with ``|fun| <= target`` collapses its bracket onto itself.
+    Returns the bracket midpoints after ``max_iter`` steps, or sooner, once
+    every midpoint rounds onto an end of its bracket.
+    """
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if np.all((mid == lo) | (mid == hi)):
             break
         f_mid = fun(mid)
-        if abs(f_mid) < best_f:
-            best_x, best_f = mid, abs(f_mid)
-        if abs(f_mid) <= target:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return best_x
+        hit = np.abs(f_mid) <= target
+        below = (f_lo < 0.0) == (f_mid < 0.0)
+        lo = np.where(below | hit, mid, lo)
+        hi = np.where(below & ~hit, hi, mid)
+        f_lo = np.where(below, f_mid, f_lo)
+    return 0.5 * (lo + hi)
 
 
 def linearize(rhs: SystemRhs, x_star: float) -> LinearCoefficients:
@@ -444,7 +442,6 @@ def critical_tau2_for_tau1(
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
     max_branch: int = _DEFAULT_MAX_BRANCH,
-    residual_tol: float = _RESIDUAL_TOL,
 ) -> float | None:
     """Smallest tau2 at which the vertical line tau1 = const meets the locus.
 
@@ -457,7 +454,9 @@ def critical_tau2_for_tau1(
     Every branch function tau1(v) is sampled over the window, every
     bracketed crossing of the requested value is sharpened by bisection,
     and the smallest valid tau2 companion at the crossing frequencies is
-    returned.  Crossings exist only in the closed-form band
+    returned.  A companion is valid when it is nonnegative and both
+    defining equations hold at the stored floats with the fixed residual
+    1e-9.  Crossings exist only in the closed-form band
     ``||a| - |b|| <= v**alpha <= |a| + |b|``.  At both band edges the branch
     functions fold with square-root speed, so a crossing can lie between an
     edge and the nearest interior sample, where a plain scanline would miss
@@ -481,34 +480,21 @@ def critical_tau2_for_tau1(
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
     lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
-    residual_tol = float(residual_tol)
 
     edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
     labels = _branch_labels(max_branch)
     y = _branches(al, c, vs, labels)[0] - q
     rows, cols = np.nonzero(y[:, :-1] * y[:, 1:] < 0.0)
-    v_lo, v_hi, f_lo = vs[cols], vs[cols + 1], y[rows, cols]
     brackets = np.arange(len(rows))
-    # All brackets are bisected together; once every midpoint rounds onto an
-    # end of its bracket, further steps would change nothing.
-    for _ in range(90):
-        mid = 0.5 * (v_lo + v_hi)
-        if np.all((mid == v_lo) | (mid == v_hi)):
-            break
-        f_mid = _branches(al, c, mid, labels)[0][rows, brackets] - q
-        hit = f_mid == 0.0
-        below = (f_lo < 0.0) == (f_mid < 0.0)
-        v_lo = np.where(below | hit, mid, v_lo)
-        v_hi = np.where(below & ~hit, v_hi, mid)
-        f_lo = np.where(below, f_mid, f_lo)
-
+    line = lambda v: _branches(al, c, v, labels)[0][rows, brackets] - q
+    v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
     exact_rows, exact_cols = np.nonzero(y == 0.0)
-    v_star = np.concatenate([vs[exact_cols], 0.5 * (v_lo + v_hi)])
+    v_star = np.concatenate([vs[exact_cols], v_cross])
     row_star = np.concatenate([exact_rows, rows])
     tau1_star, tau2_star, va = _branches(al, c, v_star, labels)
     t1 = tau1_star[row_star, np.arange(len(v_star))]
-    ok = (tau2_star >= 0.0) & (_residual(al, c, v_star, t1, tau2_star, va) <= residual_tol)
+    ok = (tau2_star >= 0.0) & (_residual(al, c, v_star, t1, tau2_star, va) <= _RESIDUAL_TOL)
     return float(tau2_star[ok].min()) if ok.any() else None
 
 

@@ -7,6 +7,10 @@ stepper, which is what makes them oracles for its accuracy.
 ``direct_sum_stepper`` is the same product-trapezoidal scheme as
 :func:`fracdde.simulate` with the memory sum formed by one full-length dot
 product per step, O(N^2) in total: the reference for the fast memory sum.
+
+``scalar_equilibria`` scans and bisects one bracket at a time in Python
+floats: the reference for the batched bisection of
+:func:`fracdde.find_equilibria`.
 """
 
 from __future__ import annotations
@@ -199,3 +203,55 @@ def direct_sum_stepper(
                 break
             x[k + j] = value
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
+
+
+def scalar_equilibria(
+    rhs: SystemRhs,
+    bracket: tuple[float, float],
+    resolution: int = 2001,
+) -> list[float]:
+    """Roots of g(x, x) by a per-sample scan and one bisection per sign change.
+
+    Each bracket is bisected on its own until ``|g| <= 1e-12``, for at most
+    200 steps, or until its midpoint rounds onto an end; then the sample
+    with the smallest ``|g|`` stands in.  Unlike :func:`fracdde.find_equilibria`
+    it keeps brackets that straddle a pole.  Roots are sorted and merged
+    within 1e-8 relative.
+    """
+    lo, hi = float(bracket[0]), float(bracket[1])
+    fun = lambda x: float(rhs.g(float(x), float(x)))
+    xs = np.linspace(lo, hi, resolution)
+    vals = np.array([fun(x) for x in xs])
+    roots: list[float] = []
+    for i in range(resolution - 1):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(_bisect_scalar(fun, float(xs[i]), float(xs[i + 1]), float(vals[i])))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    roots.sort()
+    merged: list[float] = []
+    for r in roots:
+        if merged and abs(r - merged[-1]) <= 1e-8 * max(1.0, abs(r)):
+            continue
+        merged.append(r)
+    return merged
+
+
+def _bisect_scalar(fun, lo: float, hi: float, f_lo: float) -> float:
+    best_x, best_f = lo, abs(f_lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        f_mid = fun(mid)
+        if abs(f_mid) < best_f:
+            best_x, best_f = mid, abs(f_mid)
+        if abs(f_mid) <= 1e-12:
+            return mid
+        if (f_lo < 0.0) != (f_mid < 0.0):
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return best_x

@@ -36,6 +36,11 @@ class TestUcar:
         with pytest.raises(ValueError):
             UcarParams(*bad)
 
+    @pytest.mark.parametrize("bad", [{"delta": True}, {"epsilon": True}, {"delta": "1"}])
+    def test_rejects_non_real_parameters(self, bad):
+        with pytest.raises(ValueError, match="must be a real number"):
+            UcarParams(**bad)
+
     def test_rhs_values(self):
         rhs = ucar_rhs(UcarParams(2.0, 0.5))
         assert rhs.g(1.5, 2.0) == 2.0 * 1.5 - 0.5 * 8.0
@@ -76,3 +81,8 @@ class TestIkeda:
     def test_rejects_nonfinite_parameters(self, bad):
         with pytest.raises(ValueError):
             IkedaParams(*bad)
+
+    @pytest.mark.parametrize("bad", [{"c1": False}, {"c2": True}, {"c1": None}])
+    def test_rejects_non_real_parameters(self, bad):
+        with pytest.raises(ValueError, match="must be a real number"):
+            IkedaParams(**bad)

@@ -6,9 +6,11 @@ import pytest
 
 from fracdde import (
     DegenerateCoefficientsError,
+    IkedaParams,
     LinearCoefficients,
     StabilityVerdict,
     SystemRhs,
+    UcarParams,
     characteristic_residual,
     classify,
     critical_curve,
@@ -22,6 +24,7 @@ from fracdde import (
     stable_at_zero_delay,
     ucar_rhs,
 )
+from oracles import scalar_equilibria
 from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
@@ -60,6 +63,60 @@ class TestFindEquilibria:
         # x = 0 falls on a scan point for a symmetric bracket.
         roots = find_equilibria(ucar_rhs(), (-2.0, 2.0), resolution=2001)
         assert len(roots) == 3
+
+    def test_poles_are_not_equilibria(self):
+        # tan changes sign across each pole as well as at each root; the
+        # refined |g| at a pole exceeds both scan ends.
+        roots = find_equilibria(SystemRhs(g=lambda x1, x2: math.tan(x1)), (-10.0, 10.0))
+        assert roots == pytest.approx([k * math.pi for k in range(-3, 4)], abs=1e-12)
+
+    def test_steep_root_is_kept(self):
+        # Only x = 3.3 itself reaches |g| <= 1e-12; at its float neighbours
+        # |g| is about 4e-7.
+        rhs = SystemRhs(g=lambda x1, x2: 1e9 * (x1 - 3.3))
+        assert find_equilibria(rhs, (-10.0, 10.0)) == [3.3]
+
+    def test_tiny_scale_root_is_kept(self):
+        # |g| <= 1e-12 over the whole bracket: the first midpoint ends the
+        # bisection although |g| there exceeds it at the lower scan end.
+        # Only a point that exceeds both ends is taken for a pole.
+        rhs = SystemRhs(g=lambda x1, x2: 1e-20 * (x1 - 0.1201))
+        assert find_equilibria(rhs, (-10.0, 10.0)) == pytest.approx([0.125], abs=1e-12)
+
+    def test_unreachable_tolerance_ends_on_a_float_sign_change(self):
+        # At this scale rounding in g is far above 1e-12, so the bisection
+        # runs until its bracket holds two adjacent floats; the root is one
+        # of them, and g changes sign between it and a neighbour.
+        rhs = SystemRhs(g=lambda x1, x2: 1e9 * (0.3 * x1 + math.sin(2.7 * x2 + 0.4)))
+        roots = find_equilibria(rhs, (-10.0, 10.0))
+        assert len(roots) == 5
+        # The reference keeps the sample of least |g| rather than the final
+        # bracket end, which can differ by a few ulps.
+        assert roots == pytest.approx(scalar_equilibria(rhs, (-10.0, 10.0)), rel=16 * 2.0**-52)
+        for r in roots:
+            g = rhs.g(r, r)
+            assert abs(g) > 1e-12
+            below, above = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+            assert any((g < 0.0) != (rhs.g(n, n) < 0.0) for n in (below, above))
+
+    @pytest.mark.parametrize(
+        "rhs, bracket",
+        [
+            (ucar_rhs(), (-10.0, 10.0)),
+            (ucar_rhs(UcarParams(2.0, 0.5)), (-5.0, 5.0)),
+            (ikeda_rhs(), (-10.0, 10.0)),
+            (ikeda_rhs(IkedaParams(-3.0, 12.0)), (-10.0, 10.0)),
+        ],
+        ids=["ucar", "ucar_wide", "ikeda", "ikeda_c2_12"],
+    )
+    def test_matches_scalar_reference(self, rhs, bracket):
+        assert find_equilibria(rhs, bracket) == scalar_equilibria(rhs, bracket)
+
+    def test_matches_scalar_reference_on_random_cubics(self, rng):
+        for _ in range(20):
+            c = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
+            rhs = SystemRhs(g=lambda x1, x2, c=c: ((c[0] * x1 + c[1]) * x1 + c[2]) * x1 + c[3])
+            assert find_equilibria(rhs, (-5.0, 5.0)) == scalar_equilibria(rhs, (-5.0, 5.0))
 
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -308,6 +365,17 @@ class TestCriticalTau2ForTau1:
         assert got is not None
         assert got == pytest.approx(expected, abs=1e-9)
         assert independent_residual(1.0, 1.0, -3.0, v, q, got) <= 1e-9
+
+    def test_crossing_on_a_sample_is_exact(self):
+        # At order 1 the band of (1, -3) starts at v = 2, where the line
+        # tau1 = pi/4 meets the fold.  In the window (2, 4) that frequency
+        # is a sample with tau1(v) - q exactly 0; in (1.999, 4) it is not,
+        # and bisection must reach the same crossing.
+        q = 0.7853981633974483
+        on_sample = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(2.0, 4.0), samples=201)
+        bisected = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(1.999, 4.0), samples=201)
+        assert on_sample == 0.7853981633974483
+        assert bisected == 0.7853981633974483
 
     def test_none_when_line_misses_curve(self):
         assert critical_tau2_for_tau1(1.0, UCAR_COEF, 50.0, max_branch=2) is None
