@@ -20,7 +20,6 @@ from .numerics import (
     corner_weight_table,
     gamma_function,
     interior_weight_table,
-    trapezoid_weights,
 )
 from .solver import (
     CommensurateGrid,
@@ -56,7 +55,6 @@ __all__ = [
     "NonConvergenceError",
     "FractionalOrder",
     "gamma_function",
-    "trapezoid_weights",
     "corner_weight_table",
     "interior_weight_table",
     "DelayPair",

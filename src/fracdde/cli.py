@@ -13,6 +13,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -26,7 +27,7 @@ from .stability import (
     LinearCoefficients,
     StabilityVerdict,
     _classify_with_boundary,
-    critical_curve,
+    _curve_columns,
     find_equilibria,
     linearize,
     stable_at_zero_delay,
@@ -168,22 +169,20 @@ def _formatted_windows(
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
-    points = critical_curve(
+    columns = _curve_columns(
         args.alpha,
         coef,
         v_range=_v_range(args),
         samples=args.samples,
         max_branch=args.max_branch,
     )
+    v, _, _, sign1, m1, sign2, m2, _ = columns
     # Rows ordered by (m1, sign1, v); the trailing keys only break ties
     # between branches that share a sample v.
-    points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
+    order = np.lexsort((sign2, m2, v, sign1, m1))
     with open(args.out, "w", newline="") as fh:
         fh.write("v,tau1,tau2,sign1,m1,sign2,m2,residual\n")
-        fh.writelines(
-            _CURVES_ROW % (p.v, p.tau1, p.tau2, p.sign1, p.m1, p.sign2, p.m2, p.residual)
-            for p in points
-        )
+        fh.writelines(map(_CURVES_ROW.__mod__, zip(*(col[order].tolist() for col in columns))))
     return 0
 
 
@@ -258,6 +257,9 @@ def _add_window(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# Built once per process: parsing leaves the parser unchanged, and the
+# commands look up what they call as module globals at call time.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fracdde", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)

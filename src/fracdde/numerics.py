@@ -15,7 +15,6 @@ __all__ = [
     "FractionalOrder",
     "order_value",
     "gamma_function",
-    "trapezoid_weights",
     "corner_weight_table",
     "interior_weight_table",
 ]
@@ -156,28 +155,3 @@ def interior_weight_table(alpha: FractionalOrder | float, m_max: int) -> np.ndar
             total += coeff * m ** (beta - 2 * k)
         d2[_SERIES_CUTOFF:] = 2.0 * total
     return d2
-
-
-def trapezoid_weights(alpha: FractionalOrder | float, n: int) -> np.ndarray:
-    """Full product-trapezoidal quadrature row for the step to index ``n+1``.
-
-    Returns the ``n+2`` weights ``a[j, n+1]`` for ``j = 0..n+1``.  The row
-    always ends in the trailing weight 1, sums to
-    ``(alpha+1) * (n+1)**alpha``, and at ``alpha == 1`` equals the classical
-    pattern ``1, 2, ..., 2, 1``.
-
-    The time stepper does not call this function (it consumes the two weight
-    tables directly so that work per step stays linear); the row form exists
-    for inspection and for the identity tests.
-    """
-    a = order_value(alpha)
-    n = int(n)
-    if n < 0:
-        raise ValueError("step index must be nonnegative")
-    row = np.empty(n + 2, dtype=float)
-    row[0] = corner_weight_table(a, n)[n]
-    if n >= 1:
-        interior = interior_weight_table(a, n)
-        row[1 : n + 1] = interior[n:0:-1]
-    row[n + 1] = 1.0
-    return row

@@ -429,6 +429,10 @@ def simulate(
         acc[0] = 0.0
         acc[1:] = corner[:n_total] * f[0]
         truncated_at = advance(1, size)
+    # advance reaches itself through its closure, a reference cycle that
+    # would hold f, acc, the weight tables and the spectra until the next
+    # garbage collection; emptying its cell frees them on return.
+    del advance
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
 
 

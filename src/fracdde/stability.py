@@ -151,7 +151,7 @@ def find_equilibria(
     fun = lambda xs: np.array([float(rhs.g(x, x)) for x in xs.tolist()])
     xs = np.linspace(lo, hi, resolution)
     vals = fun(xs)
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    i = np.flatnonzero(_sign_change(vals[:-1], vals[1:]))
     refined = _bisect(fun, xs[i], xs[i + 1], vals[i], _EQUILIBRIUM_TOL, 200)
     size = np.abs(fun(refined))
     pole = (size > np.abs(vals[i])) & (size > np.abs(vals[i + 1]))
@@ -162,6 +162,16 @@ def find_equilibria(
             continue
         merged.append(r)
     return merged
+
+
+def _sign_change(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``a`` and ``b`` have strictly opposite signs, elementwise.
+
+    Compares signs rather than testing ``a * b < 0``, whose product
+    underflows to zero for tiny values and overflows for huge ones.  Zeros
+    and NaNs are never a sign change.
+    """
+    return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
 
 
 def _bisect(
@@ -379,6 +389,39 @@ def _resolve_search(
     return (lo, hi, int(samples), int(max_branch))
 
 
+def _curve_columns(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    v_range: tuple[float, float] | None,
+    samples: int,
+    max_branch: int,
+    residual_tol: float = _RESIDUAL_TOL,
+) -> tuple[np.ndarray, ...]:
+    """Columns ``(v, tau1, tau2, sign1, m1, sign2, m2, residual)`` of the
+    :func:`critical_curve` points, unordered; the label columns are integers."""
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    residual_tol = float(residual_tol)
+
+    vs = np.linspace(lo, hi, samples)
+    labels = _branch_labels(max_branch)
+    tau1, tau2, va = _branches(al, c, vs, labels)
+    inside = ~np.isnan(tau1[0])
+    vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
+    ok2 = tau2 >= 0.0
+    hits = []
+    # One tau1 branch at a time against the whole tau2 block keeps the
+    # temporaries at (branches x samples) rather than its square.
+    for r1, t1 in enumerate(tau1):
+        residual = _residual(al, c, vs, t1, tau2, va)
+        r2, col = np.nonzero((t1 >= 0.0) & ok2 & (residual <= residual_tol))
+        hits.append((np.full(len(col), r1), r2, col, residual[r2, col]))
+    r1, r2, col, residual = map(np.concatenate, zip(*hits))
+    sign, m = np.array(labels).T
+    return vs[col], tau1[r1, col], tau2[r2, col], sign[r1], m[r1], sign[r2], m[r2], residual
+
+
 def critical_curve(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
@@ -400,39 +443,13 @@ def critical_curve(
 
     Points are sorted by (v, m1, sign1, m2, sign2).  Swapping a and b maps
     the result to the mirrored locus with the delay columns exchanged.
+    This function and ``fracdde curves`` build the locus with one column
+    builder and differ only in how they order it.
     """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
-    residual_tol = float(residual_tol)
-
-    vs = np.linspace(lo, hi, samples)
-    labels = _branch_labels(max_branch)
-    tau1, tau2, va = _branches(al, c, vs, labels)
-    inside = ~np.isnan(tau1[0])
-    vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
-    ok2 = tau2 >= 0.0
-    points: list[CriticalCurvePoint] = []
-    # One tau1 branch at a time against the whole tau2 block keeps the
-    # temporaries at (branches x samples) rather than its square.
-    for r1, t1 in enumerate(tau1):
-        ok1 = t1 >= 0.0
-        if not ok1.any():
-            continue
-        residual = _residual(al, c, vs, t1, tau2, va)
-        r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
-        points.extend(
-            CriticalCurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
-            for v, t1_i, t2_i, r2, res in zip(
-                vs[cols].tolist(),
-                t1[cols].tolist(),
-                tau2[r2s, cols].tolist(),
-                r2s.tolist(),
-                residual[r2s, cols].tolist(),
-            )
-        )
-    points.sort(key=lambda p: (p.v, p.m1, p.sign1, p.m2, p.sign2))
-    return points
+    columns = _curve_columns(alpha, coef, v_range, samples, max_branch, residual_tol)
+    v, _, _, sign1, m1, sign2, m2, _ = columns
+    order = np.lexsort((sign2, m2, sign1, m1, v))
+    return list(map(CriticalCurvePoint, *(col[order].tolist() for col in columns)))
 
 
 def critical_tau2_for_tau1(
@@ -485,7 +502,7 @@ def critical_tau2_for_tau1(
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
     labels = _branch_labels(max_branch)
     y = _branches(al, c, vs, labels)[0] - q
-    rows, cols = np.nonzero(y[:, :-1] * y[:, 1:] < 0.0)
+    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
     brackets = np.arange(len(rows))
     line = lambda v: _branches(al, c, v, labels)[0][rows, brackets] - q
     v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)

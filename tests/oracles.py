@@ -8,9 +8,16 @@ stepper, which is what makes them oracles for its accuracy.
 :func:`fracdde.simulate` with the memory sum formed by one full-length dot
 product per step, O(N^2) in total: the reference for the fast memory sum.
 
+``trapezoid_weights`` assembles one full quadrature row from the two weight
+tables that the stepper reads: the reference for the weight identities.
+
 ``scalar_equilibria`` scans and bisects one bracket at a time in Python
 floats: the reference for the batched bisection of
 :func:`fracdde.find_equilibria`.
+
+``object_curve_points`` builds the crossing locus one
+:class:`~fracdde.CriticalCurvePoint` at a time and sorts it with a key
+function: the reference for the columnar :func:`fracdde.critical_curve`.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 
 import numpy as np
 
-from fracdde import NonConvergenceError
+from fracdde import CriticalCurvePoint, LinearCoefficients, NonConvergenceError
 from fracdde.numerics import (
     FractionalOrder,
     corner_weight_table,
@@ -31,6 +38,13 @@ from fracdde.solver import (
     History,
     SystemRhs,
     Trajectory,
+)
+from fracdde.stability import (
+    _branch_labels,
+    _branches,
+    _require_nondegenerate,
+    _residual,
+    _resolve_search,
 )
 
 _ML_TERM_FLOOR = 1e-14
@@ -146,6 +160,28 @@ def delayed_series_oracle(
     return math.fsum(terms)
 
 
+def trapezoid_weights(alpha: FractionalOrder | float, n: int) -> np.ndarray:
+    """Full product-trapezoidal quadrature row for the step to index ``n+1``.
+
+    Returns the ``n+2`` weights ``a[j, n+1]`` for ``j = 0..n+1``.  The row
+    always ends in the trailing weight 1, sums to
+    ``(alpha+1) * (n+1)**alpha``, and at ``alpha == 1`` equals the classical
+    pattern ``1, 2, ..., 2, 1``.  The stepper reads the two weight tables
+    directly, so that its work per step stays linear, and never forms a row.
+    """
+    a = order_value(alpha)
+    n = int(n)
+    if n < 0:
+        raise ValueError("step index must be nonnegative")
+    row = np.empty(n + 2, dtype=float)
+    row[0] = corner_weight_table(a, n)[n]
+    if n >= 1:
+        interior = interior_weight_table(a, n)
+        row[1 : n + 1] = interior[n:0:-1]
+    row[n + 1] = 1.0
+    return row
+
+
 def direct_sum_stepper(
     rhs: SystemRhs,
     alpha: FractionalOrder | float,
@@ -255,3 +291,50 @@ def _bisect_scalar(fun, lo: float, hi: float, f_lo: float) -> float:
         else:
             lo, f_lo = mid, f_mid
     return best_x
+
+
+def object_curve_points(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    v_range: tuple[float, float] | None = None,
+    samples: int = 2000,
+    max_branch: int = 8,
+    residual_tol: float = 1e-9,
+) -> list[CriticalCurvePoint]:
+    """The crossing locus built point by point and sorted by a key function.
+
+    Same samples, branch delays and residual filter as
+    :func:`fracdde.critical_curve`; every accepted point becomes one object
+    as soon as it is found, and the list is sorted by
+    ``(v, m1, sign1, m2, sign2)`` at the end.
+    """
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    residual_tol = float(residual_tol)
+
+    vs = np.linspace(lo, hi, samples)
+    labels = _branch_labels(max_branch)
+    tau1, tau2, va = _branches(al, c, vs, labels)
+    inside = ~np.isnan(tau1[0])
+    vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
+    ok2 = tau2 >= 0.0
+    points: list[CriticalCurvePoint] = []
+    for r1, t1 in enumerate(tau1):
+        ok1 = t1 >= 0.0
+        if not ok1.any():
+            continue
+        residual = _residual(al, c, vs, t1, tau2, va)
+        r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
+        points.extend(
+            CriticalCurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
+            for v, t1_i, t2_i, r2, res in zip(
+                vs[cols].tolist(),
+                t1[cols].tolist(),
+                tau2[r2s, cols].tolist(),
+                r2s.tolist(),
+                residual[r2s, cols].tolist(),
+            )
+        )
+    points.sort(key=lambda p: (p.v, p.m1, p.sign1, p.m2, p.sign2))
+    return points

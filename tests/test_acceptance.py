@@ -26,10 +26,9 @@ from fracdde import (
     phase_columns,
     simulate,
     stable_at_zero_delay,
-    trapezoid_weights,
     ucar_rhs,
 )
-from oracles import delayed_series_oracle
+from oracles import delayed_series_oracle, trapezoid_weights
 
 UCAR_COEF = (1.0, -3.0)
 

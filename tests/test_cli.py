@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from fracdde import (
     SystemRhs,
     build_grid,
     critical_curve,
+    linearize,
     phase_columns,
     simulate,
     stability,
@@ -17,6 +20,7 @@ from fracdde import (
 from fracdde import cli
 from fracdde.cli import main
 from fracdde.stability import CriticalCurvePoint
+from oracles import object_curve_points
 
 
 def read_csv(path):
@@ -188,7 +192,8 @@ class TestCurvesCommand:
             CriticalCurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
             CriticalCurvePoint(7.0, math.pi, 1e16, 1, 8, -1, 2, 1.2345678901234567e-10),
         ]
-        monkeypatch.setattr(cli, "critical_curve", lambda *args, **kwargs: list(points))
+        columns = tuple(np.array(col) for col in zip(*(astuple(p) for p in points)))
+        monkeypatch.setattr(cli, "_curve_columns", lambda *args, **kwargs: columns)
         out = tmp_path / "curve.csv"
         assert main(["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(out)]) == 0
         points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
@@ -203,6 +208,35 @@ class TestCurvesCommand:
         )
         assert "-0," in expected and "e+308" in expected
         assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "argv, alpha, coef, kwargs",
+        [
+            (["--a", "1", "--b", "-3"], 1.0, (1.0, -3.0), {}),
+            (["--a", "1", "--b", "-3", "--v-min", "3.9", "--v-max", "4.0", "--samples", "200"],
+             1.0, (1.0, -3.0), {"v_range": (3.9, 4.0), "samples": 200}),
+            (["--model", "ucar", "--x-star", "1"], 0.9, linearize(ucar_rhs(), 1.0), {}),
+            (["--a", "-3", "--b", "-22.5", "--samples", "400", "--max-branch", "2"],
+             0.7, (-3.0, -22.5), {"samples": 400, "max_branch": 2}),
+        ],
+    )
+    def test_rows_match_object_path(self, tmp_path, argv, alpha, coef, kwargs):
+        out = tmp_path / "curve.csv"
+        assert main(["curves", *argv, "--alpha", str(alpha), "--out", str(out)]) == 0
+        points = object_curve_points(alpha, coef, **kwargs)
+        points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
+        expected = [
+            [format(p.v, ".17g"), format(p.tau1, ".17g"), format(p.tau2, ".17g")]
+            + [str(p.sign1), str(p.m1), str(p.sign2), str(p.m2)]
+            + [format(p.residual, ".17g")]
+            for p in points
+        ]
+        assert read_csv(out)[1] == expected
+        if not kwargs:
+            # Branches sharing a sample v within one (m1, sign1) group are
+            # ordered by the tie-breaking keys alone.
+            shared = Counter((p.m1, p.sign1, p.v) for p in points)
+            assert max(shared.values()) > 1
 
     def test_model_sourcing_matches_direct_coefficients(self, tmp_path):
         direct = tmp_path / "direct.csv"
@@ -364,6 +398,30 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["simulate", "--model", "ucar"]) == 1
+
+    def test_parser_built_once_gives_fresh_results(self, capsys):
+        runs = [
+            ["equilibria", "--model", "ucar"],
+            ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9", "--tau1", "0.4"],
+            ["classify", "--model", "ucar", "--x-star", "1", "--alpha", "0.9",
+             "--tau1", "0.4", "--tau2", "0.5"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in runs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        cli.build_parser.cache_clear()
+        shared = [run(argv) for argv in runs]
+        assert [code for code, _, _ in shared] == [0, 1, 0]
+        assert "--tau2" in shared[1][2]
+        assert shared == fresh
+        assert cli.build_parser() is cli.build_parser()
 
     def test_bad_alpha_value(self, tmp_path, capsys):
         code = main(

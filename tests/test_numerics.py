@@ -9,9 +9,8 @@ from fracdde import (
     corner_weight_table,
     gamma_function,
     interior_weight_table,
-    trapezoid_weights,
 )
-from oracles import delayed_series_oracle, mittag_leffler
+from oracles import delayed_series_oracle, mittag_leffler, trapezoid_weights
 from reference_values import (
     GAMMA_REFERENCE,
     INTERIOR_WEIGHT_HALF_N2_J1,

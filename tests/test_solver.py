@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -203,6 +204,19 @@ class TestSimulate:
         with pytest.raises(TypeError, match="elementwise"):
             simulate(SystemRhs(g=g), 0.9, grid, 0.5)
         assert len(calls) == 1
+
+    def test_leaves_no_reference_cycle(self):
+        # The work arrays are freed when simulate returns, not at some later
+        # garbage collection; a run deep enough to use the FFT levels.
+        grid = build_grid(DelayPair(0.4, 0.5), 40.0, 0.01)
+        rhs = ucar_rhs()
+        gc.collect()
+        gc.disable()
+        try:
+            simulate(rhs, 0.9, grid, 0.8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_history_callable_is_sampled(self):
         grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.01)

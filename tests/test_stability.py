@@ -24,10 +24,11 @@ from fracdde import (
     stable_at_zero_delay,
     ucar_rhs,
 )
-from oracles import scalar_equilibria
+from oracles import object_curve_points, scalar_equilibria
 from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
+FIELDS = ("v", "tau1", "tau2", "sign1", "m1", "sign2", "m2", "residual")
 
 
 def independent_residual(alpha, a, b, v, tau1, tau2):
@@ -72,16 +73,21 @@ class TestFindEquilibria:
 
     def test_steep_root_is_kept(self):
         # Only x = 3.3 itself reaches |g| <= 1e-12; at its float neighbours
-        # |g| is about 4e-7.
-        rhs = SystemRhs(g=lambda x1, x2: 1e9 * (x1 - 3.3))
-        assert find_equilibria(rhs, (-10.0, 10.0)) == [3.3]
+        # |g| is about 4e-7.  At the larger scales the product of two scan
+        # samples would overflow; the sign comparison does not.
+        for scale in (1e9, 1e160, 1e300):
+            rhs = SystemRhs(g=lambda x1, x2: scale * (x1 - 3.3))
+            assert find_equilibria(rhs, (-10.0, 10.0)) == [3.3]
 
     def test_tiny_scale_root_is_kept(self):
         # |g| <= 1e-12 over the whole bracket: the first midpoint ends the
         # bisection although |g| there exceeds it at the lower scan end.
-        # Only a point that exceeds both ends is taken for a pole.
-        rhs = SystemRhs(g=lambda x1, x2: 1e-20 * (x1 - 0.1201))
-        assert find_equilibria(rhs, (-10.0, 10.0)) == pytest.approx([0.125], abs=1e-12)
+        # Only a point that exceeds both ends is taken for a pole.  At 1e-170
+        # the product of two scan samples would underflow to zero; the sign
+        # comparison still sees the change.
+        for scale in (1e-20, 1e-170):
+            rhs = SystemRhs(g=lambda x1, x2: scale * (x1 - 0.1201))
+            assert find_equilibria(rhs, (-10.0, 10.0)) == pytest.approx([0.125], abs=1e-12)
 
     def test_unreachable_tolerance_ends_on_a_float_sign_change(self):
         # At this scale rounding in g is far above 1e-12, so the bisection
@@ -313,6 +319,28 @@ class TestCriticalCurve:
         points = critical_curve(0.9, UCAR_COEF, samples=300, max_branch=2)
         vs = [p.v for p in points]
         assert vs == sorted(vs)
+
+    @staticmethod
+    def assert_matches_object_path(alpha, coef, **kwargs):
+        points = critical_curve(alpha, coef, **kwargs)
+        expected = object_curve_points(alpha, coef, **kwargs)
+        assert points == expected
+        types = lambda ps: {tuple(type(getattr(p, f)) for f in FIELDS) for p in ps}
+        assert types(points) == types(expected)
+        return points
+
+    def test_matches_object_path_on_random_coefficients(self, rng):
+        for _ in range(20):
+            alpha = float(rng.uniform(0.3, 1.0))
+            a = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
+            b = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
+            self.assert_matches_object_path(alpha, (a, b), samples=300, max_branch=3)
+
+    def test_matches_object_path_on_documented_windows(self):
+        coef = linearize(ucar_rhs(), 1.0)
+        assert len(self.assert_matches_object_path(0.9, coef)) > 30_000
+        assert self.assert_matches_object_path(1.0, UCAR_COEF, v_range=(3.9, 4.0))
+        assert self.assert_matches_object_path(1.0, UCAR_COEF, v_range=(0.1, 1.5)) == []
 
     def test_degenerate_coefficient_rejected(self):
         with pytest.raises(DegenerateCoefficientsError):
