@@ -197,6 +197,49 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
+def _illinois(
+    fun: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, f_hi, max_iter: int
+) -> np.ndarray:
+    """Refine the sign-change brackets ``[lo, hi]`` of ``fun`` all together.
+
+    ``fun`` maps arrays to arrays; ``f_lo`` and ``f_hi`` are its values at
+    the bracket ends.  Each step evaluates ``fun`` once, at the regula falsi
+    point of every bracket, which replaces the end whose value has its
+    sign.  When the same end is kept twice in a row, the value stored
+    there is halved (the Illinois method; Dowell & Jarratt, BIT 11 (1971)
+    168-174), so a far end with a large value cannot pin the falsi point.
+    A bracket steps to its midpoint instead when the falsi point is NaN or
+    not strictly inside it, or when its width has not halved within the
+    last 3 steps, so it needs at most four times bisection's step count.
+    An exact zero collapses its bracket onto itself.  Stops as
+    :func:`_bisect` does: after ``max_iter`` steps, or sooner, once every
+    midpoint rounds onto an end of its bracket.  Returns the bracket
+    midpoints.
+    """
+    width = hi - lo
+    age = np.zeros(len(lo), dtype=int)
+    kept_hi = np.zeros(len(lo), dtype=bool)
+    for step in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        with np.errstate(all="ignore"):
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        x = np.where((lo < x) & (x < hi) & (age < 3), x, mid)
+        f = fun(x)
+        hit = f == 0.0
+        below = (f_lo < 0.0) == (f < 0.0)
+        lo = np.where(below | hit, x, lo)
+        hi = np.where(below & ~hit, hi, x)
+        scale = np.where((below == kept_hi) & (step > 0), 0.5, 1.0)
+        f_lo, f_hi = np.where(below, f, scale * f_lo), np.where(below, scale * f_hi, f)
+        kept_hi = below
+        halved = hi - lo <= 0.5 * width
+        width = np.where(halved, hi - lo, width)
+        age = np.where(halved, 0, age + 1)
+    return 0.5 * (lo + hi)
+
+
 def linearize(rhs: SystemRhs, x_star: float) -> LinearCoefficients:
     """Coefficients (a, b) of the linearization at an equilibrium.
 
@@ -304,37 +347,71 @@ def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
     return [(sign, m) for sign in (1, -1) for m in range(max_branch + 1)]
 
 
-def _branches(
-    al: float, c: LinearCoefficients, v: np.ndarray, labels: Sequence[tuple[int, int]]
-):
-    """Parametric delays on the arccos branches ``labels`` at the frequencies ``v``.
+def _band(al: float, c: LinearCoefficients, v: np.ndarray):
+    """Arccos arguments of both delays at the frequencies ``v``.
 
-    Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in ``labels``,
-    one column per entry of the 1-d array ``v``, and ``va = v**alpha``.  Both delays are NaN wherever either arccos argument
-    leaves [-1, 1] beyond rounding slack, i.e. outside the crossing band.
-    The two arccos arguments share one expression tree with the roles of a
-    and b exchanged, so swapping the coefficients swaps the delays bitwise.
+    Returns ``(a1, a2, outside, va)`` with ``va = v**alpha`` and ``outside``
+    true wherever either argument leaves [-1, 1] beyond rounding slack,
+    i.e. outside the crossing band.  The two arguments share one expression
+    tree with the roles of a and b exchanged, so swapping the coefficients
+    swaps the delays bitwise.
     """
     va = v ** al
     v2a = v ** (2.0 * al)
     a1 = (v2a + (c.a * c.a - c.b * c.b)) / ((2.0 * c.a) * va)
     a2 = (v2a + (c.b * c.b - c.a * c.a)) / ((2.0 * c.b) * va)
     outside = (np.abs(a1) > 1.0 + _CLAMP_SLACK) | (np.abs(a2) > 1.0 + _CLAMP_SLACK)
+    return a1, a2, outside, va
+
+
+def _branch_delay(al: float, arg, outside, v, sign, m):
+    """Delay ``(sign*arccos(arg) - alpha*pi/2 + 2*pi*m) / v`` on branch (sign, m).
+
+    ``sign`` and ``m`` are float arrays that broadcast against ``v``: a
+    column per branch gives a table, one entry per frequency gives each
+    frequency its own branch.  The delay is NaN wherever ``outside``.
+    """
+    th = np.arccos(np.clip(arg, -1.0, 1.0))
+    th[outside] = np.nan
+    return (sign * th - 0.5 * math.pi * al + _TWO_PI * m) / v
+
+
+def _branches(
+    al: float, c: LinearCoefficients, v: np.ndarray, labels: Sequence[tuple[int, int]]
+):
+    """Parametric delays on the arccos branches ``labels`` at the frequencies ``v``.
+
+    Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in
+    ``labels``, one column per entry of the 1-d array ``v``, and
+    ``va = v**alpha``.  Both delays are NaN outside the crossing band.
+    """
+    a1, a2, outside, va = _band(al, c, v)
     sign, m = np.array(labels, dtype=float).T[:, :, None]
-    half = 0.5 * math.pi * al
-    taus = []
-    for arg in (a1, a2):
-        th = np.arccos(np.clip(arg, -1.0, 1.0))
-        th[outside] = np.nan
-        taus.append((sign * th - half + _TWO_PI * m) / v)
-    return taus[0], taus[1], va
+    tau1 = _branch_delay(al, a1, outside, v, sign, m)
+    return tau1, _branch_delay(al, a2, outside, v, sign, m), va
 
 
-def _residual(al: float, c: LinearCoefficients, v, tau1, tau2, va):
-    """Larger absolute defect of the two real crossing equations, elementwise."""
+def _tau1(al: float, c: LinearCoefficients, v, sign, m):
+    """tau1 on the branches (sign, m), broadcast against ``v`` as in :func:`_branch_delay`."""
+    a1, _, outside, _ = _band(al, c, v)
+    return _branch_delay(al, a1, outside, v, sign, m)
+
+
+def _tau2_terms(c: LinearCoefficients, v, tau2):
+    """The tau2 terms ``(b*cos(v*tau2), b*sin(v*tau2))`` of :func:`_residual`."""
+    return c.b * np.cos(v * tau2), c.b * np.sin(v * tau2)
+
+
+def _residual(al: float, c: LinearCoefficients, v, tau1, tau2_terms, va):
+    """Larger absolute defect of the two real crossing equations, elementwise.
+
+    ``tau2_terms`` is :func:`_tau2_terms` of the tau2 delays, so that a
+    caller pairing many tau1 rows with one tau2 block forms it once.
+    """
     half = 0.5 * math.pi * al
-    r1 = va * math.cos(half) - (c.a * np.cos(v * tau1) + c.b * np.cos(v * tau2))
-    r2 = va * math.sin(half) + (c.a * np.sin(v * tau1) + c.b * np.sin(v * tau2))
+    b_cos, b_sin = tau2_terms
+    r1 = va * math.cos(half) - (c.a * np.cos(v * tau1) + b_cos)
+    r2 = va * math.sin(half) + (c.a * np.sin(v * tau1) + b_sin)
     return np.maximum(np.abs(r1), np.abs(r2))
 
 
@@ -410,11 +487,12 @@ def _curve_columns(
     inside = ~np.isnan(tau1[0])
     vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
     ok2 = tau2 >= 0.0
+    tau2_terms = _tau2_terms(c, vs, tau2)
     hits = []
     # One tau1 branch at a time against the whole tau2 block keeps the
     # temporaries at (branches x samples) rather than its square.
     for r1, t1 in enumerate(tau1):
-        residual = _residual(al, c, vs, t1, tau2, va)
+        residual = _residual(al, c, vs, t1, tau2_terms, va)
         r2, col = np.nonzero((t1 >= 0.0) & ok2 & (residual <= residual_tol))
         hits.append((np.full(len(col), r1), r2, col, residual[r2, col]))
     r1, r2, col, residual = map(np.concatenate, zip(*hits))
@@ -468,12 +546,14 @@ def critical_tau2_for_tau1(
     boundary along that line; None means the line meets no crossing inside
     the frequency window.
 
-    Every branch function tau1(v) is sampled over the window, every
-    bracketed crossing of the requested value is sharpened by bisection,
-    and the smallest valid tau2 companion at the crossing frequencies is
-    returned.  A companion is valid when it is nonnegative and both
-    defining equations hold at the stored floats with the fixed residual
-    1e-9.  Crossings exist only in the closed-form band
+    Every branch function tau1(v) is sampled over the window.  Every
+    bracketed crossing of the requested value is sharpened by Illinois
+    regula falsi steps on its own branch, falling back to the midpoint when
+    a step stalls, until the bracket shrinks onto adjacent floats or a step
+    lands on an exact crossing.  The smallest valid tau2 companion at the
+    crossing frequencies is returned.  A companion is valid when it is
+    nonnegative and both defining equations hold at the stored floats with
+    the fixed residual 1e-9.  Crossings exist only in the closed-form band
     ``||a| - |b|| <= v**alpha <= |a| + |b|``.  At both band edges the branch
     functions fold with square-root speed, so a crossing can lie between an
     edge and the nearest interior sample, where a plain scanline would miss
@@ -500,18 +580,24 @@ def critical_tau2_for_tau1(
 
     edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
-    labels = _branch_labels(max_branch)
-    y = _branches(al, c, vs, labels)[0] - q
-    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
-    brackets = np.arange(len(rows))
-    line = lambda v: _branches(al, c, v, labels)[0][rows, brackets] - q
-    v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
-    exact_rows, exact_cols = np.nonzero(y == 0.0)
+    sign, m = np.array(_branch_labels(max_branch), dtype=float).T
+    y = _tau1(al, c, vs, sign[:, None], m[:, None]) - q
+    # Flat indices and divmod: a 2-d nonzero on this table costs several
+    # times as much, even when it finds nothing.
+    rows, cols = np.divmod(np.flatnonzero(_sign_change(y[:, :-1], y[:, 1:])), len(vs) - 1)
+    row_sign, row_m = sign[rows], m[rows]
+    line = lambda v: _tau1(al, c, v, row_sign, row_m) - q
+    # The midpoint fallback halves every bracket at least every fourth
+    # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
+    v_cross = _illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
+    exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(vs))
     v_star = np.concatenate([vs[exact_cols], v_cross])
     row_star = np.concatenate([exact_rows, rows])
-    tau1_star, tau2_star, va = _branches(al, c, v_star, labels)
-    t1 = tau1_star[row_star, np.arange(len(v_star))]
-    ok = (tau2_star >= 0.0) & (_residual(al, c, v_star, t1, tau2_star, va) <= _RESIDUAL_TOL)
+    a1, a2, outside, va = _band(al, c, v_star)
+    t1 = _branch_delay(al, a1, outside, v_star, sign[row_star], m[row_star])
+    tau2_star = _branch_delay(al, a2, outside, v_star, sign[:, None], m[:, None])
+    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
+    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
     return float(tau2_star[ok].min()) if ok.any() else None
 
 

@@ -18,6 +18,10 @@ floats: the reference for the batched bisection of
 ``object_curve_points`` builds the crossing locus one
 :class:`~fracdde.CriticalCurvePoint` at a time and sorts it with a key
 function: the reference for the columnar :func:`fracdde.critical_curve`.
+
+``bisect_line_search`` evaluates every branch at every bisection step of
+the tau1 line search: the reference for the per-bracket Illinois refiner of
+:func:`fracdde.critical_tau2_for_tau1`.
 """
 
 from __future__ import annotations
@@ -40,11 +44,17 @@ from fracdde.solver import (
     Trajectory,
 )
 from fracdde.stability import (
+    _RESIDUAL_TOL,
+    StabilityVerdict,
+    _bisect,
     _branch_labels,
     _branches,
     _require_nondegenerate,
     _residual,
     _resolve_search,
+    _sign_change,
+    _tau2_terms,
+    stable_at_zero_delay,
 )
 
 _ML_TERM_FLOOR = 1e-14
@@ -324,7 +334,7 @@ def object_curve_points(
         ok1 = t1 >= 0.0
         if not ok1.any():
             continue
-        residual = _residual(al, c, vs, t1, tau2, va)
+        residual = _residual(al, c, vs, t1, _tau2_terms(c, vs, tau2), va)
         r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
         points.extend(
             CriticalCurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
@@ -338,3 +348,42 @@ def object_curve_points(
         )
     points.sort(key=lambda p: (p.v, p.m1, p.sign1, p.m2, p.sign2))
     return points
+
+
+def bisect_line_search(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    tau1: float,
+    v_range: tuple[float, float] | None = None,
+    samples: int = 2000,
+    max_branch: int = 8,
+) -> float | None:
+    """Smallest valid tau2 on the line tau1 = const, refined by bisection.
+
+    Same samples, brackets, exact-sample crossings and companion validation
+    as :func:`fracdde.critical_tau2_for_tau1`; every bracket is bisected for
+    at most 90 steps, and each step evaluates all branches of both delays.
+    """
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    q = float(tau1)
+    if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
+        raise ValueError("the crossing search requires coefficients stable at zero delays")
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+
+    edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
+    vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
+    labels = _branch_labels(max_branch)
+    y = _branches(al, c, vs, labels)[0] - q
+    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
+    brackets = np.arange(len(rows))
+    line = lambda v: _branches(al, c, v, labels)[0][rows, brackets] - q
+    v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
+    exact_rows, exact_cols = np.nonzero(y == 0.0)
+    v_star = np.concatenate([vs[exact_cols], v_cross])
+    row_star = np.concatenate([exact_rows, rows])
+    tau1_star, tau2_star, va = _branches(al, c, v_star, labels)
+    t1 = tau1_star[row_star, np.arange(len(v_star))]
+    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
+    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
+    return float(tau2_star[ok].min()) if ok.any() else None

@@ -24,7 +24,8 @@ from fracdde import (
     stable_at_zero_delay,
     ucar_rhs,
 )
-from oracles import object_curve_points, scalar_equilibria
+from fracdde import stability
+from oracles import bisect_line_search, object_curve_points, scalar_equilibria
 from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
@@ -407,6 +408,101 @@ class TestCriticalTau2ForTau1:
 
     def test_none_when_line_misses_curve(self):
         assert critical_tau2_for_tau1(1.0, UCAR_COEF, 50.0, max_branch=2) is None
+
+    @staticmethod
+    def sweep_queries(rng):
+        # The classify queries of the benchmark's stability sweep: one
+        # jittered tau1 per cell of a 7 x 7 grid for each linearization,
+        # plus the ucar stability-switch line tau1 = 1.
+        queries = [(0.9, linearize(ucar_rhs(), 1.0), 1.0)]
+        for alpha, coef, width in (
+            (0.9, linearize(ucar_rhs(), 1.0), 2.0),
+            (0.7, linearize(ikeda_rhs(), 2.7859), 0.2),
+        ):
+            cells = np.arange(7)[:, None] + rng.random((7, 7))
+            queries += [(alpha, coef, q) for q in (width / 7 * cells).ravel().tolist()]
+        return queries
+
+    @staticmethod
+    def random_queries(rng, count):
+        queries = []
+        while len(queries) < count:
+            alpha, a, b, q = rng.uniform((0.3, -5.0, -25.0, 0.0), (1.0, 5.0, 5.0, 3.0)).tolist()
+            if a + b < -1e-3:
+                queries.append((alpha, (a, b), q))
+        return queries
+
+    @staticmethod
+    def assert_matches_bisection(queries):
+        found = 0
+        for alpha, coef, q in queries:
+            got = critical_tau2_for_tau1(alpha, coef, q)
+            ref = bisect_line_search(alpha, coef, q)
+            assert (got is None) == (ref is None), (alpha, coef, q)
+            if ref is not None:
+                found += 1
+                assert abs(got - ref) <= 1e-13 * abs(ref), (alpha, coef, q, got, ref)
+        return found
+
+    def test_matches_bisection_reference_on_sweep_grids(self, rng):
+        queries = self.sweep_queries(rng)
+        assert self.assert_matches_bisection(queries) == len(queries)
+
+    def test_matches_bisection_reference_on_random_queries(self, rng):
+        found = self.assert_matches_bisection(self.random_queries(rng, 50))
+        assert 10 < found < 50
+
+    def test_line_evaluations_per_query(self, rng, monkeypatch):
+        # Bisection evaluates the line about 43 times per query on this grid.
+        calls = 0
+        refine = stability._illinois
+
+        def counted(fun, *args):
+            def line(v):
+                nonlocal calls
+                calls += 1
+                return fun(v)
+
+            return refine(line, *args)
+
+        monkeypatch.setattr(stability, "_illinois", counted)
+        queries = self.sweep_queries(rng)
+        for alpha, coef, q in queries:
+            critical_tau2_for_tau1(alpha, coef, q)
+        assert calls <= 12 * len(queries)
+
+    @pytest.mark.parametrize(
+        "fun, root",
+        [
+            # Plain regula falsi keeps the end at 1 and crawls in from 0.
+            (lambda v: v ** 20 - 0.5, 0.5 ** 0.05),
+            # The value at 1 is about 1e299; only the midpoint fallback
+            # moves that end within the step budget.
+            (lambda v: np.exp(690.0 * v) - 2.0, math.log(2.0) / 690.0),
+            # NaN between 0.2 and 0.9, where the first falsi point lands.
+            (lambda v: np.where((v > 0.2) & (v < 0.9), np.nan, np.sqrt(v) - 0.31), 0.31 ** 2),
+        ],
+        ids=["crawl", "huge_end", "nan_gap"],
+    )
+    def test_refiner_ends_on_adjacent_floats(self, fun, root):
+        counts = {}
+
+        def counting(name):
+            def line(v):
+                counts[name] = counts.get(name, 0) + 1
+                return fun(v)
+
+            return line
+
+        lo, hi = np.array([0.0]), np.array([1.0])
+        f_lo, f_hi = fun(lo), fun(hi)
+        got = float(stability._illinois(counting("illinois"), lo, hi, f_lo, f_hi, 360)[0])
+        stability._bisect(counting("bisect"), lo, hi, f_lo, 0.0, 360)
+        if fun(got) != 0.0:
+            below = got if fun(got) < 0.0 else np.nextafter(got, -np.inf)
+            assert fun(below) < 0.0 < fun(np.nextafter(below, np.inf))
+        assert got == pytest.approx(root, rel=1e-14)
+        assert counts["illinois"] <= 4 * counts["bisect"]
 
     def test_requires_stability_at_zero(self):
         with pytest.raises(ValueError):
