@@ -51,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
 _FLOAT = "%.17g"
 _CURVES_ROW = "%.17g,%.17g,%.17g,%d,%d,%d,%d,%.17g\n"
 # Trajectory rows are formatted this many at a time: one join per chunk, and
-# no whole-table list of rows or strings held in memory.
+# no whole-table list of rows or strings held in memory.  With k history
+# steps the simulate writer holds at most k + 2 * _ROWS_PER_WRITE strings:
+# the states of one chunk and the k before them, and its time stamps.
 _ROWS_PER_WRITE = 4096
 
 
@@ -117,19 +119,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     traj = simulate(rhs, args.alpha, grid, args.history)
     # The rows of phase_columns, without building its table: row j is
-    # t_j, x[k + j], x[k + j - k1], x[k + j - k2].
+    # t_j, x[k + j], x[k + j - k1], x[k + j - k2].  A chunk of n rows from
+    # start reads values[start : start + k + n], of which the first k were
+    # formatted by the chunk before it (the history, for the first chunk).
     k = traj.history_steps
     rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
+    prev = _formatted(traj.values[:k])
     with open(args.out, "w", newline="") as fh:
         fh.write("t,x,x_tau1,x_tau2\n")
         for start in range(0, rows, _ROWS_PER_WRITE):
             n = min(_ROWS_PER_WRITE, rows - start)
             t = _formatted(np.arange(start, start + n) * traj.h)
-            x, x1, x2 = _formatted_windows(
-                traj.values, (k + start, k + start - grid.k1, k + start - grid.k2), n
-            )
+            s = prev + _formatted(traj.values[k + start : k + start + n])
+            x, x1, x2 = (s[k - lag : k - lag + n] for lag in (0, grid.k1, grid.k2))
             fh.write("\n".join(map(",".join, zip(t, x, x1, x2))))
             fh.write("\n")
+            prev = s[n:]
     if traj.truncated_at is not None:
         print(
             f"state left the finite range at step {traj.truncated_at} "
@@ -142,29 +147,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _formatted(values: np.ndarray) -> list[str]:
     return list(map(_FLOAT.__mod__, values.tolist()))
-
-
-def _formatted_windows(
-    values: np.ndarray, starts: tuple[int, ...], n: int
-) -> list[list[str]]:
-    """The strings of values[a : a + n] for each a in starts.
-
-    Overlapping windows share one run of strings, so every value is
-    formatted at most once, and windows far apart cost no more than their
-    own length.
-    """
-    runs: list[tuple[int, list[str]]] = []
-    for a in sorted(set(starts)):
-        if runs and a <= runs[-1][0] + len(runs[-1][1]):
-            first, strings = runs[-1]
-            strings += _formatted(values[first + len(strings) : a + n])
-        else:
-            runs.append((a, _formatted(values[a : a + n])))
-    windows = []
-    for a in starts:
-        first, strings = next(run for run in reversed(runs) if run[0] <= a)
-        windows.append(strings[a - first : a - first + n])
-    return windows
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:

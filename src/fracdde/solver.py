@@ -22,9 +22,10 @@ Every step needs the whole memory of g.  The stepper splits that sum in two
 Stat. Comput. 6 (1985) 532-541): the near part, the samples of the current
 block of ``_BLOCK`` steps, is one product with the block's lower-triangular
 weight matrix per chunk (a short dot product per step in the one-point
-loop); the far part reaches each block already summed, added by
-convolutions of finished halves of the history against the weight table,
-direct for short ones and by FFT for long ones.  A run of N steps costs
+loop); the far part reaches each block already summed.  One loop runs the
+blocks in order; after block ``done`` (counting from 1), one convolution,
+direct when short and by FFT when long, adds its last ``d = done & -done``
+blocks to the far part of the next ``d``.  A run of N steps costs
 O(N log^2 N).
 """
 
@@ -247,10 +248,11 @@ def simulate(
     that rejects arrays (one written with :func:`math.sin`, say) raises
     TypeError on its first call.  Step ``j`` adds the samples of its own
     block of ``_BLOCK`` steps, one small matrix product per chunk, to a
-    far-field sum over all older samples, which divide-and-conquer
-    convolutions of the finished history have already accumulated, so the
-    whole run is O(N log^2 N).  When ``kmin`` is below ``_MIN_CHUNK`` the
-    steps are taken one at a time instead, with ``g`` called on floats.
+    far-field sum over all older samples; after block ``done`` one
+    convolution adds its last ``done & -done`` blocks to that sum for as
+    many blocks ahead, so the whole run is O(N log^2 N).  When ``kmin`` is
+    below ``_MIN_CHUNK`` the steps are taken one at a time instead, with
+    ``g`` called on floats.
 
     A history callable is sampled on [-tau_max, 0] and must be finite there.
     If the state leaves the finite float range the run stops and the partial
@@ -321,7 +323,7 @@ def simulate(
     heads = [fb[:m] for m in range(len(w))]
     tails = [toeplitz[m, :m] for m in range(len(w))]
 
-    def step_each(lo: int, hi: int, evaluated: int) -> int | None:
+    def step_each(lo: int, hi: int, evaluated: int = known) -> int | None:
         # One step at a time, calling g on floats past f[evaluated].
         # Python floats from here on: the same IEEE arithmetic as numpy
         # scalars, without their per-operation overhead.
@@ -397,23 +399,6 @@ def simulate(
         y = np.fft.irfft(np.fft.rfft(np.ldexp(seg, -e), size) * w_hat, size)
         acc[mid:hi] += np.ldexp(y[mid - lo - 1 : hi - lo - 1], e)
 
-    def advance(lo: int, size: int) -> int | None:
-        # Steps lo..lo+size-1, clipped to the horizon; size is _BLOCK * 2**p.
-        hi = min(lo + size, n_total + 1)
-        if size <= _BLOCK:
-            if kmin >= _MIN_CHUNK:
-                return step_chunks(lo, hi)
-            return step_each(lo, hi, known)
-        mid = lo + size // 2
-        stop = advance(lo, size // 2)
-        if stop is not None or mid >= hi:
-            return stop
-        add_far(lo, mid, hi, size)
-        return advance(mid, size // 2)
-
-    size = _BLOCK
-    while size < n_total:
-        size *= 2
     # Overflow to inf is the expected signal of a diverging trajectory and
     # is handled by the truncation checks, so numpy must not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,11 +413,19 @@ def simulate(
             ) from exc
         acc[0] = 0.0
         acc[1:] = corner[:n_total] * f[0]
-        truncated_at = advance(1, size)
-    # advance reaches itself through its closure, a reference cycle that
-    # would hold f, acc, the weight tables and the spectra until the next
-    # garbage collection; emptying its cell frees them on return.
-    del advance
+        step = step_chunks if kmin >= _MIN_CHUNK else step_each
+        truncated_at = None
+        for lo in range(1, n_total + 1, _BLOCK):
+            hi = lo + _BLOCK
+            truncated_at = step(lo, min(hi, n_total + 1))
+            if truncated_at is not None or hi > n_total:
+                break
+            # With `done` blocks finished, the last lowbit(done) of them are
+            # the first half of an aligned run twice as long (the
+            # divide-and-conquer schedule): add them to its second half.
+            done = (hi - 1) // _BLOCK
+            span = (done & -done) * _BLOCK
+            add_far(hi - span, hi, min(hi + span, n_total + 1), 2 * span)
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
 
 

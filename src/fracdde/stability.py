@@ -334,12 +334,30 @@ def default_v_window(
     lower end (v = 0 itself is never a crossing of interest and the
     parametrization is singular there).  Both band edges are square-root
     folds of the branch functions, which is why the line search of
-    :func:`critical_tau2_for_tau1` samples them explicitly.
+    :func:`critical_tau2_for_tau1` samples them explicitly.  Raises
+    ValueError when the window end exceeds the float range.
     """
     al = order_value(alpha)
     c = _as_coef(coef)
-    hi = 4.0 * (abs(c.a) + abs(c.b)) ** (1.0 / al)
+    hi = 4.0 * _band_edges(al, c)[1]
+    if math.isinf(hi):
+        raise ValueError(
+            f"the default frequency window 4*(|a| + |b|)**(1/alpha) exceeds the float "
+            f"range for a={c.a}, b={c.b}, alpha={al}; give an explicit window"
+        )
     return (1e-6, hi)
+
+
+def _band_edges(al: float, c: LinearCoefficients) -> list[float]:
+    """The band edges ``||a| - |b||**(1/alpha)`` and ``(|a| + |b|)**(1/alpha)``;
+    an edge beyond the float range is inf."""
+    edges = []
+    for base in (abs(abs(c.a) - abs(c.b)), abs(c.a) + abs(c.b)):
+        try:
+            edges.append(base ** (1.0 / al))
+        except OverflowError:
+            edges.append(math.inf)
+    return edges
 
 
 def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
@@ -472,14 +490,12 @@ def _curve_columns(
     v_range: tuple[float, float] | None,
     samples: int,
     max_branch: int,
-    residual_tol: float = _RESIDUAL_TOL,
 ) -> tuple[np.ndarray, ...]:
     """Columns ``(v, tau1, tau2, sign1, m1, sign2, m2, residual)`` of the
     :func:`critical_curve` points, unordered; the label columns are integers."""
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
-    residual_tol = float(residual_tol)
 
     vs = np.linspace(lo, hi, samples)
     labels = _branch_labels(max_branch)
@@ -493,7 +509,7 @@ def _curve_columns(
     # temporaries at (branches x samples) rather than its square.
     for r1, t1 in enumerate(tau1):
         residual = _residual(al, c, vs, t1, tau2_terms, va)
-        r2, col = np.nonzero((t1 >= 0.0) & ok2 & (residual <= residual_tol))
+        r2, col = np.nonzero((t1 >= 0.0) & ok2 & (residual <= _RESIDUAL_TOL))
         hits.append((np.full(len(col), r1), r2, col, residual[r2, col]))
     r1, r2, col, residual = map(np.concatenate, zip(*hits))
     sign, m = np.array(labels).T
@@ -506,7 +522,6 @@ def critical_curve(
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
     max_branch: int = _DEFAULT_MAX_BRANCH,
-    residual_tol: float = _RESIDUAL_TOL,
 ) -> list[CriticalCurvePoint]:
     """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane.
 
@@ -515,7 +530,7 @@ def critical_curve(
     arguments lie in [-1, 1] (clamped within 1e-12), every branch
     combination with winding numbers up to ``max_branch`` is formed, and a
     point is emitted when both delays are nonnegative and both defining
-    equations hold with residual at most ``residual_tol``.  The residual
+    equations hold with residual at most 1e-9.  The residual
     filter is what discards the branch sign pairs that are incompatible
     with the coefficient signs.
 
@@ -524,7 +539,7 @@ def critical_curve(
     This function and ``fracdde curves`` build the locus with one column
     builder and differ only in how they order it.
     """
-    columns = _curve_columns(alpha, coef, v_range, samples, max_branch, residual_tol)
+    columns = _curve_columns(alpha, coef, v_range, samples, max_branch)
     v, _, _, sign1, m1, sign2, m2, _ = columns
     order = np.lexsort((sign2, m2, sign1, m1, v))
     return list(map(CriticalCurvePoint, *(col[order].tolist() for col in columns)))
@@ -578,8 +593,8 @@ def critical_tau2_for_tau1(
         )
     lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
 
-    edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
-    vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
+    edges = [e for e in _band_edges(al, c) if lo < e < hi]
+    vs = np.union1d(np.linspace(lo, hi, samples), edges)
     sign, m = np.array(_branch_labels(max_branch), dtype=float).T
     y = _tau1(al, c, vs, sign[:, None], m[:, None]) - q
     # Flat indices and divmod: a 2-d nonzero on this table costs several

@@ -151,6 +151,32 @@ class TestSimulateCommand:
         assert 0 < len(rows) < 2001
         assert all(math.isfinite(float(r[1])) for r in rows)
 
+    def test_truncated_long_delay_csv_bytes(self, tmp_path, capsys):
+        # A 4500-step delay and a blow-up in the second 4096-row chunk: the
+        # x_tau2 column of the partial CSV reads strings carried over from
+        # the first chunk.  The bytes must equal one "%.17g" row at a time.
+        out = tmp_path / "blowup.csv"
+        argv = [
+            "simulate",
+            "--model", "linear", "--a", "25", "--b", "0.5",
+            "--alpha", "0.9",
+            "--tau1", "0.1", "--tau2", "45",
+            "--T", "100", "--h", "0.01",
+            "--history", "1",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        grid = build_grid(DelayPair(0.1, 45.0), 100.0, 0.01)
+        traj = simulate(SystemRhs(g=lambda x1, x2: 25.0 * x1 + 0.5 * x2), 0.9, grid, 1.0)
+        assert grid.k2 > 4096 and 4096 < traj.truncated_at < 8192
+        table = phase_columns(traj, grid)
+        expected = "t,x,x_tau1,x_tau2\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist()
+        )
+        assert len(table) == traj.truncated_at
+        assert out.read_bytes() == expected.encode()
+
     def test_foreign_model_parameter_rejected(self, tmp_path, capsys):
         code = main(
             [
@@ -282,6 +308,40 @@ class TestCurvesCommand:
         )
         assert code == 1
         assert "together" in capsys.readouterr().err
+
+
+# (|a| + |b|)**(1/alpha) overflows; the window holds no crossing.
+HUGE_BAND = [
+    (["--a", "1e200", "--b=-3e200", "--alpha", "0.5"], ["--v-min", "1", "--v-max", "10"]),
+    (["--a", "3.4e30", "--b=-3.5e30", "--alpha", "0.1"], ["--v-min", "1e289", "--v-max", "1e291"]),
+]
+
+
+class TestOverflowingBandEdge:
+    @pytest.mark.parametrize("coef", [coef for coef, _ in HUGE_BAND])
+    @pytest.mark.parametrize(
+        "command", [["curves", "--out", "c.csv"], ["classify", "--tau1", "0.1", "--tau2", "0.1"]]
+    )
+    def test_default_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, coef, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, *coef]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: ") and err.count("\n") == 1
+        assert "float range" in err
+
+    @pytest.mark.parametrize("coef, window", HUGE_BAND)
+    def test_explicit_window_curves(self, tmp_path, capsys, coef, window):
+        out = tmp_path / "c.csv"
+        assert main(["curves", *coef, *window, "--out", str(out)]) == 0
+        assert out.read_text() == "v,tau1,tau2,sign1,m1,sign2,m2,residual\n"
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("coef, window", HUGE_BAND)
+    def test_explicit_window_classify(self, capsys, coef, window):
+        assert main(["classify", *coef, *window, "--tau1", "0.1", "--tau2", "0.1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "Stable" and doc["critical_tau2"] is None
 
 
 class TestClassifyCommand:

@@ -310,12 +310,6 @@ class TestCriticalCurve:
     def test_empty_window_below_crossings(self):
         assert critical_curve(1.0, UCAR_COEF, v_range=(0.1, 1.5)) == []
 
-    def test_residual_tolerance_is_honored(self):
-        strict = critical_curve(0.9, UCAR_COEF, samples=200, residual_tol=1e-12)
-        loose = critical_curve(0.9, UCAR_COEF, samples=200)
-        assert len(strict) <= len(loose)
-        assert all(p.residual <= 1e-12 for p in strict)
-
     def test_sorted_by_frequency(self):
         points = critical_curve(0.9, UCAR_COEF, samples=300, max_branch=2)
         vs = [p.v for p in points]
@@ -576,3 +570,32 @@ class TestClassify:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCoefficientsError):
             classify(0.9, (-1.0, 0.0), (0.1, 0.1))
+
+
+# (|a| + |b|)**(1/alpha) is beyond the float range for both pairs.  At alpha
+# 0.1 the lower band edge ||a| - |b||**10 = 1e290 is finite and lies inside
+# the explicit window, so the line search samples it there.
+HUGE_BAND = [
+    (0.5, (1e200, -3e200), (1.0, 10.0)),
+    (0.1, (3.4e30, -3.5e30), (1e289, 1e291)),
+]
+
+
+class TestOverflowingBandEdge:
+    @pytest.mark.parametrize("alpha, coef", [case[:2] for case in HUGE_BAND])
+    def test_default_window_is_a_value_error(self, alpha, coef):
+        for call in (
+            lambda: default_v_window(alpha, coef),
+            lambda: critical_curve(alpha, coef),
+            lambda: critical_tau2_for_tau1(alpha, coef, 0.1),
+            lambda: classify(alpha, coef, (0.1, 0.1)),
+        ):
+            with pytest.raises(ValueError, match="float range"):
+                call()
+
+    @pytest.mark.parametrize("alpha, coef, window", HUGE_BAND)
+    def test_explicit_window_leaves_the_edge_outside(self, alpha, coef, window):
+        assert critical_curve(alpha, coef, v_range=window, samples=200) == []
+        assert critical_tau2_for_tau1(alpha, coef, 0.1, v_range=window) is None
+        verdict = classify(alpha, coef, (0.1, 0.1), v_range=window)
+        assert verdict is StabilityVerdict.STABLE
