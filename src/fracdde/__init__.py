@@ -39,7 +39,6 @@ from .stability import (
     critical_curve,
     critical_tau2_for_tau1,
     default_v_window,
-    delay_plane_boundary,
     find_equilibria,
     linearize,
     parametric_delays,
@@ -75,7 +74,6 @@ __all__ = [
     "parametric_delays",
     "critical_curve",
     "critical_tau2_for_tau1",
-    "delay_plane_boundary",
     "classify",
     "UcarParams",
     "IkedaParams",

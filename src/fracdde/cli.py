@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCoefficientsError, IncommensurableDelaysError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
 from .solver import DelayPair, SystemRhs, build_grid, simulate
 from .stability import (
@@ -310,12 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        IncommensurableDelaysError,
-        DegenerateCoefficientsError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # the package errors subclass ValueError
         print(f"fracdde: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

@@ -41,7 +41,6 @@ __all__ = [
     "parametric_delays",
     "critical_curve",
     "critical_tau2_for_tau1",
-    "delay_plane_boundary",
     "classify",
 ]
 
@@ -616,34 +615,6 @@ def critical_tau2_for_tau1(
     return float(tau2_star[ok].min()) if ok.any() else None
 
 
-def delay_plane_boundary(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    tau1: float,
-    v_range: tuple[float, float] | None = None,
-    samples: int = _DEFAULT_SAMPLES,
-    max_branch: int = _DEFAULT_MAX_BRANCH,
-) -> float | None:
-    """Boundary value of tau2 used to classify the point (tau1, tau2).
-
-    Normally this is :func:`critical_tau2_for_tau1`.  When the vertical line
-    misses every sampled branch (possible in custom frequency windows), the
-    lowest tau2 among all sampled curve points stands in as a conservative
-    boundary; None means the window contains no crossing locus at all.
-    """
-    c = critical_tau2_for_tau1(
-        alpha, coef, tau1, v_range=v_range, samples=samples, max_branch=max_branch
-    )
-    if c is not None:
-        return c
-    points = critical_curve(
-        alpha, coef, v_range=v_range, samples=samples, max_branch=max_branch
-    )
-    if not points:
-        return None
-    return min(p.tau2 for p in points)
-
-
 def classify(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
@@ -661,9 +632,14 @@ def classify(
     delay-free boundary case stays OnBoundary.  Otherwise the point is
     compared against the stability boundary along its tau1 line: Stable
     below it by more than ``tolerance``, Unstable above it by more than
-    ``tolerance``, OnBoundary inside the band.  If no boundary exists in
-    the frequency window the delays are classified Stable, since no root
-    can have crossed the imaginary axis.
+    ``tolerance``, OnBoundary inside the band.  The boundary is
+    :func:`critical_tau2_for_tau1`.  When the tau1 line misses every
+    sampled branch (possible in custom frequency windows, or for tau1
+    beyond the sampled branches), the lowest tau2 of the
+    :func:`critical_curve` locus, the curve floor, stands in as a
+    conservative boundary.  If the window holds no crossing locus at all
+    the delays are classified Stable, since no root can have crossed the
+    imaginary axis.
     """
     return _classify_with_boundary(alpha, coef, delays, tolerance, v_range, samples, max_branch)[0]
 
@@ -695,9 +671,12 @@ def _classify_with_boundary(
         return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return StabilityVerdict.UNSTABLE, None
-    boundary = delay_plane_boundary(
+    boundary = critical_tau2_for_tau1(
         alpha, c, d.tau1, v_range=v_range, samples=samples, max_branch=max_branch
     )
+    if boundary is None:
+        floor = _curve_columns(alpha, c, v_range, samples, max_branch)[2]
+        boundary = float(floor.min()) if floor.size else None
     if boundary is None or d.tau2 < boundary - tolerance:
         return StabilityVerdict.STABLE, boundary
     if d.tau2 > boundary + tolerance:

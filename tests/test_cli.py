@@ -421,6 +421,25 @@ class TestClassifyCommand:
         assert doc["verdict"] == "Stable"
         assert doc["b"] == pytest.approx(-3.0)
 
+    def test_curve_floor_fallback(self, tmp_path, capsys, monkeypatch):
+        # The tau1 = 0.5 line misses every branch in this window, so the
+        # boundary is the lowest tau2 of the curves CSV for the same window.
+        window = ["--a", "1", "--b", "-3", "--alpha", "1", "--v-min", "3.9", "--v-max", "4.0"]
+        out = tmp_path / "curve.csv"
+        assert main(["curves", *window, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header.split(",")[2] == "tau2"
+        floor = min(float(line.split(",", 3)[2]) for line in lines)
+
+        def no_objects(*args, **kwargs):
+            raise AssertionError("classify must not build the object locus")
+
+        monkeypatch.setattr(stability, "critical_curve", no_objects)
+        code, doc = self.run(["classify", *window, "--tau1", "0.5", "--tau2", "0.9"], capsys)
+        assert code == 0
+        assert doc["verdict"] == "Unstable"
+        assert doc["critical_tau2"] == floor
+
 
 class TestEquilibriaCommand:
     def test_ucar_listing(self, capsys):

@@ -16,7 +16,6 @@ from fracdde import (
     critical_curve,
     critical_tau2_for_tau1,
     default_v_window,
-    delay_plane_boundary,
     find_equilibria,
     ikeda_rhs,
     linearize,
@@ -508,20 +507,37 @@ class TestCriticalTau2ForTau1:
 
 
 class TestDelayPlaneBoundary:
+    # The boundary tau2 that classify compares a point against.
+    @staticmethod
+    def boundary(tau1, tau2=1.0, v_range=None):
+        return stability._classify_with_boundary(
+            1.0, UCAR_COEF, (tau1, tau2), 1e-6, v_range, 2000, 8
+        )[1]
+
     def test_equals_line_search_when_it_hits(self):
         direct = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
-        assert delay_plane_boundary(1.0, UCAR_COEF, 0.0) == direct
+        assert self.boundary(0.0) == direct
 
     def test_falls_back_to_curve_floor(self):
         # In this narrow window the tau1 = 0.5 line misses every branch, but
         # curve points exist; their lowest tau2 stands in as the boundary.
-        boundary = delay_plane_boundary(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0))
+        assert critical_tau2_for_tau1(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0)) is None
+        boundary = self.boundary(0.5, v_range=(3.9, 4.0))
         assert boundary is not None
         points = critical_curve(1.0, UCAR_COEF, v_range=(3.9, 4.0))
         assert boundary == min(p.tau2 for p in points)
 
     def test_none_when_window_has_no_locus(self):
-        assert delay_plane_boundary(1.0, UCAR_COEF, 0.1, v_range=(0.1, 1.5)) is None
+        assert self.boundary(0.1, v_range=(0.1, 1.5)) is None
+
+    def test_curve_floor_on_default_window(self):
+        # tau1 = 30 lies beyond every branch up to winding number 8.
+        assert critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0) is None
+        boundary = self.boundary(30.0)
+        assert boundary == min(p.tau2 for p in critical_curve(1.0, UCAR_COEF))
+        assert boundary == pytest.approx(0.36620786051959864, rel=1e-12)
+        assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
+        assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
 
 
 class TestClassify:
