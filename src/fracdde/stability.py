@@ -208,35 +208,48 @@ def _illinois(
     there is halved (the Illinois method; Dowell & Jarratt, BIT 11 (1971)
     168-174), so a far end with a large value cannot pin the falsi point.
     A bracket steps to its midpoint instead when the falsi point is NaN or
-    not strictly inside it, or when its width has not halved within the
-    last 3 steps, so it needs at most four times bisection's step count.
-    An exact zero collapses its bracket onto itself.  Stops as
-    :func:`_bisect` does: after ``max_iter`` steps, or sooner, once every
-    midpoint rounds onto an end of its bracket.  Returns the bracket
-    midpoints.
+    not strictly inside it (a zero ``f_lo - f_hi`` included), or when its
+    width has not halved within the last 3 steps, so it needs at most four
+    times bisection's step count.  An exact zero collapses its bracket onto
+    itself.  Stops as :func:`_bisect` does: after ``max_iter`` steps, or
+    sooner, once every midpoint rounds onto an end of its bracket.  Returns
+    the bracket midpoints.
+
+    The bracket state lives in Python floats, which round as float64 arrays
+    do: a line search refines only a few brackets, and numpy's per-call
+    overhead on arrays that short would cost more than the step's one
+    evaluation of ``fun``.
     """
-    width = hi - lo
-    age = np.zeros(len(lo), dtype=int)
-    kept_hi = np.zeros(len(lo), dtype=bool)
+    lo, hi, f_lo, f_hi = np.array([lo, hi, f_lo, f_hi], dtype=float).tolist()
+    width = [b - a for a, b in zip(lo, hi)]
+    age = [0] * len(lo)
+    kept_hi = [False] * len(lo)
     for step in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if ((mid == lo) | (mid == hi)).all():
+        xs = []
+        settled = True
+        for a, b, fa, fb, n in zip(lo, hi, f_lo, f_hi, age):
+            mid = 0.5 * (a + b)
+            settled = settled and (mid == a or mid == b)
+            d = fa - fb
+            x = a + (b - a) * (fa / d) if d != 0.0 else mid
+            xs.append(x if a < x < b and n < 3 else mid)
+        if settled:
             break
-        with np.errstate(all="ignore"):
-            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        x = np.where((lo < x) & (x < hi) & (age < 3), x, mid)
-        f = fun(x)
-        hit = f == 0.0
-        below = (f_lo < 0.0) == (f < 0.0)
-        lo = np.where(below | hit, x, lo)
-        hi = np.where(below & ~hit, hi, x)
-        scale = np.where((below == kept_hi) & (step > 0), 0.5, 1.0)
-        f_lo, f_hi = np.where(below, f, scale * f_lo), np.where(below, scale * f_hi, f)
-        kept_hi = below
-        halved = hi - lo <= 0.5 * width
-        width = np.where(halved, hi - lo, width)
-        age = np.where(halved, 0, age + 1)
-    return 0.5 * (lo + hi)
+        for i, (x, f) in enumerate(zip(xs, fun(np.array(xs)).tolist())):
+            below = (f_lo[i] < 0.0) == (f < 0.0)
+            scale = 0.5 if below == kept_hi[i] and step > 0 else 1.0
+            if below:
+                lo[i], f_lo[i], f_hi[i] = x, f, scale * f_hi[i]
+            else:
+                hi[i], f_lo[i], f_hi[i] = x, scale * f_lo[i], f
+            if f == 0.0:
+                lo[i] = hi[i] = x
+            kept_hi[i] = below
+            if hi[i] - lo[i] <= 0.5 * width[i]:
+                width[i], age[i] = hi[i] - lo[i], 0
+            else:
+                age[i] += 1
+    return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
 
 def linearize(rhs: SystemRhs, x_star: float) -> LinearCoefficients:
@@ -560,7 +573,12 @@ def critical_tau2_for_tau1(
     boundary along that line; None means the line meets no crossing inside
     the frequency window.
 
-    Every branch function tau1(v) is sampled over the window.  Every
+    The branch functions tau1(v) are sampled over the window, but only
+    those whose range can reach the requested value.  A branch (sign, m)
+    is its sign's m = 0 branch plus 2*pi*m/v, so the sampled m = 0 range
+    and the range of 1/v over the band bound it before it is sampled; the
+    bound's margin scales with both terms, so rounding cannot rule out a
+    branch whose samples change sign or hit the value exactly.  Every
     bracketed crossing of the requested value is sharpened by Illinois
     regula falsi steps on its own branch, falling back to the midpoint when
     a step stalls, until the bracket shrinks onto adjacent floats or a step
@@ -595,18 +613,36 @@ def critical_tau2_for_tau1(
     edges = [e for e in _band_edges(al, c) if lo < e < hi]
     vs = np.union1d(np.linspace(lo, hi, samples), edges)
     sign, m = np.array(_branch_labels(max_branch), dtype=float).T
-    y = _tau1(al, c, vs, sign[:, None], m[:, None]) - q
+    a1, _, outside, _ = _band(al, c, vs)
+    # Row (sign, m) is the m = 0 row of its sign plus 2*pi*m/v, so its
+    # sampled range lies within the m = 0 range plus 2*pi*m*[min, max](1/v).
+    # The margin scales with the terms, not their sum, so rounding never
+    # drops a row whose table entry changes sign or is exactly 0; a bound
+    # that overflows to inf or NaN keeps its row.
+    base = _branch_delay(al, a1, outside, vs, np.array([[1.0], [-1.0]]), 0.0)
+    band = ~np.isnan(base[0])
+    if not band.any():
+        return None
+    base, v_band = base[:, band], vs[band]
+    half = (sign < 0.0).astype(int)
+    with np.errstate(all="ignore"):
+        wind_lo, wind_hi = m * (_TWO_PI / v_band[-1]), m * (_TWO_PI / v_band[0])
+        low = base.min(axis=1)[half] + wind_lo
+        high = base.max(axis=1)[half] + wind_hi
+        margin = 1e-9 * (np.abs(base).max(axis=1)[half] + wind_hi + q)
+        keep = np.flatnonzero(~((q < low - margin) | (q > high + margin)))
+    y = _branch_delay(al, a1, outside, vs, sign[keep, None], m[keep, None]) - q
     # Flat indices and divmod: a 2-d nonzero on this table costs several
     # times as much, even when it finds nothing.
     rows, cols = np.divmod(np.flatnonzero(_sign_change(y[:, :-1], y[:, 1:])), len(vs) - 1)
-    row_sign, row_m = sign[rows], m[rows]
+    row_sign, row_m = sign[keep[rows]], m[keep[rows]]
     line = lambda v: _tau1(al, c, v, row_sign, row_m) - q
     # The midpoint fallback halves every bracket at least every fourth
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
     v_cross = _illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
     exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(vs))
     v_star = np.concatenate([vs[exact_cols], v_cross])
-    row_star = np.concatenate([exact_rows, rows])
+    row_star = keep[np.concatenate([exact_rows, rows])]
     a1, a2, outside, va = _band(al, c, v_star)
     t1 = _branch_delay(al, a1, outside, v_star, sign[row_star], m[row_star])
     tau2_star = _branch_delay(al, a2, outside, v_star, sign[:, None], m[:, None])

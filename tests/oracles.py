@@ -22,6 +22,11 @@ function: the reference for the columnar :func:`fracdde.critical_curve`.
 ``bisect_line_search`` evaluates every branch at every bisection step of
 the tau1 line search: the reference for the per-bracket Illinois refiner of
 :func:`fracdde.critical_tau2_for_tau1`.
+
+``table_line_search`` samples every branch, including those whose range
+cannot reach the line, and runs the Illinois refiner with its bracket state
+in numpy arrays: the bitwise reference for the pruned table and the
+Python-float refiner of :func:`fracdde.critical_tau2_for_tau1`.
 """
 
 from __future__ import annotations
@@ -46,13 +51,17 @@ from fracdde.solver import (
 from fracdde.stability import (
     _RESIDUAL_TOL,
     StabilityVerdict,
+    _band,
+    _band_edges,
     _bisect,
+    _branch_delay,
     _branch_labels,
     _branches,
     _require_nondegenerate,
     _residual,
     _resolve_search,
     _sign_change,
+    _tau1,
     _tau2_terms,
     stable_at_zero_delay,
 )
@@ -387,3 +396,75 @@ def bisect_line_search(
     residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
     ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
     return float(tau2_star[ok].min()) if ok.any() else None
+
+
+def table_line_search(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    tau1: float,
+    v_range: tuple[float, float] | None = None,
+    samples: int = 2000,
+    max_branch: int = 8,
+) -> float | None:
+    """Smallest valid tau2 on the line tau1 = const from the full branch table.
+
+    Same samples, brackets, exact-sample crossings, refiner iterates and
+    companion validation as :func:`fracdde.critical_tau2_for_tau1`, so the
+    two agree bitwise; the tau1 table holds every branch (sign, m), and
+    :func:`array_illinois` refines the brackets.
+    """
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    q = float(tau1)
+    if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
+        raise ValueError("the crossing search requires coefficients stable at zero delays")
+    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+
+    edges = [e for e in _band_edges(al, c) if lo < e < hi]
+    vs = np.union1d(np.linspace(lo, hi, samples), edges)
+    sign, m = np.array(_branch_labels(max_branch), dtype=float).T
+    y = _tau1(al, c, vs, sign[:, None], m[:, None]) - q
+    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
+    row_sign, row_m = sign[rows], m[rows]
+    line = lambda v: _tau1(al, c, v, row_sign, row_m) - q
+    v_cross = array_illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
+    exact_rows, exact_cols = np.nonzero(y == 0.0)
+    v_star = np.concatenate([vs[exact_cols], v_cross])
+    row_star = np.concatenate([exact_rows, rows])
+    a1, a2, outside, va = _band(al, c, v_star)
+    t1 = _branch_delay(al, a1, outside, v_star, sign[row_star], m[row_star])
+    tau2_star = _branch_delay(al, a2, outside, v_star, sign[:, None], m[:, None])
+    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
+    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
+    return float(tau2_star[ok].min()) if ok.any() else None
+
+
+def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
+    """The Illinois refiner of :func:`fracdde.stability._illinois` on numpy arrays.
+
+    Every bracket's state is an array entry and every update is one
+    ``np.where`` across all brackets; a NaN or infinite falsi point, which
+    is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint.
+    """
+    width = hi - lo
+    age = np.zeros(len(lo), dtype=int)
+    kept_hi = np.zeros(len(lo), dtype=bool)
+    for step in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        with np.errstate(all="ignore"):
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        x = np.where((lo < x) & (x < hi) & (age < 3), x, mid)
+        f = fun(x)
+        hit = f == 0.0
+        below = (f_lo < 0.0) == (f < 0.0)
+        lo = np.where(below | hit, x, lo)
+        hi = np.where(below & ~hit, hi, x)
+        scale = np.where((below == kept_hi) & (step > 0), 0.5, 1.0)
+        f_lo, f_hi = np.where(below, f, scale * f_lo), np.where(below, scale * f_hi, f)
+        kept_hi = below
+        halved = hi - lo <= 0.5 * width
+        width = np.where(halved, hi - lo, width)
+        age = np.where(halved, 0, age + 1)
+    return 0.5 * (lo + hi)

@@ -1,8 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracdde import (
     DegenerateCoefficientsError,
@@ -24,7 +27,13 @@ from fracdde import (
     ucar_rhs,
 )
 from fracdde import stability
-from oracles import bisect_line_search, object_curve_points, scalar_equilibria
+from oracles import (
+    array_illinois,
+    bisect_line_search,
+    object_curve_points,
+    scalar_equilibria,
+    table_line_search,
+)
 from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
@@ -496,6 +505,157 @@ class TestCriticalTau2ForTau1:
             assert fun(below) < 0.0 < fun(np.nextafter(below, np.inf))
         assert got == pytest.approx(root, rel=1e-14)
         assert counts["illinois"] <= 4 * counts["bisect"]
+
+    @staticmethod
+    def assert_matches_table(queries, **kwargs):
+        found = 0
+        for query in queries:
+            got = critical_tau2_for_tau1(*query, **kwargs)
+            assert got == table_line_search(*query, **kwargs), query
+            found += got is not None
+        return found
+
+    def test_matches_table_reference_bitwise_on_sweep_grids(self, rng):
+        queries = self.sweep_queries(rng)
+        assert self.assert_matches_table(queries) == len(queries)
+
+    def test_matches_table_reference_bitwise_on_random_queries(self, rng):
+        found = self.assert_matches_table(self.random_queries(rng, 200))
+        assert 40 < found < 200
+
+    @staticmethod
+    def count_brackets(monkeypatch):
+        # The number of brackets of each refiner call, in call order.
+        brackets = []
+        refine = stability._illinois
+
+        def counted(fun, lo, *args):
+            brackets.append(len(lo))
+            return refine(fun, lo, *args)
+
+        monkeypatch.setattr(stability, "_illinois", counted)
+        return brackets
+
+    @pytest.mark.parametrize("max_branch", [20, 40])
+    def test_matches_table_reference_bitwise_with_many_brackets(self, rng, max_branch, monkeypatch):
+        brackets = self.count_brackets(monkeypatch)
+        # |b| just above |a| puts the lower band edge near 0, where every
+        # winding number reaches the line.
+        alpha, a, gap, q = rng.uniform((0.5, -5.0, 0.05, 0.0), (1.0, 5.0, 1.0, 40.0), (15, 4)).T
+        queries = [
+            (al, (x, -abs(x) - g), t)
+            for al, x, g, t in zip(alpha.tolist(), a.tolist(), gap.tolist(), q.tolist())
+        ]
+        assert self.assert_matches_table(queries, max_branch=max_branch) > 10
+        assert sum(brackets) >= 20 * len(queries)
+
+    @pytest.mark.parametrize("coef", [UCAR_COEF, (-3.0, 1.0), (2.0, -5.0)])
+    def test_line_through_a_row_extreme_is_an_exact_hit(self, coef):
+        # tau1 equal to the largest or smallest sampled value of one row:
+        # that row touches the line at one sample, with no sign change, so
+        # only the exact-sample hit can find it and the row must be sampled.
+        al = 0.9
+        c = stability.LinearCoefficients(*coef)
+        vs = np.union1d(
+            np.linspace(*stability.default_v_window(al, c), 2000), stability._band_edges(al, c)
+        )
+        labels = stability._branch_labels(8)
+        sign, m = np.array(labels, dtype=float).T
+        table = stability._tau1(al, c, vs, sign[:, None], m[:, None])
+        found = 0
+        for row in table:
+            for q in (np.nanmax(row), np.nanmin(row)):
+                if q >= 0.0:
+                    got = critical_tau2_for_tau1(al, coef, float(q))
+                    assert got == table_line_search(al, coef, float(q))
+                    found += got is not None
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "alpha, coef, window, label",
+        [
+            # One sample of each window lies in the band: the upper band edge,
+            # where both arccos arguments are 1.  So every row's range is one
+            # value and its bound is tight on both sides.  The line meets
+            # rows (1, 1) and (-1, 1) exactly there, at tau1 = 3*pi/13.
+            (1.0, (3.0, -3.5), (6.5, 13.0), (-1, 1)),
+            # The same at v = 4.225e9: the m = 0 term, about -1.9e-10, and
+            # the winding term, about 1.5e-9, add up to tau1 = 1.3e-9.
+            (0.5, (3e4, -3.5e4), (4.225e9, 8.45e9), (-1, 1)),
+        ],
+    )
+    def test_prune_margin_keeps_a_tight_row(self, alpha, coef, window, label):
+        # Adding the two bounded terms rounds differently from the table's
+        # one expression, so without a margin this row would be dropped.
+        c = stability.LinearCoefficients(*coef)
+        sign, m = (np.array([[x]], dtype=float) for x in label)
+        row = stability._tau1(alpha, c, np.linspace(*window, 2), sign, m)
+        assert np.isnan(row).sum() == 1
+        q = float(np.nanmax(row))
+        got = critical_tau2_for_tau1(alpha, coef, q, v_range=window, samples=2)
+        assert got is not None
+        assert got == table_line_search(alpha, coef, q, v_range=window, samples=2)
+
+    def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
+        brackets = self.count_brackets(monkeypatch)
+        assert critical_tau2_for_tau1(0.9, UCAR_COEF, 1e3) is None
+        assert table_line_search(0.9, UCAR_COEF, 1e3) is None
+        assert brackets == [0]
+
+    # Coefficients stay at least 0.05 in size: a tiny one overflows inside
+    # _band, and tiny ones at small alpha put the default window's upper
+    # end below its fixed lower end 1e-6.
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.2, 1.0),
+        a=st.one_of(st.floats(-10.0, -0.05), st.floats(0.05, 10.0)),
+        b=st.one_of(st.floats(-30.0, -0.05), st.floats(0.05, 10.0)),
+        q=st.floats(0.0, 40.0),
+        max_branch=st.integers(0, 40),
+    )
+    def test_property_matches_table_reference_bitwise(self, alpha, a, b, q, max_branch):
+        assume(a + b < -1e-6)
+        got = critical_tau2_for_tau1(alpha, (a, b), q, max_branch=max_branch)
+        assert got == table_line_search(alpha, (a, b), q, max_branch=max_branch)
+
+    @pytest.mark.parametrize(
+        "fun, lo, hi",
+        [
+            # f_lo - f_hi overflows to -inf, so every falsi point is lo and
+            # each step takes the midpoint.
+            (lambda v: np.where(v < 0.3, -1e308, 1e308), [0.0], [1.0]),
+            (lambda v: 1e308 * np.tanh(40.0 * (v - 0.3)), [0.0], [1.0]),
+            # Subnormal values.  The first bracket hits 0 at once; halving
+            # its stored -5e-324 then leaves f_lo - f_hi == 0 while the
+            # second bracket still steps.
+            (
+                lambda v: np.where(v < 1.5, 1e-323 * (v - 0.5), 1e-320 * np.tanh(40.0 * (v - 2.3))),
+                [0.0, 2.0],
+                [1.0, 3.0],
+            ),
+        ],
+        ids=["huge_step", "huge_smooth", "subnormal"],
+    )
+    def test_refiner_float_edges(self, fun, lo, hi):
+        lo, hi = np.array(lo), np.array(hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = stability._illinois(fun, lo, hi, fun(lo), fun(hi), 360)
+        assert got.tobytes() == array_illinois(fun, lo, hi, fun(lo), fun(hi), 360).tobytes()
+        f = lambda v: float(fun(np.array([v]))[0])
+        for x in got.tolist():
+            # An exact zero, or a sign change to the next float.
+            if f(x) != 0.0:
+                below = x if f(x) < 0.0 else float(np.nextafter(x, -np.inf))
+                assert f(below) < 0.0 < f(float(np.nextafter(below, np.inf)))
+
+    def test_refiner_without_brackets(self):
+        def fail(v):
+            raise AssertionError("evaluated without brackets")
+
+        empty = np.array([])
+        got = stability._illinois(fail, empty, empty, empty, empty, 360)
+        assert got.dtype == float and got.shape == (0,)
 
     def test_requires_stability_at_zero(self):
         with pytest.raises(ValueError):
