@@ -9,18 +9,9 @@ the (tau1, tau2) plane where characteristic roots cross the imaginary axis.
 
 from __future__ import annotations
 
-from .errors import (
-    DegenerateCoefficientsError,
-    IncommensurableDelaysError,
-    NonConvergenceError,
-)
+from .errors import DegenerateCoefficientsError, IncommensurableDelaysError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
-from .numerics import (
-    FractionalOrder,
-    corner_weight_table,
-    gamma_function,
-    interior_weight_table,
-)
+from .numerics import FractionalOrder, corner_weight_table, interior_weight_table
 from .solver import (
     CommensurateGrid,
     DelayPair,
@@ -31,17 +22,15 @@ from .solver import (
     simulate,
 )
 from .stability import (
-    CriticalCurvePoint,
     LinearCoefficients,
     StabilityVerdict,
     characteristic_residual,
     classify,
-    critical_curve,
     critical_tau2_for_tau1,
+    curve_columns,
     default_v_window,
     find_equilibria,
     linearize,
-    parametric_delays,
     stable_at_zero_delay,
 )
 
@@ -51,9 +40,7 @@ __all__ = [
     "__version__",
     "DegenerateCoefficientsError",
     "IncommensurableDelaysError",
-    "NonConvergenceError",
     "FractionalOrder",
-    "gamma_function",
     "corner_weight_table",
     "interior_weight_table",
     "DelayPair",
@@ -65,14 +52,12 @@ __all__ = [
     "phase_columns",
     "StabilityVerdict",
     "LinearCoefficients",
-    "CriticalCurvePoint",
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
     "characteristic_residual",
     "default_v_window",
-    "parametric_delays",
-    "critical_curve",
+    "curve_columns",
     "critical_tau2_for_tau1",
     "classify",
     "UcarParams",

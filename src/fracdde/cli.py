@@ -26,7 +26,7 @@ from .stability import (
     LinearCoefficients,
     StabilityVerdict,
     _classify_with_boundary,
-    _curve_columns,
+    curve_columns,
     find_equilibria,
     linearize,
     stable_at_zero_delay,
@@ -150,7 +150,7 @@ def _formatted(values: np.ndarray) -> list[str]:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
-    columns = _curve_columns(
+    columns = curve_columns(
         args.alpha,
         coef,
         v_range=_v_range(args),

@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "DegenerateCoefficientsError",
     "IncommensurableDelaysError",
-    "NonConvergenceError",
 ]
 
 
@@ -15,7 +14,3 @@ class IncommensurableDelaysError(ValueError):
 
 class DegenerateCoefficientsError(ValueError):
     """A crossing-curve computation requires both linear coefficients nonzero."""
-
-
-class NonConvergenceError(RuntimeError):
-    """A series evaluation failed to converge within its term budget."""

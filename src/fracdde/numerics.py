@@ -1,7 +1,8 @@
-"""Scalar special functions and quadrature weights for fractional integrals.
+"""The derivative order and the quadrature weights for fractional integrals.
 
-Everything in this module is plain float-valued numerics: the gamma function
-wrapper and the product-trapezoidal weight tables that drive the time stepper.
+Everything in this module is plain float-valued numerics: the validated
+derivative order and the product-trapezoidal weight tables that drive the
+time stepper.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 __all__ = [
     "FractionalOrder",
     "order_value",
-    "gamma_function",
     "corner_weight_table",
     "interior_weight_table",
 ]
@@ -51,36 +51,6 @@ def order_value(order: FractionalOrder | float) -> float:
     if isinstance(order, FractionalOrder):
         return float(order)
     return float(FractionalOrder(float(order)))
-
-
-def gamma_function(x: float) -> float:
-    """Gamma function on the positive real axis.
-
-    Delegates to the platform implementation behind :func:`math.gamma`,
-    which is accurate to well under 1e-12 relative error over the range
-    this package exercises (series denominators ``alpha*k + 1`` and the
-    stepper constant ``alpha + 2``, all within (0, 35)).
-
-    Parameters
-    ----------
-    x : float
-        Point of evaluation, must be positive and finite.
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    ValueError
-        If ``x`` is nonpositive, infinite, or NaN.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("gamma_function requires a finite argument")
-    if x <= 0.0:
-        raise ValueError(f"gamma_function is restricted to x > 0, got {x}")
-    return math.gamma(x)
 
 
 def corner_weight_table(alpha: FractionalOrder | float, n_max: int) -> np.ndarray:

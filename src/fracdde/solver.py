@@ -41,7 +41,6 @@ from .errors import IncommensurableDelaysError
 from .numerics import (
     FractionalOrder,
     corner_weight_table,
-    gamma_function,
     interior_weight_table,
     order_value,
 )
@@ -297,7 +296,7 @@ def simulate(
 
     interior = interior_weight_table(al, max(n_total, 1))
     corner = corner_weight_table(al, n_total)
-    c = h ** al / gamma_function(al + 2.0)
+    c = h ** al / math.gamma(al + 2.0)
 
     # The memory sum of step j in a block starting at lo is
     # acc[j] + sum over l in lo..j of w[j - l] * f[l], with w[0] = 1 the

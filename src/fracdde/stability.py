@@ -21,7 +21,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,14 +32,13 @@ from .solver import DelayPair, SystemRhs, _as_delays
 __all__ = [
     "StabilityVerdict",
     "LinearCoefficients",
-    "CriticalCurvePoint",
+    "CurveColumns",
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
     "characteristic_residual",
     "default_v_window",
-    "parametric_delays",
-    "critical_curve",
+    "curve_columns",
     "critical_tau2_for_tau1",
     "classify",
 ]
@@ -103,25 +102,17 @@ def _require_nondegenerate(coef: LinearCoefficients | tuple[float, float]) -> Li
     return c
 
 
-@dataclass(frozen=True)
-class CriticalCurvePoint:
-    """One point of the imaginary-axis crossing locus in the delay plane.
+class CurveColumns(NamedTuple):
+    """The columns of :func:`curve_columns`, in the ``fracdde curves`` CSV order."""
 
-    ``v`` is the crossing frequency, ``(tau1, tau2)`` the delays at which
-    lambda = i*v solves the characteristic equation, ``(sign1, m1)`` and
-    ``(sign2, m2)`` the arccos branch and winding number that produced each
-    delay, and ``residual`` the larger absolute defect of the two defining
-    equations evaluated at the stored floats.
-    """
-
-    v: float
-    tau1: float
-    tau2: float
-    sign1: int
-    m1: int
-    sign2: int
-    m2: int
-    residual: float
+    v: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+    sign1: np.ndarray
+    m1: np.ndarray
+    sign2: np.ndarray
+    m2: np.ndarray
+    residual: np.ndarray
 
 
 def find_equilibria(
@@ -206,7 +197,8 @@ def _illinois(
     point of every bracket, which replaces the end whose value has its
     sign.  When the same end is kept twice in a row, the value stored
     there is halved (the Illinois method; Dowell & Jarratt, BIT 11 (1971)
-    168-174), so a far end with a large value cannot pin the falsi point.
+    168-174), so a far end with a large value cannot pin the falsi point;
+    a value that would halve to zero is kept as it is.
     A bracket steps to its midpoint instead when the falsi point is NaN or
     not strictly inside it (a zero ``f_lo - f_hi`` included), or when its
     width has not halved within the last 3 steps, so it needs at most four
@@ -238,10 +230,13 @@ def _illinois(
         for i, (x, f) in enumerate(zip(xs, fun(np.array(xs)).tolist())):
             below = (f_lo[i] < 0.0) == (f < 0.0)
             scale = 0.5 if below == kept_hi[i] and step > 0 else 1.0
+            kept = f_hi[i] if below else f_lo[i]
+            # A subnormal value would halve to +-0 and lose its sign.
+            kept = scale * kept or kept
             if below:
-                lo[i], f_lo[i], f_hi[i] = x, f, scale * f_hi[i]
+                lo[i], f_lo[i], f_hi[i] = x, f, kept
             else:
-                hi[i], f_lo[i], f_hi[i] = x, scale * f_lo[i], f
+                hi[i], f_lo[i], f_hi[i] = x, kept, f
             if f == 0.0:
                 lo[i] = hi[i] = x
             kept_hi[i] = below
@@ -445,39 +440,6 @@ def _residual(al: float, c: LinearCoefficients, v, tau1, tau2_terms, va):
     return np.maximum(np.abs(r1), np.abs(r2))
 
 
-def parametric_delays(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    v: float,
-    sign1: int = 1,
-    m1: int = 0,
-    sign2: int = 1,
-    m2: int = 0,
-) -> tuple[float, float] | None:
-    """Raw parametric delay pair at one frequency on one branch.
-
-    Returns ``(tau1, tau2)`` from the arccos inversion with branch signs in
-    {-1, +1} and winding numbers m1, m2 >= 0, or None where either arccos
-    argument falls outside [-1, 1] beyond rounding slack.  No filtering is
-    applied: the returned delays may be negative and the pair need not solve
-    the characteristic equation unless the branch signs are compatible with
-    the coefficient signs.  Use :func:`critical_curve` for the validated
-    locus.
-    """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    v = float(v)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"frequency must be positive and finite, got {v!r}")
-    if sign1 not in (-1, 1) or sign2 not in (-1, 1):
-        raise ValueError("branch signs must be -1 or +1")
-    if m1 < 0 or m2 < 0:
-        raise ValueError("winding numbers must be nonnegative")
-    tau1, tau2, _ = _branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
-    t1, t2 = float(tau1[0, 0]), float(tau2[1, 0])
-    return None if math.isnan(t1) else (t1, t2)
-
-
 def _resolve_search(
     al: float,
     c: LinearCoefficients,
@@ -496,15 +458,33 @@ def _resolve_search(
     return (lo, hi, int(samples), int(max_branch))
 
 
-def _curve_columns(
+def curve_columns(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
-    v_range: tuple[float, float] | None,
-    samples: int,
-    max_branch: int,
-) -> tuple[np.ndarray, ...]:
-    """Columns ``(v, tau1, tau2, sign1, m1, sign2, m2, residual)`` of the
-    :func:`critical_curve` points, unordered; the label columns are integers."""
+    v_range: tuple[float, float] | None = None,
+    samples: int = _DEFAULT_SAMPLES,
+    max_branch: int = _DEFAULT_MAX_BRANCH,
+) -> CurveColumns:
+    """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane.
+
+    The frequency window (default :func:`default_v_window`) is sampled
+    uniformly at ``samples`` points.  At each frequency where both arccos
+    arguments lie in [-1, 1] (clamped within 1e-12), every branch
+    combination with winding numbers up to ``max_branch`` is formed, and a
+    point is kept when both delays are nonnegative and both defining
+    equations hold with residual at most 1e-9.  The residual filter is what
+    discards the branch sign pairs that are incompatible with the
+    coefficient signs.
+
+    Each row is one point: ``v`` is the crossing frequency, ``(tau1, tau2)``
+    the delays at which lambda = i*v solves the characteristic equation,
+    ``(sign1, m1)`` and ``(sign2, m2)`` the arccos branch and winding number
+    behind each delay (integer columns), and ``residual`` the larger absolute
+    defect of the two defining equations at the stored floats.  The rows come
+    in no particular order; ``fracdde curves`` sorts them by ``(m1, sign1,
+    v)``.  Swapping a and b maps the result to the mirrored locus with the
+    delay and label columns exchanged.
+    """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
@@ -525,36 +505,9 @@ def _curve_columns(
         hits.append((np.full(len(col), r1), r2, col, residual[r2, col]))
     r1, r2, col, residual = map(np.concatenate, zip(*hits))
     sign, m = np.array(labels).T
-    return vs[col], tau1[r1, col], tau2[r2, col], sign[r1], m[r1], sign[r2], m[r2], residual
-
-
-def critical_curve(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    v_range: tuple[float, float] | None = None,
-    samples: int = _DEFAULT_SAMPLES,
-    max_branch: int = _DEFAULT_MAX_BRANCH,
-) -> list[CriticalCurvePoint]:
-    """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane.
-
-    The frequency window (default :func:`default_v_window`) is sampled
-    uniformly at ``samples`` points.  At each frequency where both arccos
-    arguments lie in [-1, 1] (clamped within 1e-12), every branch
-    combination with winding numbers up to ``max_branch`` is formed, and a
-    point is emitted when both delays are nonnegative and both defining
-    equations hold with residual at most 1e-9.  The residual
-    filter is what discards the branch sign pairs that are incompatible
-    with the coefficient signs.
-
-    Points are sorted by (v, m1, sign1, m2, sign2).  Swapping a and b maps
-    the result to the mirrored locus with the delay columns exchanged.
-    This function and ``fracdde curves`` build the locus with one column
-    builder and differ only in how they order it.
-    """
-    columns = _curve_columns(alpha, coef, v_range, samples, max_branch)
-    v, _, _, sign1, m1, sign2, m2, _ = columns
-    order = np.lexsort((sign2, m2, sign1, m1, v))
-    return list(map(CriticalCurvePoint, *(col[order].tolist() for col in columns)))
+    return CurveColumns(
+        vs[col], tau1[r1, col], tau2[r2, col], sign[r1], m[r1], sign[r2], m[r2], residual
+    )
 
 
 def critical_tau2_for_tau1(
@@ -672,7 +625,7 @@ def classify(
     :func:`critical_tau2_for_tau1`.  When the tau1 line misses every
     sampled branch (possible in custom frequency windows, or for tau1
     beyond the sampled branches), the lowest tau2 of the
-    :func:`critical_curve` locus, the curve floor, stands in as a
+    :func:`curve_columns` locus, the curve floor, stands in as a
     conservative boundary.  If the window holds no crossing locus at all
     the delays are classified Stable, since no root can have crossed the
     imaginary axis.
@@ -711,7 +664,7 @@ def _classify_with_boundary(
         alpha, c, d.tau1, v_range=v_range, samples=samples, max_branch=max_branch
     )
     if boundary is None:
-        floor = _curve_columns(alpha, c, v_range, samples, max_branch)[2]
+        floor = curve_columns(alpha, c, v_range, samples, max_branch).tau2
         boundary = float(floor.min()) if floor.size else None
     if boundary is None or d.tau2 < boundary - tolerance:
         return StabilityVerdict.STABLE, boundary

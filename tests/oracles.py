@@ -15,9 +15,11 @@ tables that the stepper reads: the reference for the weight identities.
 floats: the reference for the batched bisection of
 :func:`fracdde.find_equilibria`.
 
-``object_curve_points`` builds the crossing locus one
-:class:`~fracdde.CriticalCurvePoint` at a time and sorts it with a key
-function: the reference for the columnar :func:`fracdde.critical_curve`.
+``object_curve_points`` builds the crossing locus one :class:`CurvePoint`
+at a time and sorts it with a key function: the reference for the columnar
+:func:`fracdde.curve_columns`, whose rows :func:`curve_points` puts in the
+same order.  ``parametric_delays`` gives the raw delay pair of one
+frequency on one branch, from the package's branch formulas.
 
 ``bisect_line_search`` evaluates every branch at every bisection step of
 the tau1 line search: the reference for the per-bracket Illinois refiner of
@@ -32,10 +34,11 @@ Python-float refiner of :func:`fracdde.critical_tau2_for_tau1`.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from fracdde import CriticalCurvePoint, LinearCoefficients, NonConvergenceError
+from fracdde import LinearCoefficients, curve_columns
 from fracdde.numerics import (
     FractionalOrder,
     corner_weight_table,
@@ -72,6 +75,10 @@ _ML_ARG_LIMIT = 50.0
 
 # Just below log(sys.float_info.max); exp() of anything larger overflows.
 _LOG_HUGE = 709.0
+
+
+class NonConvergenceError(RuntimeError):
+    """A series evaluation failed to converge within its term budget."""
 
 
 def mittag_leffler(alpha: FractionalOrder | float, z: float) -> float:
@@ -312,6 +319,61 @@ def _bisect_scalar(fun, lo: float, hi: float, f_lo: float) -> float:
     return best_x
 
 
+class CurvePoint(NamedTuple):
+    """One point of the crossing locus: a row of :func:`fracdde.curve_columns`."""
+
+    v: float
+    tau1: float
+    tau2: float
+    sign1: int
+    m1: int
+    sign2: int
+    m2: int
+    residual: float
+
+
+def curve_points(alpha, coef, **kwargs) -> list[CurvePoint]:
+    """The rows of :func:`fracdde.curve_columns` as :class:`CurvePoint`
+    objects, sorted by ``(v, m1, sign1, m2, sign2)`` as
+    :func:`object_curve_points` sorts its points."""
+    columns = curve_columns(alpha, coef, **kwargs)
+    order = np.lexsort((columns.sign2, columns.m2, columns.sign1, columns.m1, columns.v))
+    return list(map(CurvePoint, *(col[order].tolist() for col in columns)))
+
+
+def parametric_delays(
+    alpha: FractionalOrder | float,
+    coef: LinearCoefficients | tuple[float, float],
+    v: float,
+    sign1: int = 1,
+    m1: int = 0,
+    sign2: int = 1,
+    m2: int = 0,
+) -> tuple[float, float] | None:
+    """Raw parametric delay pair at one frequency on one branch.
+
+    Returns ``(tau1, tau2)`` from the package's arccos inversion
+    (``fracdde.stability._branches``) with branch signs in {-1, +1} and
+    winding numbers m1, m2 >= 0, or None where either arccos argument falls
+    outside [-1, 1] beyond rounding slack.  No filtering is applied: the
+    returned delays may be negative and the pair need not solve the
+    characteristic equation unless the branch signs are compatible with the
+    coefficient signs.
+    """
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    v = float(v)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"frequency must be positive and finite, got {v!r}")
+    if sign1 not in (-1, 1) or sign2 not in (-1, 1):
+        raise ValueError("branch signs must be -1 or +1")
+    if m1 < 0 or m2 < 0:
+        raise ValueError("winding numbers must be nonnegative")
+    tau1, tau2, _ = _branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
+    t1, t2 = float(tau1[0, 0]), float(tau2[1, 0])
+    return None if math.isnan(t1) else (t1, t2)
+
+
 def object_curve_points(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
@@ -319,11 +381,11 @@ def object_curve_points(
     samples: int = 2000,
     max_branch: int = 8,
     residual_tol: float = 1e-9,
-) -> list[CriticalCurvePoint]:
+) -> list[CurvePoint]:
     """The crossing locus built point by point and sorted by a key function.
 
     Same samples, branch delays and residual filter as
-    :func:`fracdde.critical_curve`; every accepted point becomes one object
+    :func:`fracdde.curve_columns`; every accepted point becomes one object
     as soon as it is found, and the list is sorted by
     ``(v, m1, sign1, m2, sign2)`` at the end.
     """
@@ -338,7 +400,7 @@ def object_curve_points(
     inside = ~np.isnan(tau1[0])
     vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
     ok2 = tau2 >= 0.0
-    points: list[CriticalCurvePoint] = []
+    points: list[CurvePoint] = []
     for r1, t1 in enumerate(tau1):
         ok1 = t1 >= 0.0
         if not ok1.any():
@@ -346,7 +408,7 @@ def object_curve_points(
         residual = _residual(al, c, vs, t1, _tau2_terms(c, vs, tau2), va)
         r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
         points.extend(
-            CriticalCurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
+            CurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
             for v, t1_i, t2_i, r2, res in zip(
                 vs[cols].tolist(),
                 t1[cols].tolist(),
@@ -444,7 +506,8 @@ def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
 
     Every bracket's state is an array entry and every update is one
     ``np.where`` across all brackets; a NaN or infinite falsi point, which
-    is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint.
+    is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint.  A
+    kept value that would halve to zero stays as it is.
     """
     width = hi - lo
     age = np.zeros(len(lo), dtype=int)
@@ -462,7 +525,8 @@ def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
         lo = np.where(below | hit, x, lo)
         hi = np.where(below & ~hit, hi, x)
         scale = np.where((below == kept_hi) & (step > 0), 0.5, 1.0)
-        f_lo, f_hi = np.where(below, f, scale * f_lo), np.where(below, scale * f_hi, f)
+        halve = lambda kept: np.where(scale * kept != 0.0, scale * kept, kept)
+        f_lo, f_hi = np.where(below, f, halve(f_lo)), np.where(below, halve(f_hi), f)
         kept_hi = below
         halved = hi - lo <= 0.5 * width
         width = np.where(halved, hi - lo, width)

@@ -17,18 +17,16 @@ from fracdde import (
     SystemRhs,
     build_grid,
     classify,
-    critical_curve,
     critical_tau2_for_tau1,
     find_equilibria,
     ikeda_rhs,
     linearize,
-    parametric_delays,
     phase_columns,
     simulate,
     stable_at_zero_delay,
     ucar_rhs,
 )
-from oracles import delayed_series_oracle, trapezoid_weights
+from oracles import curve_points, delayed_series_oracle, parametric_delays, trapezoid_weights
 
 UCAR_COEF = (1.0, -3.0)
 
@@ -61,7 +59,7 @@ def test_c1_boundary_tau2_on_the_tau1_axis():
 
 def test_c2_lowest_boundary_tau2_over_all_branches():
     start = time.perf_counter()
-    points = critical_curve(1.0, UCAR_COEF)
+    points = curve_points(1.0, UCAR_COEF)
     elapsed = time.perf_counter() - start
     assert points
     best = min(points, key=lambda p: p.tau2)
@@ -126,7 +124,7 @@ def test_c5_random_family_curve_residuals():
         if a + b >= 0.0:
             continue
         cases += 1
-        for p in critical_curve(alpha, (a, b), samples=250, max_branch=2):
+        for p in curve_points(alpha, (a, b), samples=250, max_branch=2):
             # Recompute both defining equations from scratch.
             r1 = p.v ** alpha * math.cos(half_pi * alpha) - a * math.cos(
                 p.v * p.tau1

@@ -1,7 +1,6 @@
 import json
 import math
 from collections import Counter
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from fracdde import (
     DelayPair,
     SystemRhs,
     build_grid,
-    critical_curve,
+    curve_columns,
     linearize,
     phase_columns,
     simulate,
@@ -19,8 +18,7 @@ from fracdde import (
 )
 from fracdde import cli
 from fracdde.cli import main
-from fracdde.stability import CriticalCurvePoint
-from oracles import object_curve_points
+from oracles import CurvePoint, object_curve_points
 
 
 def read_csv(path):
@@ -207,19 +205,20 @@ class TestCurvesCommand:
         parsed = [(int(r[4]), int(r[3]), float(r[0])) for r in rows]
         assert parsed == sorted(parsed)
         assert all(float(r[7]) <= 1e-9 for r in rows)
-        points = critical_curve(1.0, (1.0, -3.0), samples=500, max_branch=2)
-        assert len(rows) == len(points)
+        columns = curve_columns(1.0, (1.0, -3.0), samples=500, max_branch=2)
+        assert header == list(columns._fields)
+        assert len(rows) == len(columns.v)
 
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
         # The batched row template must print exactly what format(v, ".17g")
         # and str(int) print, signed zeros and extreme exponents included.
         points = [
-            CriticalCurvePoint(0.1, 1.0 / 3.0, -0.0, 1, 0, -1, 0, 0.0),
-            CriticalCurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
-            CriticalCurvePoint(7.0, math.pi, 1e16, 1, 8, -1, 2, 1.2345678901234567e-10),
+            CurvePoint(0.1, 1.0 / 3.0, -0.0, 1, 0, -1, 0, 0.0),
+            CurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
+            CurvePoint(7.0, math.pi, 1e16, 1, 8, -1, 2, 1.2345678901234567e-10),
         ]
-        columns = tuple(np.array(col) for col in zip(*(astuple(p) for p in points)))
-        monkeypatch.setattr(cli, "_curve_columns", lambda *args, **kwargs: columns)
+        columns = stability.CurveColumns(*map(np.array, zip(*points)))
+        monkeypatch.setattr(cli, "curve_columns", lambda *args, **kwargs: columns)
         out = tmp_path / "curve.csv"
         assert main(["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(out)]) == 0
         points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
@@ -421,7 +420,7 @@ class TestClassifyCommand:
         assert doc["verdict"] == "Stable"
         assert doc["b"] == pytest.approx(-3.0)
 
-    def test_curve_floor_fallback(self, tmp_path, capsys, monkeypatch):
+    def test_curve_floor_fallback(self, tmp_path, capsys):
         # The tau1 = 0.5 line misses every branch in this window, so the
         # boundary is the lowest tau2 of the curves CSV for the same window.
         window = ["--a", "1", "--b", "-3", "--alpha", "1", "--v-min", "3.9", "--v-max", "4.0"]
@@ -430,11 +429,6 @@ class TestClassifyCommand:
         header, *lines = out.read_text().splitlines()
         assert header.split(",")[2] == "tau2"
         floor = min(float(line.split(",", 3)[2]) for line in lines)
-
-        def no_objects(*args, **kwargs):
-            raise AssertionError("classify must not build the object locus")
-
-        monkeypatch.setattr(stability, "critical_curve", no_objects)
         code, doc = self.run(["classify", *window, "--tau1", "0.5", "--tau2", "0.9"], capsys)
         assert code == 0
         assert doc["verdict"] == "Unstable"

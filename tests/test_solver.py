@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdde import (
     CommensurateGrid,
@@ -11,7 +13,6 @@ from fracdde import (
     SystemRhs,
     Trajectory,
     build_grid,
-    gamma_function,
     phase_columns,
     simulate,
     ucar_rhs,
@@ -52,6 +53,42 @@ class TestBuildGrid:
             assert abs(grid.k1 * grid.h - tau1) <= 1e-9 * tau1
             assert abs(grid.k2 * grid.h - tau2) <= 1e-9 * tau2
             assert abs(grid.n_steps * grid.h - t_end) <= 1e-9 * t_end
+
+    # Delays and horizon are whole multiples of one base step, the first
+    # delay perturbed by up to 3e-9 relative or not at all, and the request
+    # is m base steps.  build_grid must return the smallest divisor d <= 1024
+    # that places all three within 1e-9, and raise only if there is none;
+    # without the perturbation the divisor m qualifies.
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        base=st.floats(1e-4, 10.0),
+        k1=st.integers(1, 500),
+        k2=st.integers(1, 500),
+        n=st.integers(1, 10_000),
+        m=st.integers(1, 300),
+        jitter=st.one_of(st.just(0.0), st.floats(-3e-9, 3e-9)),
+    )
+    def test_property_smallest_divisor_places_delays_and_horizon(
+        self, base, k1, k2, n, m, jitter
+    ):
+        targets = (k1 * base * (1.0 + jitter), k2 * base, n * base)
+        h_request = m * base
+
+        def places(h, steps):
+            return all(k >= 1 and abs(k * h - t) <= 1e-9 * t for k, t in zip(steps, targets))
+
+        try:
+            grid = build_grid(DelayPair(*targets[:2]), targets[2], h_request)
+        except IncommensurableDelaysError:
+            assert jitter != 0.0
+            d = 1025
+        else:
+            d = round(h_request / grid.h)
+            assert 1 <= d <= (m if jitter == 0.0 else 1024) and grid.h == h_request / d
+            assert places(grid.h, (grid.k1, grid.k2, grid.n_steps))
+        for smaller in range(1, d):
+            h = h_request / smaller
+            assert not places(h, [round(t / h) for t in targets]), smaller
 
     def test_irrational_ratio_rejected(self):
         with pytest.raises(IncommensurableDelaysError):
@@ -115,7 +152,7 @@ class TestSimulate:
         for alpha in (0.3, 0.5, 0.9, 1.0):
             traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
             t = np.arange(grid.n_steps + 1) * grid.h
-            expected = 1.0 - t ** alpha / gamma_function(alpha + 1.0)
+            expected = 1.0 - t ** alpha / math.gamma(alpha + 1.0)
             got = traj.values[grid.history_steps :]
             assert np.max(np.abs(got - expected)) <= 1e-12
 

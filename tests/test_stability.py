@@ -16,13 +16,12 @@ from fracdde import (
     UcarParams,
     characteristic_residual,
     classify,
-    critical_curve,
     critical_tau2_for_tau1,
+    curve_columns,
     default_v_window,
     find_equilibria,
     ikeda_rhs,
     linearize,
-    parametric_delays,
     stable_at_zero_delay,
     ucar_rhs,
 )
@@ -30,7 +29,9 @@ from fracdde import stability
 from oracles import (
     array_illinois,
     bisect_line_search,
+    curve_points,
     object_curve_points,
+    parametric_delays,
     scalar_equilibria,
     table_line_search,
 )
@@ -265,7 +266,7 @@ class TestCriticalCurve:
     def test_known_point_first_order(self):
         # v=2 is sampled exactly by this window; there A1=-1, A2=+1/3... the
         # first-branch point is tau1 = tau2 = pi/4.
-        points = critical_curve(1.0, UCAR_COEF, v_range=(2.0, 4.0), samples=201)
+        points = curve_points(1.0, UCAR_COEF, v_range=(2.0, 4.0), samples=201)
         at_two = [p for p in points if p.v == 2.0 and p.m1 == 0 and p.m2 == 0]
         assert at_two, "expected a crossing at the sampled frequency v=2"
         p = at_two[0]
@@ -286,7 +287,7 @@ class TestCriticalCurve:
             a = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
             b = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
             lo, hi = default_v_window(alpha, (a, b))
-            points = critical_curve(alpha, (a, b), samples=300, max_branch=3)
+            points = curve_points(alpha, (a, b), samples=300, max_branch=3)
             for p in points:
                 assert p.tau1 >= 0.0 and p.tau2 >= 0.0
                 assert lo <= p.v <= hi
@@ -301,7 +302,7 @@ class TestCriticalCurve:
         assert checked > 100
 
     def test_points_match_scalar_parametrization(self):
-        points = critical_curve(0.8, UCAR_COEF, samples=150, max_branch=2)
+        points = curve_points(0.8, UCAR_COEF, samples=150, max_branch=2)
         assert points
         for p in points[:: max(1, len(points) // 50)]:
             pair = parametric_delays(0.8, UCAR_COEF, p.v, p.sign1, p.m1, p.sign2, p.m2)
@@ -309,23 +310,26 @@ class TestCriticalCurve:
 
     def test_swap_symmetry_is_bitwise(self):
         for alpha, a, b in [(1.0, 1.0, -3.0), (0.7, -3.0, -22.5), (0.55, 2.0, -2.5)]:
-            fwd = critical_curve(alpha, (a, b), samples=400, max_branch=2)
-            rev = critical_curve(alpha, (b, a), samples=400, max_branch=2)
+            fwd = curve_points(alpha, (a, b), samples=400, max_branch=2)
+            rev = curve_points(alpha, (b, a), samples=400, max_branch=2)
             fwd_set = {(p.v, p.tau1, p.tau2, p.sign1, p.m1, p.sign2, p.m2) for p in fwd}
             rev_swapped = {(p.v, p.tau2, p.tau1, p.sign2, p.m2, p.sign1, p.m1) for p in rev}
             assert fwd_set == rev_swapped
 
     def test_empty_window_below_crossings(self):
-        assert critical_curve(1.0, UCAR_COEF, v_range=(0.1, 1.5)) == []
+        columns = curve_columns(1.0, UCAR_COEF, v_range=(0.1, 1.5))
+        assert [len(col) for col in columns] == [0] * len(FIELDS)
 
-    def test_sorted_by_frequency(self):
-        points = critical_curve(0.9, UCAR_COEF, samples=300, max_branch=2)
-        vs = [p.v for p in points]
-        assert vs == sorted(vs)
+    def test_columns_in_csv_order_with_integer_labels(self):
+        columns = curve_columns(0.9, UCAR_COEF, samples=300, max_branch=2)
+        assert columns._fields == FIELDS
+        assert len({len(col) for col in columns}) == 1 and len(columns.v) > 0
+        kinds = [col.dtype.kind for col in columns]
+        assert kinds == ["f", "f", "f", "i", "i", "i", "i", "f"]
 
     @staticmethod
     def assert_matches_object_path(alpha, coef, **kwargs):
-        points = critical_curve(alpha, coef, **kwargs)
+        points = curve_points(alpha, coef, **kwargs)
         expected = object_curve_points(alpha, coef, **kwargs)
         assert points == expected
         types = lambda ps: {tuple(type(getattr(p, f)) for f in FIELDS) for p in ps}
@@ -347,9 +351,9 @@ class TestCriticalCurve:
 
     def test_degenerate_coefficient_rejected(self):
         with pytest.raises(DegenerateCoefficientsError):
-            critical_curve(0.9, (1.0, 0.0))
+            curve_columns(0.9, (1.0, 0.0))
         with pytest.raises(DegenerateCoefficientsError):
-            critical_curve(0.9, (0.0, -2.0))
+            curve_columns(0.9, (0.0, -2.0))
 
 
 class TestCriticalTau2ForTau1:
@@ -625,8 +629,8 @@ class TestCriticalTau2ForTau1:
             # each step takes the midpoint.
             (lambda v: np.where(v < 0.3, -1e308, 1e308), [0.0], [1.0]),
             (lambda v: 1e308 * np.tanh(40.0 * (v - 0.3)), [0.0], [1.0]),
-            # Subnormal values.  The first bracket hits 0 at once; halving
-            # its stored -5e-324 then leaves f_lo - f_hi == 0 while the
+            # Subnormal values.  The first bracket hits 0 at once; its
+            # stored -5e-324 would then halve to -0 and is kept, while the
             # second bracket still steps.
             (
                 lambda v: np.where(v < 1.5, 1e-323 * (v - 0.5), 1e-320 * np.tanh(40.0 * (v - 2.3))),
@@ -648,6 +652,16 @@ class TestCriticalTau2ForTau1:
             if f(x) != 0.0:
                 below = x if f(x) < 0.0 else float(np.nextafter(x, -np.inf))
                 assert f(below) < 0.0 < f(float(np.nextafter(below, np.inf)))
+
+    def test_refiner_keeps_subnormal_end_values(self):
+        # Halving the kept end's 5e-324 would give 0, which has no sign:
+        # the bracket would then leave the sign change at 0.3 behind.
+        fun = lambda v: np.where(v < 0.3, -5e-324, 5e-324)
+        lo, hi = np.array([0.0]), np.array([1.0])
+        for refine in (stability._illinois, array_illinois):
+            got = refine(fun, lo, hi, fun(lo), fun(hi), 360)
+            assert got.tolist() == [0.29999999999999993]
+            assert fun(got)[0] < 0.0 < fun(np.nextafter(got, np.inf))[0]
 
     def test_refiner_without_brackets(self):
         def fail(v):
@@ -684,8 +698,7 @@ class TestDelayPlaneBoundary:
         assert critical_tau2_for_tau1(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0)) is None
         boundary = self.boundary(0.5, v_range=(3.9, 4.0))
         assert boundary is not None
-        points = critical_curve(1.0, UCAR_COEF, v_range=(3.9, 4.0))
-        assert boundary == min(p.tau2 for p in points)
+        assert boundary == curve_columns(1.0, UCAR_COEF, v_range=(3.9, 4.0)).tau2.min()
 
     def test_none_when_window_has_no_locus(self):
         assert self.boundary(0.1, v_range=(0.1, 1.5)) is None
@@ -694,7 +707,7 @@ class TestDelayPlaneBoundary:
         # tau1 = 30 lies beyond every branch up to winding number 8.
         assert critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0) is None
         boundary = self.boundary(30.0)
-        assert boundary == min(p.tau2 for p in critical_curve(1.0, UCAR_COEF))
+        assert boundary == curve_columns(1.0, UCAR_COEF).tau2.min()
         assert boundary == pytest.approx(0.36620786051959864, rel=1e-12)
         assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
         assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
@@ -762,7 +775,7 @@ class TestOverflowingBandEdge:
     def test_default_window_is_a_value_error(self, alpha, coef):
         for call in (
             lambda: default_v_window(alpha, coef),
-            lambda: critical_curve(alpha, coef),
+            lambda: curve_columns(alpha, coef),
             lambda: critical_tau2_for_tau1(alpha, coef, 0.1),
             lambda: classify(alpha, coef, (0.1, 0.1)),
         ):
@@ -771,7 +784,7 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("alpha, coef, window", HUGE_BAND)
     def test_explicit_window_leaves_the_edge_outside(self, alpha, coef, window):
-        assert critical_curve(alpha, coef, v_range=window, samples=200) == []
+        assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 0
         assert critical_tau2_for_tau1(alpha, coef, 0.1, v_range=window) is None
         verdict = classify(alpha, coef, (0.1, 0.1), v_range=window)
         assert verdict is StabilityVerdict.STABLE
