@@ -13,6 +13,20 @@ real and imaginary parts and eliminating the trigonometric unknowns yields,
 for each crossing frequency v, arccos expressions for the two delays; these
 trace parametric curves in the (tau1, tau2) plane whose lowest branch bounds
 the region, attached to the origin, where stability persists.
+
+The line search does its short, per-bracket and per-label arithmetic in
+Python floats and keeps every transcendental function in numpy, so that
+its results are bitwise those of the array formulas.  Python's + - * /
+round exactly as the float64 ufuncs do, and ``min``, ``max`` and ``abs``
+are exact.  numpy's ``arccos`` and ``power`` are not the C library's: on an
+AVX-512 host with numpy 2.4, ``np.arccos`` differs from ``math.acos`` on
+9.4 % of 200 000 inputs in [-1, 1], and ``np.power`` from Python's ``**``
+on 5.3 %.  So powers, arccos, cos and sin always run as numpy calls on
+contiguous float64 arrays, whose elementwise results depend neither on
+the array's length nor on its offset.  Python raises on division by 0
+and on an overflowing ``**``, where IEEE gives inf or NaN: a division
+whose divisor can be 0 goes through :func:`_divide`, and ``**`` is never
+applied to Python floats.
 """
 
 from __future__ import annotations
@@ -389,6 +403,22 @@ def _band(al: float, c: LinearCoefficients, v: np.ndarray):
     return a1, a2, outside, va
 
 
+def _arccos(arg, outside):
+    """``arccos`` of ``arg`` clamped to [-1, 1], NaN wherever ``outside``."""
+    th = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
+    th[outside] = np.nan
+    return th
+
+
+def _delay(half: float, th, v, sign, m):
+    """Delay ``(sign*th - half + 2*pi*m) / v`` on branch (sign, m), with ``half = alpha*pi/2``.
+
+    Arrays broadcast; Python floats round as float64 arrays do, so either
+    form gives the same bits.
+    """
+    return (sign * th - half + _TWO_PI * m) / v
+
+
 def _branch_delay(al: float, arg, outside, v, sign, m):
     """Delay ``(sign*arccos(arg) - alpha*pi/2 + 2*pi*m) / v`` on branch (sign, m).
 
@@ -396,9 +426,7 @@ def _branch_delay(al: float, arg, outside, v, sign, m):
     column per branch gives a table, one entry per frequency gives each
     frequency its own branch.  The delay is NaN wherever ``outside``.
     """
-    th = np.arccos(np.clip(arg, -1.0, 1.0))
-    th[outside] = np.nan
-    return (sign * th - 0.5 * math.pi * al + _TWO_PI * m) / v
+    return _delay(0.5 * math.pi * al, _arccos(arg, outside), v, sign, m)
 
 
 def _branches(
@@ -414,6 +442,51 @@ def _branches(
     sign, m = np.array(labels, dtype=float).T[:, :, None]
     tau1 = _branch_delay(al, a1, outside, v, sign, m)
     return tau1, _branch_delay(al, a2, outside, v, sign, m), va
+
+
+def _divide(n: float, d: float) -> float:
+    """``n / d`` in Python floats, with the float64 array result where ``d`` is 0."""
+    try:
+        return n / d
+    except ZeroDivisionError:
+        return float(np.divide(n, d))
+
+
+def _angles(al: float, c: LinearCoefficients, v: np.ndarray):
+    """:func:`_band` and :func:`_arccos` of both arguments, in Python floats.
+
+    Returns ``(th1, th2, va)``: lists of both arccos angles at the
+    frequencies ``v``, NaN outside the band, and of ``va = v**alpha``;
+    bitwise equal to the array forms.
+    """
+    va, v2a = (v ** al).tolist(), (v ** (2.0 * al)).tolist()
+    d1, d2 = c.a * c.a - c.b * c.b, c.b * c.b - c.a * c.a
+    two_a, two_b = 2.0 * c.a, 2.0 * c.b
+    args = []
+    for p, p2 in zip(va, v2a):
+        a1, a2 = _divide(p2 + d1, two_a * p), _divide(p2 + d2, two_b * p)
+        if abs(a1) > 1.0 + _CLAMP_SLACK or abs(a2) > 1.0 + _CLAMP_SLACK:
+            args += (math.nan, math.nan)
+        else:
+            # A NaN argument comes first, so max and min return it, as the
+            # ufuncs would.
+            args += (min(max(a1, -1.0), 1.0), min(max(a2, -1.0), 1.0))
+    th = np.arccos(args).tolist()
+    return th[0::2], th[1::2], va
+
+
+def _line(al: float, c: LinearCoefficients, q: float, labels, v: np.ndarray) -> np.ndarray:
+    """``tau1 - q`` at each frequency ``v[i]`` on its own branch ``labels[i]``.
+
+    The bracket evaluator of :func:`critical_tau2_for_tau1`, bitwise equal
+    to :func:`_tau1` minus ``q``.  It keeps :func:`_band`'s outside test, so
+    the two agree everywhere, not only between in-band samples.
+    """
+    half = 0.5 * math.pi * al
+    th1 = _angles(al, c, v)[0]
+    return np.array(
+        [_delay(half, t, u, s, m) - q for (s, m), t, u in zip(labels, th1, v.tolist())]
+    )
 
 
 def _tau1(al: float, c: LinearCoefficients, v, sign, m):
@@ -526,24 +599,28 @@ def critical_tau2_for_tau1(
     boundary along that line; None means the line meets no crossing inside
     the frequency window.
 
-    The branch functions tau1(v) are sampled over the window, but only
-    those whose range can reach the requested value.  A branch (sign, m)
-    is its sign's m = 0 branch plus 2*pi*m/v, so the sampled m = 0 range
-    and the range of 1/v over the band bound it before it is sampled; the
-    bound's margin scales with both terms, so rounding cannot rule out a
-    branch whose samples change sign or hit the value exactly.  Every
-    bracketed crossing of the requested value is sharpened by Illinois
-    regula falsi steps on its own branch, falling back to the midpoint when
-    a step stalls, until the bracket shrinks onto adjacent floats or a step
-    lands on an exact crossing.  The smallest valid tau2 companion at the
-    crossing frequencies is returned.  A companion is valid when it is
-    nonnegative and both defining equations hold at the stored floats with
-    the fixed residual 1e-9.  Crossings exist only in the closed-form band
-    ``||a| - |b|| <= v**alpha <= |a| + |b|``.  At both band edges the branch
-    functions fold with square-root speed, so a crossing can lie between an
-    edge and the nearest interior sample, where a plain scanline would miss
-    it; the band edges that fall inside the window are therefore sampled
-    as well.
+    The branch functions tau1(v) are tabulated over the window's samples,
+    but only those whose range can reach the requested value, and only from
+    the first to the last sample inside the crossing band ``||a| - |b|| <=
+    v**alpha <= |a| + |b|``, where the table is not NaN.  The arccos is
+    taken once over those samples, and every row is a broadcast of it.  A
+    branch (sign, m) is its sign's m = 0 branch plus 2*pi*m/v, so the
+    sampled m = 0 range and the range of 1/v over the band bound it before
+    it is tabulated; the bound's margin scales with both terms, so rounding
+    cannot rule out a branch whose samples change sign or hit the value
+    exactly.  Every bracketed crossing of the requested value is sharpened
+    by Illinois regula falsi steps on its own branch, falling back to the
+    midpoint when a step stalls, until the bracket shrinks onto adjacent
+    floats or a step lands on an exact crossing.  The smallest valid tau2
+    companion at the crossing frequencies is returned.  A companion is
+    valid when it is nonnegative and both defining equations hold at the
+    stored floats with the fixed residual 1e-9.  At both band edges the
+    branch functions fold with square-root speed, so a crossing can lie
+    between an edge and the nearest interior sample, where a plain
+    scanline would miss it; the band edges that fall inside the window are
+    therefore sampled as well.  The brackets, the branch bounds and the
+    companions are worked in Python floats, bitwise as the array formulas
+    give them (see the module docstring).
 
     Raises
     ------
@@ -563,45 +640,74 @@ def critical_tau2_for_tau1(
         )
     lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
 
+    # The band edges join the grid at their sorted places.  A value sampled
+    # twice (an edge on a grid point, or a window a few ulps wide) is
+    # harmless: equal neighbours are no sign change, and a repeated exact
+    # hit only repeats a companion.
     edges = [e for e in _band_edges(al, c) if lo < e < hi]
-    vs = np.union1d(np.linspace(lo, hi, samples), edges)
-    sign, m = np.array(_branch_labels(max_branch), dtype=float).T
+    vs = np.concatenate([np.linspace(lo, hi, samples), edges])
+    vs.sort(kind="stable")
     a1, _, outside, _ = _band(al, c, vs)
+    band = np.flatnonzero(~(outside | np.isnan(a1)))
+    if not band.size:
+        return None
+    # The table is NaN outside the band, so it spans only the samples from
+    # the first to the last in-band one, and every row is a broadcast of
+    # one arccos.
+    span = slice(band[0], band[-1] + 1)
+    v, th = vs[span], _arccos(a1[span], outside[span])
+    half = 0.5 * math.pi * al
+    base = _delay(half, th, v, np.array([[1.0], [-1.0]]), 0.0)
+    lows, highs = np.fmin.reduce(base, axis=1).tolist(), np.fmax.reduce(base, axis=1).tolist()
+    bounds = {1: (lows[0], highs[0]), -1: (lows[1], highs[1])}
     # Row (sign, m) is the m = 0 row of its sign plus 2*pi*m/v, so its
     # sampled range lies within the m = 0 range plus 2*pi*m*[min, max](1/v).
     # The margin scales with the terms, not their sum, so rounding never
     # drops a row whose table entry changes sign or is exactly 0; a bound
     # that overflows to inf or NaN keeps its row.
-    base = _branch_delay(al, a1, outside, vs, np.array([[1.0], [-1.0]]), 0.0)
-    band = ~np.isnan(base[0])
-    if not band.any():
-        return None
-    base, v_band = base[:, band], vs[band]
-    half = (sign < 0.0).astype(int)
-    with np.errstate(all="ignore"):
-        wind_lo, wind_hi = m * (_TWO_PI / v_band[-1]), m * (_TWO_PI / v_band[0])
-        low = base.min(axis=1)[half] + wind_lo
-        high = base.max(axis=1)[half] + wind_hi
-        margin = 1e-9 * (np.abs(base).max(axis=1)[half] + wind_hi + q)
-        keep = np.flatnonzero(~((q < low - margin) | (q > high + margin)))
-    y = _branch_delay(al, a1, outside, vs, sign[keep, None], m[keep, None]) - q
+    wind_lo, wind_hi = _TWO_PI / float(v[-1]), _TWO_PI / float(v[0])
+    labels = []
+    for sign, m in _branch_labels(max_branch):
+        low, high = bounds[sign]
+        margin = 1e-9 * (max(abs(low), abs(high)) + m * wind_hi + q)
+        if not (q < low + m * wind_lo - margin or q > high + m * wind_hi + margin):
+            labels.append((sign, m))
+    sign, m = np.array(labels, dtype=float).reshape(-1, 2).T[:, :, None]
+    y = _delay(half, th, v, sign, m) - q
     # Flat indices and divmod: a 2-d nonzero on this table costs several
     # times as much, even when it finds nothing.
-    rows, cols = np.divmod(np.flatnonzero(_sign_change(y[:, :-1], y[:, 1:])), len(vs) - 1)
-    row_sign, row_m = sign[keep[rows]], m[keep[rows]]
-    line = lambda v: _tau1(al, c, v, row_sign, row_m) - q
+    rows, cols = np.divmod(np.flatnonzero(_sign_change(y[:, :-1], y[:, 1:])), len(v) - 1)
+    row_labels = [labels[r] for r in rows.tolist()]
+    line = lambda x: _line(al, c, q, row_labels, x)
     # The midpoint fallback halves every bracket at least every fourth
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
-    v_cross = _illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
-    exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(vs))
-    v_star = np.concatenate([vs[exact_cols], v_cross])
-    row_star = keep[np.concatenate([exact_rows, rows])]
-    a1, a2, outside, va = _band(al, c, v_star)
-    t1 = _branch_delay(al, a1, outside, v_star, sign[row_star], m[row_star])
-    tau2_star = _branch_delay(al, a2, outside, v_star, sign[:, None], m[:, None])
-    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
-    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
-    return float(tau2_star[ok].min()) if ok.any() else None
+    v_cross = _illinois(line, v[cols], v[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
+    exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(v))
+    v_star = np.concatenate([v[exact_cols], v_cross])
+    th1, th2, va = _angles(al, c, v_star)
+    v_star = v_star.tolist()
+    star_labels = [labels[r] for r in exact_rows.tolist()] + row_labels
+    t1 = [_delay(half, t, u, s, k) for (s, k), t, u in zip(star_labels, th1, v_star)]
+    # Only a nonnegative companion can be valid, so only those get a residual.
+    pairs = []
+    columns = list(enumerate(zip(th2, v_star)))
+    for s, k in _branch_labels(max_branch):
+        for j, (t, u) in columns:
+            tau2 = _delay(half, t, u, s, k)
+            if tau2 >= 0.0:
+                pairs.append((tau2, j))
+    phase = [u * t for u, t in zip(v_star, t1)] + [v_star[j] * tau2 for tau2, j in pairs]
+    cos, sin = np.cos(phase).tolist(), np.sin(phase).tolist()
+    cos_half, sin_half = math.cos(half), math.sin(half)
+    companions = np.array(
+        [
+            tau2
+            for i, (tau2, j) in enumerate(pairs, len(v_star))
+            if abs(va[j] * cos_half - (c.a * cos[j] + c.b * cos[i])) <= _RESIDUAL_TOL
+            and abs(va[j] * sin_half + (c.a * sin[j] + c.b * sin[i])) <= _RESIDUAL_TOL
+        ]
+    )
+    return float(companions.min()) if companions.size else None
 
 
 def classify(

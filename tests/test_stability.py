@@ -553,25 +553,38 @@ class TestCriticalTau2ForTau1:
         assert self.assert_matches_table(queries, max_branch=max_branch) > 10
         assert sum(brackets) >= 20 * len(queries)
 
-    @pytest.mark.parametrize("coef", [UCAR_COEF, (-3.0, 1.0), (2.0, -5.0)])
-    def test_line_through_a_row_extreme_is_an_exact_hit(self, coef):
+    @pytest.mark.parametrize(
+        "alpha, coef, window, samples",
+        [
+            pytest.param(0.9, UCAR_COEF, None, 2000, id="coef0"),
+            pytest.param(0.9, (-3.0, 1.0), None, 2000, id="coef1"),
+            pytest.param(0.9, (2.0, -5.0), None, 2000, id="coef2"),
+            # Both band edges, v = 2 and 4, are also grid points.
+            pytest.param(1.0, UCAR_COEF, (1.0, 5.0), 5, id="edges_on_samples"),
+            # One ulp wide: the 2000 samples take 2 distinct values.
+            pytest.param(1.0, UCAR_COEF, (3.0, 3.0000000000000004), 2000, id="two_values"),
+            # Inside the band: neither edge is sampled.
+            pytest.param(1.0, UCAR_COEF, (2.5, 3.5), 2000, id="no_edge"),
+        ],
+    )
+    def test_line_through_a_row_extreme_is_an_exact_hit(self, alpha, coef, window, samples):
         # tau1 equal to the largest or smallest sampled value of one row:
         # that row touches the line at one sample, with no sign change, so
         # only the exact-sample hit can find it and the row must be sampled.
-        al = 0.9
         c = stability.LinearCoefficients(*coef)
-        vs = np.union1d(
-            np.linspace(*stability.default_v_window(al, c), 2000), stability._band_edges(al, c)
-        )
+        lo, hi = window or stability.default_v_window(alpha, c)
+        edges = [e for e in stability._band_edges(alpha, c) if lo < e < hi]
+        vs = np.union1d(np.linspace(lo, hi, samples), edges)
         labels = stability._branch_labels(8)
         sign, m = np.array(labels, dtype=float).T
-        table = stability._tau1(al, c, vs, sign[:, None], m[:, None])
+        table = stability._tau1(alpha, c, vs, sign[:, None], m[:, None])
         found = 0
         for row in table:
             for q in (np.nanmax(row), np.nanmin(row)):
                 if q >= 0.0:
-                    got = critical_tau2_for_tau1(al, coef, float(q))
-                    assert got == table_line_search(al, coef, float(q))
+                    kwargs = dict(v_range=window, samples=samples)
+                    got = critical_tau2_for_tau1(alpha, coef, float(q), **kwargs)
+                    assert got == table_line_search(alpha, coef, float(q), **kwargs)
                     found += got is not None
         assert found > 0
 
@@ -621,6 +634,36 @@ class TestCriticalTau2ForTau1:
         assume(a + b < -1e-6)
         got = critical_tau2_for_tau1(alpha, (a, b), q, max_branch=max_branch)
         assert got == table_line_search(alpha, (a, b), q, max_branch=max_branch)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        a=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+        b=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+        signs=st.sampled_from([(1, -1), (-1, 1), (-1, -1), (1, 1)]),
+        label=st.tuples(st.sampled_from([1, -1]), st.integers(0, 40)),
+        q=st.floats(0.0, 40.0),
+        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_property_line_evaluator_matches_tau1(self, alpha, a, b, signs, label, q, t):
+        # The bracket evaluator works in Python floats and the table in
+        # numpy arrays; between any two adjacent in-band samples the two
+        # must give the same bits, and the arccos arguments stay inside
+        # [-1, 1], so a bracket never evaluates to NaN.
+        c = stability.LinearCoefficients(signs[0] * a, signs[1] * b)
+        edge_lo, edge_hi = stability._band_edges(alpha, c)
+        lo, hi = 0.5 * edge_lo + 1e-6 * edge_hi, 2.0 * edge_hi
+        vs = np.union1d(np.linspace(lo, hi, 200), [e for e in (edge_lo, edge_hi) if lo < e])
+        a1, _, outside, _ = stability._band(alpha, c, vs)
+        band = ~(outside | np.isnan(a1))
+        left, right = vs[:-1][band[:-1] & band[1:]], vs[1:][band[:-1] & band[1:]]
+        x = left + t * (right - left)
+        x = x[(left < x) & (x < right)]
+        assume(x.size)
+        got = stability._line(alpha, c, q, [label] * x.size, x)
+        want = stability._tau1(alpha, c, x, float(label[0]), float(label[1])) - q
+        assert got.tobytes() == want.tobytes()
+        assert not np.isnan(got).any()
 
     @pytest.mark.parametrize(
         "fun, lo, hi",
