@@ -177,7 +177,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         v_range=_v_range(args),
         samples=args.samples,
-        max_branch=args.max_branch,
     )
     print(
         json.dumps(
@@ -233,9 +232,6 @@ def _add_window(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v-min", type=float, help="lower end of the frequency window")
     parser.add_argument("--v-max", type=float, help="upper end of the frequency window")
     parser.add_argument("--samples", type=int, default=2000, help="frequency samples (default 2000)")
-    parser.add_argument(
-        "--max-branch", type=int, default=8, help="largest winding number (default 8)"
-    )
 
 
 # Built once per process: parsing leaves the parser unchanged, and the
@@ -269,6 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coefficient_source(p_cur)
     p_cur.add_argument("--alpha", type=float, required=True)
     _add_window(p_cur)
+    p_cur.add_argument(
+        "--max-branch", type=int, default=8, help="largest winding number (default 8)"
+    )
     p_cur.add_argument("--out", required=True, help="output CSV path")
     p_cur.set_defaults(func=_cmd_curves)
 

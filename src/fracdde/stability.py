@@ -71,6 +71,8 @@ _FD_BASE_STEP = 1e-6
 
 _DEFAULT_SAMPLES = 2000
 _DEFAULT_MAX_BRANCH = 8
+# Most entries (branches x in-band samples) the tau1 line search tabulates.
+_TABLE_BUDGET = 2**22
 _TWO_PI = 2.0 * math.pi
 
 
@@ -383,7 +385,9 @@ def _band_edges(al: float, c: LinearCoefficients) -> list[float]:
 
 def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
     """Every arccos branch (sign, m) with winding number up to ``max_branch``."""
-    return [(sign, m) for sign in (1, -1) for m in range(max_branch + 1)]
+    if int(max_branch) < 0:
+        raise ValueError("max_branch must be nonnegative")
+    return [(sign, m) for sign in (1, -1) for m in range(int(max_branch) + 1)]
 
 
 def _band(al: float, c: LinearCoefficients, v: np.ndarray):
@@ -479,20 +483,14 @@ def _line(al: float, c: LinearCoefficients, q: float, labels, v: np.ndarray) -> 
     """``tau1 - q`` at each frequency ``v[i]`` on its own branch ``labels[i]``.
 
     The bracket evaluator of :func:`critical_tau2_for_tau1`, bitwise equal
-    to :func:`_tau1` minus ``q``.  It keeps :func:`_band`'s outside test, so
-    the two agree everywhere, not only between in-band samples.
+    to its table rows.  It keeps :func:`_band`'s outside test, so the two
+    agree everywhere, not only between in-band samples.
     """
     half = 0.5 * math.pi * al
     th1 = _angles(al, c, v)[0]
     return np.array(
         [_delay(half, t, u, s, m) - q for (s, m), t, u in zip(labels, th1, v.tolist())]
     )
-
-
-def _tau1(al: float, c: LinearCoefficients, v, sign, m):
-    """tau1 on the branches (sign, m), broadcast against ``v`` as in :func:`_branch_delay`."""
-    a1, _, outside, _ = _band(al, c, v)
-    return _branch_delay(al, a1, outside, v, sign, m)
 
 
 def _tau2_terms(c: LinearCoefficients, v, tau2):
@@ -518,17 +516,14 @@ def _resolve_search(
     c: LinearCoefficients,
     v_range: tuple[float, float] | None,
     samples: int,
-    max_branch: int,
-) -> tuple[float, float, int, int]:
+) -> tuple[float, float, int]:
     lo, hi = v_range if v_range is not None else default_v_window(al, c)
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"frequency window must satisfy 0 < lo < hi, got {(lo, hi)!r}")
     if int(samples) < 2:
         raise ValueError("samples must be at least 2")
-    if int(max_branch) < 0:
-        raise ValueError("max_branch must be nonnegative")
-    return (lo, hi, int(samples), int(max_branch))
+    return (lo, hi, int(samples))
 
 
 def curve_columns(
@@ -560,10 +555,10 @@ def curve_columns(
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    lo, hi, samples = _resolve_search(al, c, v_range, samples)
+    labels = _branch_labels(max_branch)
 
     vs = np.linspace(lo, hi, samples)
-    labels = _branch_labels(max_branch)
     tau1, tau2, va = _branches(al, c, vs, labels)
     inside = ~np.isnan(tau1[0])
     vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
@@ -589,7 +584,6 @@ def critical_tau2_for_tau1(
     tau1: float,
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
-    max_branch: int = _DEFAULT_MAX_BRANCH,
 ) -> float | None:
     """Smallest tau2 at which the vertical line tau1 = const meets the locus.
 
@@ -599,34 +593,33 @@ def critical_tau2_for_tau1(
     boundary along that line; None means the line meets no crossing inside
     the frequency window.
 
-    The branch functions tau1(v) are tabulated over the window's samples,
-    but only those whose range can reach the requested value, and only from
-    the first to the last sample inside the crossing band ``||a| - |b|| <=
-    v**alpha <= |a| + |b|``, where the table is not NaN.  The arccos is
-    taken once over those samples, and every row is a broadcast of it.  A
-    branch (sign, m) is its sign's m = 0 branch plus 2*pi*m/v, so the
-    sampled m = 0 range and the range of 1/v over the band bound it before
-    it is tabulated; the bound's margin scales with both terms, so rounding
-    cannot rule out a branch whose samples change sign or hit the value
-    exactly.  Every bracketed crossing of the requested value is sharpened
-    by Illinois regula falsi steps on its own branch, falling back to the
-    midpoint when a step stalls, until the bracket shrinks onto adjacent
-    floats or a step lands on an exact crossing.  The smallest valid tau2
-    companion at the crossing frequencies is returned.  A companion is
-    valid when it is nonnegative and both defining equations hold at the
-    stored floats with the fixed residual 1e-9.  At both band edges the
-    branch functions fold with square-root speed, so a crossing can lie
-    between an edge and the nearest interior sample, where a plain
-    scanline would miss it; the band edges that fall inside the window are
-    therefore sampled as well.  The brackets, the branch bounds and the
-    companions are worked in Python floats, bitwise as the array formulas
-    give them (see the module docstring).
+    The branch functions tau1(v) are tabulated from the first to the last
+    window sample inside the crossing band ``||a| - |b|| <= v**alpha <= |a|
+    + |b|``, where the table is not NaN, from one arccos.  A branch (sign,
+    m) is its sign's m = 0 branch plus 2*pi*m/v, so the sampled m = 0 range
+    and the range of 1/v give each sign, in closed form, the windings whose
+    range can reach the requested value; only those are tabulated.  As the
+    arccos lies in [0, pi], none with ``2*pi*m > tau1*v_top + pi*(1 +
+    alpha/2)``, ``v_top`` the last in-band sample, can.  Every bracketed
+    crossing is sharpened by Illinois regula falsi steps on its own branch,
+    falling back to the midpoint when a step stalls, until the bracket
+    shrinks onto adjacent floats or a step lands on an exact crossing.  The
+    smallest valid tau2 companion at the crossing frequencies is returned:
+    nonnegative, and both defining equations hold at the stored floats with
+    the fixed residual 1e-9.  At both band edges the branch functions fold
+    with square-root speed, so a crossing can lie between an edge and the
+    nearest interior sample, where a plain scanline would miss it; the band
+    edges that fall inside the window are therefore sampled as well.  The
+    brackets, the branch bounds and the companions are worked in Python
+    floats, bitwise as the array formulas give them (see the module
+    docstring).
 
     Raises
     ------
     ValueError
         If the coefficients are not stable at zero delays (the first
-        crossing of a line from an already unstable origin is meaningless).
+        crossing of a line from an already unstable origin is meaningless),
+        or, before the table is built, if it would exceed 2**22 entries.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -638,7 +631,7 @@ def critical_tau2_for_tau1(
             "the crossing search requires coefficients stable at zero delays "
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    lo, hi, samples = _resolve_search(al, c, v_range, samples)
 
     # The band edges join the grid at their sorted places.  A value sampled
     # twice (an edge on a grid point, or a window a few ulps wide) is
@@ -659,19 +652,30 @@ def critical_tau2_for_tau1(
     half = 0.5 * math.pi * al
     base = _delay(half, th, v, np.array([[1.0], [-1.0]]), 0.0)
     lows, highs = np.fmin.reduce(base, axis=1).tolist(), np.fmax.reduce(base, axis=1).tolist()
-    bounds = {1: (lows[0], highs[0]), -1: (lows[1], highs[1])}
     # Row (sign, m) is the m = 0 row of its sign plus 2*pi*m/v, so its
-    # sampled range lies within the m = 0 range plus 2*pi*m*[min, max](1/v).
-    # The margin scales with the terms, not their sum, so rounding never
-    # drops a row whose table entry changes sign or is exactly 0; a bound
-    # that overflows to inf or NaN keeps its row.
+    # sampled range lies within the m = 0 range plus 2*pi*m*[min, max](1/v),
+    # give or take 1e-9*(max|m = 0 row| + 2*pi*m*max(1/v) + tau1): rounding
+    # never drops a row whose entry changes sign or is 0.  Solved for m and
+    # cut at the cap on 2*pi*m (see the docstring), this gives each sign a
+    # range of windings; it is widened by one at each end, as an extra row
+    # holds no sign change.  A NaN end gives way: max and min then return
+    # their first argument.
     wind_lo, wind_hi = _TWO_PI / float(v[-1]), _TWO_PI / float(v[0])
-    labels = []
-    for sign, m in _branch_labels(max_branch):
-        low, high = bounds[sign]
-        margin = 1e-9 * (max(abs(low), abs(high)) + m * wind_hi + q)
-        if not (q < low + m * wind_lo - margin or q > high + m * wind_hi + margin):
-            labels.append((sign, m))
+    cap = (q * float(v[-1]) + math.pi * (1.0 + 0.5 * al)) / _TWO_PI
+    slope, windings = wind_lo - 1e-9 * wind_hi, []
+    for sign, low, high in zip((1, -1), lows, highs):
+        margin = 1e-9 * (max(abs(low), abs(high)) + q)
+        first = max(0.0, (q - high - margin) / ((1.0 + 1e-9) * wind_hi) - 1.0)
+        last = min(cap, (q - low + margin) / slope if slope > 0.0 else cap) + 1.0
+        if first <= last:
+            windings.append((sign, first, last))
+    count = sum(last - first + 1.0 for _, first, last in windings)
+    if not count * len(v) <= _TABLE_BUDGET:
+        raise ValueError(
+            f"the line tau1 = {q!r} can meet about {count:.4g} branches over {len(v)} in-band "
+            f"samples, more than the {_TABLE_BUDGET} table entries allowed; narrow the window"
+        )
+    labels = [(s, m) for s, first, last in windings for m in range(math.ceil(first), int(last) + 1)]
     sign, m = np.array(labels, dtype=float).reshape(-1, 2).T[:, :, None]
     y = _delay(half, th, v, sign, m) - q
     # Flat indices and divmod: a 2-d nonzero on this table costs several
@@ -691,7 +695,9 @@ def critical_tau2_for_tau1(
     # Only a nonnegative companion can be valid, so only those get a residual.
     pairs = []
     columns = list(enumerate(zip(th2, v_star)))
-    for s, k in _branch_labels(max_branch):
+    # Winding m2 adds 2*pi/v to tau2, and the arccos lies in [0, pi], so
+    # each sign's smallest nonnegative tau2 has m2 = 0 or 1.
+    for s, k in _branch_labels(1):
         for j, (t, u) in columns:
             tau2 = _delay(half, t, u, s, k)
             if tau2 >= 0.0:
@@ -717,7 +723,6 @@ def classify(
     tolerance: float = 1e-6,
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
-    max_branch: int = _DEFAULT_MAX_BRANCH,
 ) -> StabilityVerdict:
     """Classify an equilibrium of the linearized problem at given delays.
 
@@ -729,14 +734,13 @@ def classify(
     below it by more than ``tolerance``, Unstable above it by more than
     ``tolerance``, OnBoundary inside the band.  The boundary is
     :func:`critical_tau2_for_tau1`.  When the tau1 line misses every
-    sampled branch (possible in custom frequency windows, or for tau1
-    beyond the sampled branches), the lowest tau2 of the
+    branch in a custom frequency window, the lowest tau2 of the
     :func:`curve_columns` locus, the curve floor, stands in as a
     conservative boundary.  If the window holds no crossing locus at all
     the delays are classified Stable, since no root can have crossed the
     imaginary axis.
     """
-    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range, samples, max_branch)[0]
+    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range, samples)[0]
 
 
 def _classify_with_boundary(
@@ -746,7 +750,6 @@ def _classify_with_boundary(
     tolerance: float,
     v_range: tuple[float, float] | None,
     samples: int,
-    max_branch: int,
 ) -> tuple[StabilityVerdict, float | None]:
     """The verdict of :func:`classify` and the boundary tau2 behind it.
 
@@ -766,11 +769,9 @@ def _classify_with_boundary(
         return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return StabilityVerdict.UNSTABLE, None
-    boundary = critical_tau2_for_tau1(
-        alpha, c, d.tau1, v_range=v_range, samples=samples, max_branch=max_branch
-    )
+    boundary = critical_tau2_for_tau1(alpha, c, d.tau1, v_range=v_range, samples=samples)
     if boundary is None:
-        floor = curve_columns(alpha, c, v_range, samples, max_branch).tau2
+        floor = curve_columns(alpha, c, v_range, samples).tau2
         boundary = float(floor.min()) if floor.size else None
     if boundary is None or d.tau2 < boundary - tolerance:
         return StabilityVerdict.STABLE, boundary

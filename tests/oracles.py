@@ -21,14 +21,18 @@ at a time and sorts it with a key function: the reference for the columnar
 same order.  ``parametric_delays`` gives the raw delay pair of one
 frequency on one branch, from the package's branch formulas.
 
-``bisect_line_search`` evaluates every branch at every bisection step of
-the tau1 line search: the reference for the per-bracket Illinois refiner of
-:func:`fracdde.critical_tau2_for_tau1`.
+``bisect_line_search`` bisects every bracket of the tau1 line search in
+numpy arrays: the reference for the Illinois refiner of
+:func:`fracdde.critical_tau2_for_tau1`.  ``tau1_branches`` is the tau1
+table that both line-search references sample.
 
-``table_line_search`` samples every branch, including those whose range
-cannot reach the line, and runs the Illinois refiner with its bracket state
-in numpy arrays: the bitwise reference for the pruned table and the
-Python-float refiner of :func:`fracdde.critical_tau2_for_tau1`.
+``table_line_search`` samples every branch up to ``max_branch``, including
+those whose range cannot reach the line, takes companions on every
+winding, and runs the Illinois refiner with its bracket state in numpy
+arrays: the bitwise reference for the pruned table, the two companion
+windings and the Python-float refiner of
+:func:`fracdde.critical_tau2_for_tau1`.  ``reach`` is the largest winding
+number whose tau1 branch can meet a line, from the closed-form band.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from fracdde.stability import (
     _residual,
     _resolve_search,
     _sign_change,
-    _tau1,
     _tau2_terms,
     stable_at_zero_delay,
 )
@@ -391,7 +394,7 @@ def object_curve_points(
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    lo, hi, samples = _resolve_search(al, c, v_range, samples)
     residual_tol = float(residual_tol)
 
     vs = np.linspace(lo, hi, samples)
@@ -432,23 +435,24 @@ def bisect_line_search(
     """Smallest valid tau2 on the line tau1 = const, refined by bisection.
 
     Same samples, brackets, exact-sample crossings and companion validation
-    as :func:`fracdde.critical_tau2_for_tau1`; every bracket is bisected for
-    at most 90 steps, and each step evaluates all branches of both delays.
+    as :func:`fracdde.critical_tau2_for_tau1`, with companions on every
+    winding up to ``max_branch``; every bracket is bisected for at most 90
+    steps on its own branch, in numpy arrays.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     q = float(tau1)
     if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
         raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    lo, hi, samples = _resolve_search(al, c, v_range, samples)
 
     edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
     labels = _branch_labels(max_branch)
+    sign, m = np.array(labels, dtype=float).T
     y = _branches(al, c, vs, labels)[0] - q
     rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
-    brackets = np.arange(len(rows))
-    line = lambda v: _branches(al, c, v, labels)[0][rows, brackets] - q
+    line = lambda v: tau1_branches(al, c, v, sign[rows], m[rows]) - q
     v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
     exact_rows, exact_cols = np.nonzero(y == 0.0)
     v_star = np.concatenate([vs[exact_cols], v_cross])
@@ -458,6 +462,26 @@ def bisect_line_search(
     residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
     ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
     return float(tau2_star[ok].min()) if ok.any() else None
+
+
+def tau1_branches(al: float, c: LinearCoefficients, v, sign, m):
+    """tau1 on the branches (sign, m), broadcast against ``v`` as in
+    ``fracdde.stability._branch_delay``: the table of the line search."""
+    a1, _, outside, _ = _band(al, c, v)
+    return _branch_delay(al, a1, outside, v, sign, m)
+
+
+def reach(alpha, coef, tau1: float, v_range: tuple[float, float] | None = None) -> int:
+    """Largest winding number m whose tau1 branch can meet the line tau1 = const.
+
+    With the arccos in [0, pi], ``tau1 = (sign*theta - alpha*pi/2 + 2*pi*m)/v``
+    needs ``2*pi*m <= tau1*v + pi*(1 + alpha/2)``, and v is at most the upper
+    band edge ``(|a| + |b|)**(1/alpha)`` and the window's upper end.
+    """
+    al = order_value(alpha)
+    c = _require_nondegenerate(coef)
+    v_top = min(_band_edges(al, c)[1], _resolve_search(al, c, v_range, 2)[1])
+    return math.floor((tau1 * v_top + math.pi * (1.0 + 0.5 * al)) / (2.0 * math.pi))
 
 
 def table_line_search(
@@ -472,23 +496,24 @@ def table_line_search(
 
     Same samples, brackets, exact-sample crossings, refiner iterates and
     companion validation as :func:`fracdde.critical_tau2_for_tau1`, so the
-    two agree bitwise; the tau1 table holds every branch (sign, m), and
-    :func:`array_illinois` refines the brackets.
+    two agree bitwise once ``max_branch`` is at least :func:`reach`; the
+    tau1 table holds every branch (sign, m), the companions every winding
+    up to ``max_branch``, and :func:`array_illinois` refines the brackets.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     q = float(tau1)
     if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
         raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi, samples, max_branch = _resolve_search(al, c, v_range, samples, max_branch)
+    lo, hi, samples = _resolve_search(al, c, v_range, samples)
 
     edges = [e for e in _band_edges(al, c) if lo < e < hi]
     vs = np.union1d(np.linspace(lo, hi, samples), edges)
     sign, m = np.array(_branch_labels(max_branch), dtype=float).T
-    y = _tau1(al, c, vs, sign[:, None], m[:, None]) - q
+    y = tau1_branches(al, c, vs, sign[:, None], m[:, None]) - q
     rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
     row_sign, row_m = sign[rows], m[rows]
-    line = lambda v: _tau1(al, c, v, row_sign, row_m) - q
+    line = lambda v: tau1_branches(al, c, v, row_sign, row_m) - q
     v_cross = array_illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
     exact_rows, exact_cols = np.nonzero(y == 0.0)
     v_star = np.concatenate([vs[exact_cols], v_cross])

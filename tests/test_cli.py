@@ -309,7 +309,9 @@ class TestCurvesCommand:
         assert "together" in capsys.readouterr().err
 
 
-# (|a| + |b|)**(1/alpha) overflows; the window holds no crossing.
+# (|a| + |b|)**(1/alpha) overflows; the window holds no crossing on a line
+# near tau1 = 1e-290.  In the second window about tau1*1e290 windings reach
+# a line, far over the line search's table budget at tau1 = 0.1.
 HUGE_BAND = [
     (["--a", "1e200", "--b=-3e200", "--alpha", "0.5"], ["--v-min", "1", "--v-max", "10"]),
     (["--a", "3.4e30", "--b=-3.5e30", "--alpha", "0.1"], ["--v-min", "1e289", "--v-max", "1e291"]),
@@ -338,7 +340,7 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("coef, window", HUGE_BAND)
     def test_explicit_window_classify(self, capsys, coef, window):
-        assert main(["classify", *coef, *window, "--tau1", "0.1", "--tau2", "0.1"]) == 0
+        assert main(["classify", *coef, *window, "--tau1", "1e-290", "--tau2", "0.1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "Stable" and doc["critical_tau2"] is None
 
@@ -419,6 +421,28 @@ class TestClassifyCommand:
         assert code == 0
         assert doc["verdict"] == "Stable"
         assert doc["b"] == pytest.approx(-3.0)
+
+    def test_max_branch_is_a_curves_option_only(self, tmp_path, capsys):
+        # classify derives its winding range from the query; curves keeps
+        # the option, which sets how much of the locus it plots.
+        coef = ["--a", "1", "--b", "-3", "--alpha", "0.9"]
+        assert main(["classify", *coef, "--tau1", "0.4", "--tau2", "0.5", "--max-branch", "3"]) == 1
+        assert "unrecognized arguments: --max-branch 3" in capsys.readouterr().err
+        out = tmp_path / "c.csv"
+        window = ["--samples", "300", "--max-branch", "2"]
+        assert main(["curves", *coef, *window, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == len(curve_columns(0.9, (1.0, -3.0), samples=300, max_branch=2).v)
+        assert max(int(r[4]) for r in rows) == 2
+
+    def test_line_search_over_budget_is_a_usage_error(self, capsys):
+        # About 1.5 times the 2**22 table entries (see test_stability).
+        argv = ["classify", "--a", "1", "--b", "-3", "--alpha", "1", "--tau1", "4e4", "--tau2", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: the line tau1 = 40000.0 can meet about")
+        assert err.count("\n") == 1
 
     def test_curve_floor_fallback(self, tmp_path, capsys):
         # The tau1 = 0.5 line misses every branch in this window, so the

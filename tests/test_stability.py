@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,10 @@ from oracles import (
     curve_points,
     object_curve_points,
     parametric_delays,
+    reach,
     scalar_equilibria,
     table_line_search,
+    tau1_branches,
 )
 from reference_values import IKEDA_EQUILIBRIA
 
@@ -367,10 +370,18 @@ class TestCriticalTau2ForTau1:
         got = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_insensitive_to_sampling_density(self):
-        base = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.3)
-        dense = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.3, samples=4000)
-        assert base == pytest.approx(dense, abs=1e-9)
+    def test_insensitive_to_sampling_density(self, rng):
+        # Doubling the samples moves the brackets, so the refined crossings
+        # may differ in their last bits, but no crossing appears or vanishes.
+        found = 0
+        for alpha, coef, q in [(1.0, UCAR_COEF, 0.3)] + self.random_queries(rng, 200):
+            base = critical_tau2_for_tau1(alpha, coef, q)
+            dense = critical_tau2_for_tau1(alpha, coef, q, samples=4000)
+            assert (base is None) == (dense is None), (alpha, coef, q)
+            if base is not None:
+                found += 1
+                assert abs(dense - base) <= 1e-13 * base, (alpha, coef, q, base, dense)
+        assert found > 40
 
     def test_fold_edge_crossing_is_found(self):
         # The upper branch of tau1(v) for these coefficients folds at the
@@ -412,8 +423,45 @@ class TestCriticalTau2ForTau1:
         assert on_sample == 0.7853981633974483
         assert bisected == 0.7853981633974483
 
-    def test_none_when_line_misses_curve(self):
-        assert critical_tau2_for_tau1(1.0, UCAR_COEF, 50.0, max_branch=2) is None
+    def test_none_when_line_misses_curve(self, monkeypatch):
+        # In this window the m = 0 branches lie below tau1 = -0.3 and the
+        # m = 1 branches above 1.07, so the line tau1 = 0.5 passes between
+        # them and the refiner gets no bracket.
+        brackets = self.count_brackets(monkeypatch)
+        assert critical_tau2_for_tau1(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0)) is None
+        assert table_line_search(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0)) is None
+        assert brackets == [0]
+
+    @pytest.mark.parametrize(
+        "alpha, tau1, expected",
+        [
+            # Winding numbers up to 32 reach this line.
+            (1.0, 50.0, 0.3662061782158131),
+            # Up to 23: the value the search gave with branches up to 40.
+            (0.9, 30.0, 0.35197227130910624),
+        ],
+    )
+    def test_windings_beyond_eight_are_searched(self, alpha, tau1, expected):
+        assert reach(alpha, UCAR_COEF, tau1) > 20
+        got = critical_tau2_for_tau1(alpha, UCAR_COEF, tau1)
+        assert got == expected
+        assert got == table_line_search(
+            alpha, UCAR_COEF, tau1, max_branch=reach(alpha, UCAR_COEF, tau1) + 4
+        )
+
+    def test_oversized_table_is_refused_before_it_is_built(self):
+        # Windings from about 12 700 to 25 500 reach the line tau1 = 4e4 on
+        # 252 in-band samples: 1.5 times the budget of 2**22 table entries.
+        # A query only just over the budget keeps a broken check from taking
+        # all memory; the check itself allocates only the in-band samples.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"tau1 = 40000\.0 can meet about 2\.547e\+04 "):
+                critical_tau2_for_tau1(1.0, UCAR_COEF, 4e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @staticmethod
     def sweep_queries(rng):
@@ -431,11 +479,14 @@ class TestCriticalTau2ForTau1:
 
     @staticmethod
     def random_queries(rng, count):
+        # tau1 at most 3, and at most what 200 windings span at the upper
+        # band edge: the references tabulate every winding at every sample.
         queries = []
         while len(queries) < count:
-            alpha, a, b, q = rng.uniform((0.3, -5.0, -25.0, 0.0), (1.0, 5.0, 5.0, 3.0)).tolist()
+            alpha, a, b, t = rng.uniform((0.3, -5.0, -25.0, 0.0), (1.0, 5.0, 5.0, 1.0)).tolist()
             if a + b < -1e-3:
-                queries.append((alpha, (a, b), q))
+                v_top = (abs(a) + abs(b)) ** (1.0 / alpha)
+                queries.append((alpha, (a, b), t * min(3.0, 200 * 2.0 * math.pi / v_top)))
         return queries
 
     @staticmethod
@@ -443,7 +494,7 @@ class TestCriticalTau2ForTau1:
         found = 0
         for alpha, coef, q in queries:
             got = critical_tau2_for_tau1(alpha, coef, q)
-            ref = bisect_line_search(alpha, coef, q)
+            ref = bisect_line_search(alpha, coef, q, max_branch=reach(alpha, coef, q) + 4)
             assert (got is None) == (ref is None), (alpha, coef, q)
             if ref is not None:
                 found += 1
@@ -512,10 +563,13 @@ class TestCriticalTau2ForTau1:
 
     @staticmethod
     def assert_matches_table(queries, **kwargs):
+        # The reference tabulates every winding up to four past the reach.
         found = 0
-        for query in queries:
-            got = critical_tau2_for_tau1(*query, **kwargs)
-            assert got == table_line_search(*query, **kwargs), query
+        for alpha, coef, q in queries:
+            got = critical_tau2_for_tau1(alpha, coef, q, **kwargs)
+            windings = reach(alpha, coef, q, kwargs.get("v_range")) + 4
+            ref = table_line_search(alpha, coef, q, max_branch=windings, **kwargs)
+            assert got == ref, (alpha, coef, q)
             found += got is not None
         return found
 
@@ -540,17 +594,19 @@ class TestCriticalTau2ForTau1:
         monkeypatch.setattr(stability, "_illinois", counted)
         return brackets
 
-    @pytest.mark.parametrize("max_branch", [20, 40])
-    def test_matches_table_reference_bitwise_with_many_brackets(self, rng, max_branch, monkeypatch):
+    @pytest.mark.parametrize("windings", [20, 40])
+    def test_matches_table_reference_bitwise_with_many_brackets(self, rng, windings, monkeypatch):
         brackets = self.count_brackets(monkeypatch)
         # |b| just above |a| puts the lower band edge near 0, where every
-        # winding number reaches the line.
-        alpha, a, gap, q = rng.uniform((0.5, -5.0, 0.05, 0.0), (1.0, 5.0, 1.0, 40.0), (15, 4)).T
-        queries = [
-            (al, (x, -abs(x) - g), t)
-            for al, x, g, t in zip(alpha.tolist(), a.tolist(), gap.tolist(), q.tolist())
-        ]
-        assert self.assert_matches_table(queries, max_branch=max_branch) > 10
+        # winding number reaches the line.  Each line reaches between half
+        # of and all the given windings.
+        alpha, a, gap, t = rng.uniform((0.5, -5.0, 0.05, 0.5), (1.0, 5.0, 1.0, 1.0), (15, 4)).T
+        queries = []
+        for al, x, g, f in zip(alpha.tolist(), a.tolist(), gap.tolist(), t.tolist()):
+            coef = (x, -abs(x) - g)
+            v_top = (abs(x) + abs(coef[1])) ** (1.0 / al)
+            queries.append((al, coef, f * windings * 2.0 * math.pi / v_top))
+        assert self.assert_matches_table(queries) > 10
         assert sum(brackets) >= 20 * len(queries)
 
     @pytest.mark.parametrize(
@@ -577,16 +633,14 @@ class TestCriticalTau2ForTau1:
         vs = np.union1d(np.linspace(lo, hi, samples), edges)
         labels = stability._branch_labels(8)
         sign, m = np.array(labels, dtype=float).T
-        table = stability._tau1(alpha, c, vs, sign[:, None], m[:, None])
-        found = 0
-        for row in table:
-            for q in (np.nanmax(row), np.nanmin(row)):
-                if q >= 0.0:
-                    kwargs = dict(v_range=window, samples=samples)
-                    got = critical_tau2_for_tau1(alpha, coef, float(q), **kwargs)
-                    assert got == table_line_search(alpha, coef, float(q), **kwargs)
-                    found += got is not None
-        assert found > 0
+        table = tau1_branches(alpha, c, vs, sign[:, None], m[:, None])
+        queries = [
+            (alpha, coef, float(q))
+            for row in table
+            for q in (np.nanmax(row), np.nanmin(row))
+            if q >= 0.0
+        ]
+        assert self.assert_matches_table(queries, v_range=window, samples=samples) > 0
 
     @pytest.mark.parametrize(
         "alpha, coef, window, label",
@@ -606,34 +660,30 @@ class TestCriticalTau2ForTau1:
         # one expression, so without a margin this row would be dropped.
         c = stability.LinearCoefficients(*coef)
         sign, m = (np.array([[x]], dtype=float) for x in label)
-        row = stability._tau1(alpha, c, np.linspace(*window, 2), sign, m)
+        row = tau1_branches(alpha, c, np.linspace(*window, 2), sign, m)
         assert np.isnan(row).sum() == 1
         q = float(np.nanmax(row))
-        got = critical_tau2_for_tau1(alpha, coef, q, v_range=window, samples=2)
-        assert got is not None
-        assert got == table_line_search(alpha, coef, q, v_range=window, samples=2)
-
-    def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
-        brackets = self.count_brackets(monkeypatch)
-        assert critical_tau2_for_tau1(0.9, UCAR_COEF, 1e3) is None
-        assert table_line_search(0.9, UCAR_COEF, 1e3) is None
-        assert brackets == [0]
+        assert self.assert_matches_table([(alpha, coef, q)], v_range=window, samples=2) == 1
 
     # Coefficients stay at least 0.05 in size: a tiny one overflows inside
     # _band, and tiny ones at small alpha put the default window's upper
-    # end below its fixed lower end 1e-6.
+    # end below its fixed lower end 1e-6.  tau1 stays within 40 and within
+    # 300 windings of the upper band edge, which keeps the reference's full
+    # table small; at alpha 0.2 the band reaches far enough that 40 would
+    # take about 6e8 windings.
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
         alpha=st.floats(0.2, 1.0),
         a=st.one_of(st.floats(-10.0, -0.05), st.floats(0.05, 10.0)),
         b=st.one_of(st.floats(-30.0, -0.05), st.floats(0.05, 10.0)),
-        q=st.floats(0.0, 40.0),
-        max_branch=st.integers(0, 40),
+        t=st.floats(0.0, 1.0),
     )
-    def test_property_matches_table_reference_bitwise(self, alpha, a, b, q, max_branch):
+    def test_property_matches_table_reference_bitwise(self, alpha, a, b, t):
         assume(a + b < -1e-6)
-        got = critical_tau2_for_tau1(alpha, (a, b), q, max_branch=max_branch)
-        assert got == table_line_search(alpha, (a, b), q, max_branch=max_branch)
+        v_top = (abs(a) + abs(b)) ** (1.0 / alpha)
+        q = t * min(40.0, 300 * 2.0 * math.pi / v_top)
+        assert reach(alpha, (a, b), q) <= 301
+        self.assert_matches_table([(alpha, (a, b), q)])
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(
@@ -661,7 +711,7 @@ class TestCriticalTau2ForTau1:
         x = x[(left < x) & (x < right)]
         assume(x.size)
         got = stability._line(alpha, c, q, [label] * x.size, x)
-        want = stability._tau1(alpha, c, x, float(label[0]), float(label[1])) - q
+        want = tau1_branches(alpha, c, x, float(label[0]), float(label[1])) - q
         assert got.tobytes() == want.tobytes()
         assert not np.isnan(got).any()
 
@@ -728,7 +778,7 @@ class TestDelayPlaneBoundary:
     @staticmethod
     def boundary(tau1, tau2=1.0, v_range=None):
         return stability._classify_with_boundary(
-            1.0, UCAR_COEF, (tau1, tau2), 1e-6, v_range, 2000, 8
+            1.0, UCAR_COEF, (tau1, tau2), 1e-6, v_range, 2000
         )[1]
 
     def test_equals_line_search_when_it_hits(self):
@@ -746,12 +796,12 @@ class TestDelayPlaneBoundary:
     def test_none_when_window_has_no_locus(self):
         assert self.boundary(0.1, v_range=(0.1, 1.5)) is None
 
-    def test_curve_floor_on_default_window(self):
-        # tau1 = 30 lies beyond every branch up to winding number 8.
-        assert critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0) is None
+    def test_line_search_past_eight_windings_on_default_window(self):
+        # Windings up to 19 reach tau1 = 30, so the line meets the locus
+        # itself, just above the curve floor, and the floor is not used.
         boundary = self.boundary(30.0)
-        assert boundary == curve_columns(1.0, UCAR_COEF).tau2.min()
-        assert boundary == pytest.approx(0.36620786051959864, rel=1e-12)
+        assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0) == 0.36622093074825357
+        assert boundary > curve_columns(1.0, UCAR_COEF).tau2.min()
         assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
         assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
 
@@ -806,7 +856,9 @@ class TestClassify:
 
 # (|a| + |b|)**(1/alpha) is beyond the float range for both pairs.  At alpha
 # 0.1 the lower band edge ||a| - |b||**10 = 1e290 is finite and lies inside
-# the explicit window, so the line search samples it there.
+# the explicit window, so the line search samples it there.  Frequencies
+# that high put about tau1*1e290 windings within reach of a line, far over
+# the table budget at tau1 = 0.1, so the lines queried lie near 1e-290.
 HUGE_BAND = [
     (0.5, (1e200, -3e200), (1.0, 10.0)),
     (0.1, (3.4e30, -3.5e30), (1e289, 1e291)),
@@ -828,6 +880,6 @@ class TestOverflowingBandEdge:
     @pytest.mark.parametrize("alpha, coef, window", HUGE_BAND)
     def test_explicit_window_leaves_the_edge_outside(self, alpha, coef, window):
         assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 0
-        assert critical_tau2_for_tau1(alpha, coef, 0.1, v_range=window) is None
-        verdict = classify(alpha, coef, (0.1, 0.1), v_range=window)
+        assert critical_tau2_for_tau1(alpha, coef, 1e-290, v_range=window) is None
+        verdict = classify(alpha, coef, (1e-290, 0.1), v_range=window)
         assert verdict is StabilityVerdict.STABLE
