@@ -432,6 +432,19 @@ class TestCriticalTau2ForTau1:
         assert table_line_search(1.0, UCAR_COEF, 0.5, v_range=(3.9, 4.0)) is None
         assert brackets == [0]
 
+    def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
+        # At order 0.9 the crossing band of UCAR_COEF ends at v = 4.666, so
+        # the window (5, 6) holds no branch for the line tau1 = 1e3 to meet:
+        # the search returns before it tabulates a row or refines a bracket.
+        brackets = self.count_brackets(monkeypatch)
+        rows = []
+        delay = stability._delay
+        monkeypatch.setattr(stability, "_delay", lambda *args: rows.append(args) or delay(*args))
+        assert critical_tau2_for_tau1(0.9, UCAR_COEF, 1e3, v_range=(5.0, 6.0)) is None
+        assert rows == []
+        assert brackets == []
+        assert table_line_search(0.9, UCAR_COEF, 1e3, v_range=(5.0, 6.0)) is None
+
     @pytest.mark.parametrize(
         "alpha, tau1, expected",
         [
