@@ -46,13 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 # 17 significant digits round-trip any double exactly; "%.17g" prints the
-# same text as format(value, ".17g") and "%d" the same as str(int).
-_FLOAT = "%.17g"
-_CURVES_ROW = "%.17g,%.17g,%.17g,%d,%d,%d,%d,%.17g\n"
-# Trajectory rows are formatted this many at a time: one join per chunk, and
-# no whole-table list of rows or strings held in memory.  With k history
-# steps the simulate writer holds at most k + 2 * _ROWS_PER_WRITE strings:
-# the states of one chunk and the k before them, and its time stamps.
+# same text as format(value, ".17g").
+_FLOAT = "%.17g\n"
+# Both CSV writers build and write at most this many rows of text at a time,
+# so neither holds the whole file's text.  With k history steps the simulate
+# writer holds at most k + 2 * _ROWS_PER_WRITE strings: the states of one
+# chunk and the k before them, and its time stamps.  The curves writer holds
+# one chunk's cells and, per column, one string per distinct value with an
+# integer index per row into them.
 _ROWS_PER_WRITE = 4096
 
 
@@ -145,7 +146,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _formatted(values: np.ndarray) -> list[str]:
-    return list(map(_FLOAT.__mod__, values.tolist()))
+    # One "%" over the whole array, split at the newlines: cheaper per value
+    # than one "%" per value, and "%.17g" never prints a newline.
+    return ((_FLOAT * len(values)) % tuple(values.tolist())).split("\n")[:-1]
+
+
+def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value of ``column`` and, per row, its index.
+
+    Floats are keyed by their bits, so ``-0.0`` and ``0.0`` keep their own
+    text; integer labels by value, as a bit view would reinterpret a narrower
+    platform integer.
+    """
+    if column.dtype.kind == "f":
+        keys, codes = np.unique(column.view(np.int64), return_inverse=True)
+        text = _formatted(keys.view(np.float64))
+    else:
+        keys, codes = np.unique(column, return_inverse=True)
+        text = list(map(str, keys.tolist()))
+    return np.array(text, dtype=object), codes
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
@@ -161,9 +180,15 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     # Rows ordered by (m1, sign1, v); the trailing keys only break ties
     # between branches that share a sample v.
     order = np.lexsort((sign2, m2, v, sign1, m1))
+    # Each row is one (sample, tau1 branch, tau2 branch) combination, so the
+    # columns repeat values: each distinct one is formatted once.
+    tables = [_distinct_text(col[order]) for col in columns]
     with open(args.out, "w", newline="") as fh:
         fh.write("v,tau1,tau2,sign1,m1,sign2,m2,residual\n")
-        fh.writelines(map(_CURVES_ROW.__mod__, zip(*(col[order].tolist() for col in columns))))
+        for start in range(0, len(order), _ROWS_PER_WRITE):
+            cells = (text[codes[start : start + _ROWS_PER_WRITE]].tolist() for text, codes in tables)
+            fh.write("\n".join(map(",".join, zip(*cells))))
+            fh.write("\n")
     return 0
 
 

@@ -28,6 +28,11 @@ def read_csv(path):
     return header, rows
 
 
+def random_floats(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
 class TestSimulateCommand:
     def test_roundtrip_matches_library_bitwise(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -55,8 +60,16 @@ class TestSimulateCommand:
                 assert float(text) == value
                 assert text == format(value, ".17g")
 
-    @pytest.mark.parametrize("tau1, tau2", [(50.0, 0.07), (0.03, 45.0), (0.4, 0.5)])
-    def test_csv_bytes_match_per_row_formatting(self, tmp_path, tau1, tau2):
+    @pytest.mark.parametrize(
+        "tau1, tau2, history",
+        [
+            pytest.param(50.0, 0.07, "1.5", id="50.0-0.07"),
+            pytest.param(0.03, 45.0, "1.5", id="0.03-45.0"),
+            pytest.param(0.4, 0.5, "1.5", id="0.4-0.5"),
+            pytest.param(0.4, 0.5, "-0", id="0.4-0.5-history-0"),
+        ],
+    )
+    def test_csv_bytes_match_per_row_formatting(self, tmp_path, tau1, tau2, history):
         # Rows are written 4096 at a time, each state formatted once per
         # chunk; a delay of 4500 or 5000 steps puts a delayed column in a
         # window of its own.  The bytes must equal one "%.17g" row at a time.
@@ -67,13 +80,13 @@ class TestSimulateCommand:
             "--alpha", "0.8",
             "--tau1", str(tau1), "--tau2", str(tau2),
             "--T", "120", "--h", "0.01",
-            "--history", "1.5",
+            "--history", history,
             "--out", str(out),
         ]
         assert main(argv) == 0
         grid = build_grid(DelayPair(tau1, tau2), 120.0, 0.01)
         rhs = SystemRhs(g=lambda x1, x2: -0.5 * x1 + 0.3 * x2)
-        table = phase_columns(simulate(rhs, 0.8, grid, 1.5), grid)
+        table = phase_columns(simulate(rhs, 0.8, grid, float(history)), grid)
         expected = ["t,x,x_tau1,x_tau2\n"]
         expected += ["%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist()]
         got = out.read_text().splitlines(keepends=True)
@@ -81,6 +94,23 @@ class TestSimulateCommand:
         assert len(got) == len(expected)
         first_bad = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]), None)
         assert first_bad is None, (first_bad, got[first_bad], expected[first_bad])
+        if history == "-0":
+            # The first row is the signed-zero history, printed as such.
+            assert got[1] == "0,-0,-0,-0\n"
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [],
+            [0.0, -0.0, math.inf, -math.inf, math.nan],
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            [0.1, 1.0 / 3.0],
+            random_floats(4097, seed=15),
+        ],
+        ids=["empty", "zeros-inf-nan", "extremes", "decimals", "random-4097"],
+    )
+    def test_chunk_template_matches_format(self, xs):
+        assert cli._formatted(np.array(xs, dtype=float)) == [format(v, ".17g") for v in xs]
 
     def test_linear_model(self, tmp_path):
         out = tmp_path / "lin.csv"
@@ -210,18 +240,17 @@ class TestCurvesCommand:
         assert len(rows) == len(columns.v)
 
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
-        # The batched row template must print exactly what format(v, ".17g")
-        # and str(int) print, signed zeros and extreme exponents included.
+        # The writer must print exactly what format(v, ".17g") and str(int)
+        # print, signed zeros and extreme exponents included.  Values repeat
+        # across rows, as on the real locus, and the tau2 column holds both
+        # zeros, which a dedupe by float equality would print alike.
         points = [
             CurvePoint(0.1, 1.0 / 3.0, -0.0, 1, 0, -1, 0, 0.0),
             CurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
             CurvePoint(7.0, math.pi, 1e16, 1, 8, -1, 2, 1.2345678901234567e-10),
+            CurvePoint(0.1, 1.0 / 3.0, 0.0, 1, 0, 1, 1, 5e-324),
+            CurvePoint(7.0, -0.0, -0.0, -1, 8, -1, 0, 5e-324),
         ]
-        columns = stability.CurveColumns(*map(np.array, zip(*points)))
-        monkeypatch.setattr(cli, "curve_columns", lambda *args, **kwargs: columns)
-        out = tmp_path / "curve.csv"
-        assert main(["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(out)]) == 0
-        points.sort(key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
         expected = "v,tau1,tau2,sign1,m1,sign2,m2,residual\n" + "".join(
             ",".join(
                 [format(p.v, ".17g"), format(p.tau1, ".17g"), format(p.tau2, ".17g")]
@@ -229,10 +258,19 @@ class TestCurvesCommand:
                 + [format(p.residual, ".17g")]
             )
             + "\n"
-            for p in points
+            for p in sorted(points, key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
         )
-        assert "-0," in expected and "e+308" in expected
-        assert out.read_bytes() == expected.encode()
+        assert {format(p.tau2, ".17g") for p in points} >= {"0", "-0"}
+        assert "e+308" in expected
+        out = tmp_path / "curve.csv"
+        # numpy 1 on Windows makes integer labels 32-bit: they print alike.
+        for label_dtype in (np.int64, np.int32):
+            columns = stability.CurveColumns(
+                *(np.array(col, dtype=label_dtype if type(col[0]) is int else float) for col in zip(*points))
+            )
+            monkeypatch.setattr(cli, "curve_columns", lambda *args, **kwargs: columns)
+            assert main(["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize(
         "argv, alpha, coef, kwargs",
