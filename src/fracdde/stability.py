@@ -12,7 +12,10 @@ characteristic root lambda = i*v with v > 0.  Splitting that condition into
 real and imaginary parts and eliminating the trigonometric unknowns yields,
 for each crossing frequency v, arccos expressions for the two delays; these
 trace parametric curves in the (tau1, tau2) plane whose lowest branch bounds
-the region, attached to the origin, where stability persists.
+the region, attached to the origin, where stability persists.  The signs of
+the two arccos branches are tied to each other by the coefficient signs
+(:func:`_paired_sign`), so every pairing formed is a crossing, whatever the
+scale of the coefficients.
 
 The line search does its short, per-bracket and per-label arithmetic in
 Python floats and keeps every transcendental function in numpy, so that
@@ -35,7 +38,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,10 +63,6 @@ __all__ = [
 # Arccos arguments may stick out of [-1, 1] by this much before the sample
 # is discarded; the excess is pure rounding at the window edges.
 _CLAMP_SLACK = 1e-12
-
-# A parametric point is accepted only if both defining equations hold this
-# tightly when evaluated from the final float delays.
-_RESIDUAL_TOL = 1e-9
 
 _ZERO_SUM_TOL = 1e-12
 _EQUILIBRIUM_TOL = 1e-12
@@ -423,31 +422,6 @@ def _delay(half: float, th, v, sign, m):
     return (sign * th - half + _TWO_PI * m) / v
 
 
-def _branch_delay(al: float, arg, outside, v, sign, m):
-    """Delay ``(sign*arccos(arg) - alpha*pi/2 + 2*pi*m) / v`` on branch (sign, m).
-
-    ``sign`` and ``m`` are float arrays that broadcast against ``v``: a
-    column per branch gives a table, one entry per frequency gives each
-    frequency its own branch.  The delay is NaN wherever ``outside``.
-    """
-    return _delay(0.5 * math.pi * al, _arccos(arg, outside), v, sign, m)
-
-
-def _branches(
-    al: float, c: LinearCoefficients, v: np.ndarray, labels: Sequence[tuple[int, int]]
-):
-    """Parametric delays on the arccos branches ``labels`` at the frequencies ``v``.
-
-    Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in
-    ``labels``, one column per entry of the 1-d array ``v``, and
-    ``va = v**alpha``.  Both delays are NaN outside the crossing band.
-    """
-    a1, a2, outside, va = _band(al, c, v)
-    sign, m = np.array(labels, dtype=float).T[:, :, None]
-    tau1 = _branch_delay(al, a1, outside, v, sign, m)
-    return tau1, _branch_delay(al, a2, outside, v, sign, m), va
-
-
 def _divide(n: float, d: float) -> float:
     """``n / d`` in Python floats, with the float64 array result where ``d`` is 0."""
     try:
@@ -459,9 +433,8 @@ def _divide(n: float, d: float) -> float:
 def _angles(al: float, c: LinearCoefficients, v: np.ndarray):
     """:func:`_band` and :func:`_arccos` of both arguments, in Python floats.
 
-    Returns ``(th1, th2, va)``: lists of both arccos angles at the
-    frequencies ``v``, NaN outside the band, and of ``va = v**alpha``;
-    bitwise equal to the array forms.
+    Returns ``(th1, th2)``: lists of both arccos angles at the frequencies
+    ``v``, NaN outside the band, bitwise equal to the array forms.
     """
     va, v2a = (v ** al).tolist(), (v ** (2.0 * al)).tolist()
     d1, d2 = c.a * c.a - c.b * c.b, c.b * c.b - c.a * c.a
@@ -476,7 +449,7 @@ def _angles(al: float, c: LinearCoefficients, v: np.ndarray):
             # ufuncs would.
             args += (min(max(a1, -1.0), 1.0), min(max(a2, -1.0), 1.0))
     th = np.arccos(args).tolist()
-    return th[0::2], th[1::2], va
+    return th[0::2], th[1::2]
 
 
 def _line(al: float, c: LinearCoefficients, q: float, labels, v: np.ndarray) -> np.ndarray:
@@ -493,22 +466,37 @@ def _line(al: float, c: LinearCoefficients, q: float, labels, v: np.ndarray) -> 
     )
 
 
-def _tau2_terms(c: LinearCoefficients, v, tau2):
-    """The tau2 terms ``(b*cos(v*tau2), b*sin(v*tau2))`` of :func:`_residual`."""
-    return c.b * np.cos(v * tau2), c.b * np.sin(v * tau2)
+def _terms(k: float, v, tau):
+    """``(k*cos(v*tau), k*sin(v*tau))``, one delay's terms in :func:`_residual`."""
+    return k * np.cos(v * tau), k * np.sin(v * tau)
 
 
-def _residual(al: float, c: LinearCoefficients, v, tau1, tau2_terms, va):
+def _residual(al: float, va, terms1, terms2):
     """Larger absolute defect of the two real crossing equations, elementwise.
 
-    ``tau2_terms`` is :func:`_tau2_terms` of the tau2 delays, so that a
-    caller pairing many tau1 rows with one tau2 block forms it once.
+    ``terms1`` and ``terms2`` are :func:`_terms` of a with tau1 and of b with
+    tau2, so that a caller can form them once per table entry.  The defect
+    is in the units of the coefficients: the equations balance
+    ``va = v**alpha`` against a and b.
     """
     half = 0.5 * math.pi * al
-    b_cos, b_sin = tau2_terms
-    r1 = va * math.cos(half) - (c.a * np.cos(v * tau1) + b_cos)
-    r2 = va * math.sin(half) + (c.a * np.sin(v * tau1) + b_sin)
+    (a_cos, a_sin), (b_cos, b_sin) = terms1, terms2
+    r1 = va * math.cos(half) - (a_cos + b_cos)
+    r2 = va * math.sin(half) + (a_sin + b_sin)
     return np.maximum(np.abs(r1), np.abs(r2))
+
+
+def _paired_sign(c: LinearCoefficients, sign1: int) -> int:
+    """The tau2 arccos sign that can pair with a tau1 row of sign ``sign1``.
+
+    Rotated by ``exp(i*alpha*pi/2)``, the crossing equation at lambda = i*v
+    reads ``a*exp(-i*psi1) + b*exp(-i*psi2) = v**alpha`` with ``psi_k =
+    v*tau_k + alpha*pi/2 = sign_k*theta_k + 2*pi*m_k``.  Its imaginary part,
+    ``a*sin(psi1) = -b*sin(psi2)``, with both arccos angles in [0, pi], fixes
+    ``sign2 = -sign1*sgn(a*b)`` for any windings.  Where theta2 is 0 or pi,
+    a fold, both signs give the same delay and both pair.
+    """
+    return -sign1 if (c.a > 0.0) == (c.b > 0.0) else sign1
 
 
 def _resolve_search(
@@ -537,21 +525,20 @@ def curve_columns(
 
     The frequency window (default :func:`default_v_window`) is sampled
     uniformly at ``samples`` points.  At each frequency where both arccos
-    arguments lie in [-1, 1] (clamped within 1e-12), every branch
-    combination with winding numbers up to ``max_branch`` is formed, and a
-    point is kept when both delays are nonnegative and both defining
-    equations hold with residual at most 1e-9.  The residual filter is what
-    discards the branch sign pairs that are incompatible with the
-    coefficient signs.
+    arguments lie in [-1, 1] (clamped within 1e-12), every tau1 branch with
+    winding number up to ``max_branch`` is paired with every tau2 branch of
+    the arccos sign that the coefficient signs allow (see
+    :func:`_paired_sign`; at a fold both signs pair), and a point is kept
+    when both delays are nonnegative.
 
     Each row is one point: ``v`` is the crossing frequency, ``(tau1, tau2)``
     the delays at which lambda = i*v solves the characteristic equation,
     ``(sign1, m1)`` and ``(sign2, m2)`` the arccos branch and winding number
     behind each delay (integer columns), and ``residual`` the larger absolute
-    defect of the two defining equations at the stored floats.  The rows come
-    in no particular order; ``fracdde curves`` sorts them by ``(m1, sign1,
-    v)``.  Swapping a and b maps the result to the mirrored locus with the
-    delay and label columns exchanged.
+    defect of the two defining equations at the stored floats, in the units
+    of the coefficients.  The rows come in no particular order; ``fracdde
+    curves`` sorts them by ``(m1, sign1, v)``.  Swapping a and b maps the
+    result to the mirrored locus with the delay and label columns exchanged.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -559,20 +546,27 @@ def curve_columns(
     labels = _branch_labels(max_branch)
 
     vs = np.linspace(lo, hi, samples)
-    tau1, tau2, va = _branches(al, c, vs, labels)
-    inside = ~np.isnan(tau1[0])
-    vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
-    ok2 = tau2 >= 0.0
-    tau2_terms = _tau2_terms(c, vs, tau2)
-    hits = []
-    # One tau1 branch at a time against the whole tau2 block keeps the
-    # temporaries at (branches x samples) rather than its square.
-    for r1, t1 in enumerate(tau1):
-        residual = _residual(al, c, vs, t1, tau2_terms, va)
-        r2, col = np.nonzero((t1 >= 0.0) & ok2 & (residual <= _RESIDUAL_TOL))
-        hits.append((np.full(len(col), r1), r2, col, residual[r2, col]))
-    r1, r2, col, residual = map(np.concatenate, zip(*hits))
+    a1, a2, outside, va = _band(al, c, vs)
+    inside = ~(outside | np.isnan(a1))
+    vs, va, outside = vs[inside], va[inside], outside[inside]
+    th1, th2 = _arccos(a1[inside], outside), _arccos(a2[inside], outside)
+    half = 0.5 * math.pi * al
     sign, m = np.array(labels).T
+    tau1, tau2 = (_delay(half, th, vs, sign[:, None], m[:, None]) for th in (th1, th2))
+    ok1, ok2 = tau1 >= 0.0, tau2 >= 0.0
+    terms1, terms2 = _terms(c.a, vs, tau1), _terms(c.b, vs, tau2)
+    # A tau1 row of sign s meets the tau2 rows of the paired sign, and at a
+    # fold those of both signs.
+    fold = (th2 == 0.0) | (th2 == math.pi)
+    pairs = {s: ok2 & ((sign[:, None] == _paired_sign(c, s)) | fold) for s in (1, -1)}
+    hits = []
+    # One tau1 row at a time keeps the temporaries at the size of the table.
+    for r1, s in enumerate(sign.tolist()):
+        at = np.flatnonzero(ok1[r1] & pairs[s])
+        r2, col = np.divmod(at, len(vs))
+        kept1, kept2 = [t[r1, col] for t in terms1], [t.ravel()[at] for t in terms2]
+        hits.append((np.full(len(at), r1), r2, col, _residual(al, va[col], kept1, kept2)))
+    r1, r2, col, residual = map(np.concatenate, zip(*hits))
     return CurveColumns(
         vs[col], tau1[r1, col], tau2[r2, col], sign[r1], m[r1], sign[r2], m[r2], residual
     )
@@ -604,15 +598,15 @@ def critical_tau2_for_tau1(
     crossing is sharpened by Illinois regula falsi steps on its own branch,
     falling back to the midpoint when a step stalls, until the bracket
     shrinks onto adjacent floats or a step lands on an exact crossing.  The
-    smallest valid tau2 companion at the crossing frequencies is returned:
-    nonnegative, and both defining equations hold at the stored floats with
-    the fixed residual 1e-9.  At both band edges the branch functions fold
-    with square-root speed, so a crossing can lie between an edge and the
-    nearest interior sample, where a plain scanline would miss it; the band
-    edges that fall inside the window are therefore sampled as well.  The
-    brackets, the branch bounds and the companions are worked in Python
-    floats, bitwise as the array formulas give them (see the module
-    docstring).
+    smallest nonnegative tau2 at the crossing frequencies is returned, on
+    the tau2 arccos sign that pairs with the crossing's tau1 branch (see
+    :func:`_paired_sign`; both signs at a fold) and winding 0 or 1.  At both
+    band edges the branch functions fold with square-root speed, so a
+    crossing can lie between an edge and the nearest interior sample, where
+    a plain scanline would miss it; the band edges that fall inside the
+    window are therefore sampled as well.  The brackets, the branch bounds
+    and the tau2 companions are worked in Python floats, bitwise as the
+    array formulas give them (see the module docstring).
 
     Raises
     ------
@@ -688,32 +682,18 @@ def critical_tau2_for_tau1(
     v_cross = _illinois(line, v[cols], v[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
     exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(v))
     v_star = np.concatenate([v[exact_cols], v_cross])
-    th1, th2, va = _angles(al, c, v_star)
-    v_star = v_star.tolist()
+    th2 = _angles(al, c, v_star)[1]
     star_labels = [labels[r] for r in exact_rows.tolist()] + row_labels
-    t1 = [_delay(half, t, u, s, k) for (s, k), t, u in zip(star_labels, th1, v_star)]
-    # Only a nonnegative companion can be valid, so only those get a residual.
-    pairs = []
-    columns = list(enumerate(zip(th2, v_star)))
     # Winding m2 adds 2*pi/v to tau2, and the arccos lies in [0, pi], so
     # each sign's smallest nonnegative tau2 has m2 = 0 or 1.
-    for s, k in _branch_labels(1):
-        for j, (t, u) in columns:
-            tau2 = _delay(half, t, u, s, k)
-            if tau2 >= 0.0:
-                pairs.append((tau2, j))
-    phase = [u * t for u, t in zip(v_star, t1)] + [v_star[j] * tau2 for tau2, j in pairs]
-    cos, sin = np.cos(phase).tolist(), np.sin(phase).tolist()
-    cos_half, sin_half = math.cos(half), math.sin(half)
-    companions = np.array(
-        [
-            tau2
-            for i, (tau2, j) in enumerate(pairs, len(v_star))
-            if abs(va[j] * cos_half - (c.a * cos[j] + c.b * cos[i])) <= _RESIDUAL_TOL
-            and abs(va[j] * sin_half + (c.a * sin[j] + c.b * sin[i])) <= _RESIDUAL_TOL
-        ]
-    )
-    return float(companions.min()) if companions.size else None
+    companions = [
+        tau2
+        for (sign1, _), t, u in zip(star_labels, th2, v_star.tolist())
+        for sign2 in ((1, -1) if t in (0.0, math.pi) else (_paired_sign(c, sign1),))
+        for m2 in (0, 1)
+        if (tau2 := _delay(half, t, u, sign2, m2)) >= 0.0
+    ]
+    return min(companions, default=None)
 
 
 def classify(

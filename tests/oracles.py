@@ -16,15 +16,18 @@ floats: the reference for the batched bisection of
 :func:`fracdde.find_equilibria`.
 
 ``object_curve_points`` builds the crossing locus one :class:`CurvePoint`
-at a time and sorts it with a key function: the reference for the columnar
-:func:`fracdde.curve_columns`, whose rows :func:`curve_points` puts in the
-same order.  ``parametric_delays`` gives the raw delay pair of one
-frequency on one branch, from the package's branch formulas.
+at a time, chooses the branch sign pairs by an absolute residual filter
+instead of the closed-form pairing, and sorts the points with a key
+function: the reference for the columnar :func:`fracdde.curve_columns`,
+whose rows :func:`curve_points` puts in the same order, at coefficients of
+order one.  ``parametric_delays`` gives the raw delay pair of one frequency
+on one branch, from the branch formulas of :func:`branches`.
 
 ``bisect_line_search`` bisects every bracket of the tau1 line search in
 numpy arrays: the reference for the Illinois refiner of
 :func:`fracdde.critical_tau2_for_tau1`.  ``tau1_branches`` is the tau1
-table that both line-search references sample.
+table that both line-search references sample, and ``paired_companion``
+their tau2 companions.
 
 ``table_line_search`` samples every branch up to ``max_branch``, including
 those whose range cannot reach the line, takes companions on every
@@ -56,19 +59,19 @@ from fracdde.solver import (
     Trajectory,
 )
 from fracdde.stability import (
-    _RESIDUAL_TOL,
     StabilityVerdict,
+    _arccos,
     _band,
     _band_edges,
     _bisect,
-    _branch_delay,
     _branch_labels,
-    _branches,
+    _delay,
+    _paired_sign,
     _require_nondegenerate,
     _residual,
     _resolve_search,
     _sign_change,
-    _tau2_terms,
+    _terms,
     stable_at_zero_delay,
 )
 
@@ -344,6 +347,34 @@ def curve_points(alpha, coef, **kwargs) -> list[CurvePoint]:
     return list(map(CurvePoint, *(col[order].tolist() for col in columns)))
 
 
+def locus_rows(columns) -> np.ndarray:
+    """The rows of a :func:`fracdde.curve_columns` result as an ``(n, 8)``
+    float array, in the order of the ``fracdde curves`` CSV."""
+    order = np.lexsort((columns.sign2, columns.m2, columns.v, columns.sign1, columns.m1))
+    return np.column_stack([col[order].astype(float) for col in columns]).reshape(-1, 8)
+
+
+def rescaled(alpha: float, coef: tuple[float, float], window: tuple[float, float]):
+    """The same crossing problem in units where the window is centred on 1.
+
+    With s the window's geometric centre, ``tau' = s*tau`` and ``v' = v/s``
+    map the crossings of ``(a, b)`` onto those of ``(a, b)/s**alpha``.
+    Returns ``(s, coef', window')``.
+    """
+    s = math.sqrt(window[0]) * math.sqrt(window[1])
+    k = s ** alpha
+    return s, (coef[0] / k, coef[1] / k), (window[0] / s, window[1] / s)
+
+
+def assert_rescaled_locus(rows: np.ndarray, want: np.ndarray, s: float, rel: float) -> None:
+    """``rows`` and ``want`` (as from :func:`locus_rows`) hold the same
+    labels, and ``v/s``, ``s*tau1``, ``s*tau2`` agree within ``rel``."""
+    assert rows.shape == want.shape
+    assert (rows[:, 3:7] == want[:, 3:7]).all()
+    scaled = rows[:, :3] * np.array([1.0 / s, s, s])
+    assert (np.abs(scaled - want[:, :3]) <= rel * np.abs(want[:, :3])).all()
+
+
 def parametric_delays(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
@@ -356,7 +387,7 @@ def parametric_delays(
     """Raw parametric delay pair at one frequency on one branch.
 
     Returns ``(tau1, tau2)`` from the package's arccos inversion
-    (``fracdde.stability._branches``) with branch signs in {-1, +1} and
+    (:func:`branches`) with branch signs in {-1, +1} and
     winding numbers m1, m2 >= 0, or None where either arccos argument falls
     outside [-1, 1] beyond rounding slack.  No filtering is applied: the
     returned delays may be negative and the pair need not solve the
@@ -372,7 +403,7 @@ def parametric_delays(
         raise ValueError("branch signs must be -1 or +1")
     if m1 < 0 or m2 < 0:
         raise ValueError("winding numbers must be nonnegative")
-    tau1, tau2, _ = _branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
+    tau1, tau2, _ = branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
     t1, t2 = float(tau1[0, 0]), float(tau2[1, 0])
     return None if math.isnan(t1) else (t1, t2)
 
@@ -387,9 +418,12 @@ def object_curve_points(
 ) -> list[CurvePoint]:
     """The crossing locus built point by point and sorted by a key function.
 
-    Same samples, branch delays and residual filter as
-    :func:`fracdde.curve_columns`; every accepted point becomes one object
-    as soon as it is found, and the list is sorted by
+    Same samples and branch delays as :func:`fracdde.curve_columns`, but
+    every branch sign pair is formed, and a point is kept when both delays
+    are nonnegative and its residual is at most ``residual_tol``.  Where the
+    coefficients are of order one this absolute filter keeps exactly the
+    pairs that the closed-form sign rule keeps.  Every accepted point
+    becomes one object as soon as it is found, and the list is sorted by
     ``(v, m1, sign1, m2, sign2)`` at the end.
     """
     al = order_value(alpha)
@@ -399,7 +433,7 @@ def object_curve_points(
 
     vs = np.linspace(lo, hi, samples)
     labels = _branch_labels(max_branch)
-    tau1, tau2, va = _branches(al, c, vs, labels)
+    tau1, tau2, va = branches(al, c, vs, labels)
     inside = ~np.isnan(tau1[0])
     vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
     ok2 = tau2 >= 0.0
@@ -408,7 +442,7 @@ def object_curve_points(
         ok1 = t1 >= 0.0
         if not ok1.any():
             continue
-        residual = _residual(al, c, vs, t1, _tau2_terms(c, vs, tau2), va)
+        residual = _residual(al, va, _terms(c.a, vs, t1), _terms(c.b, vs, tau2))
         r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
         points.extend(
             CurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
@@ -434,10 +468,10 @@ def bisect_line_search(
 ) -> float | None:
     """Smallest valid tau2 on the line tau1 = const, refined by bisection.
 
-    Same samples, brackets, exact-sample crossings and companion validation
+    Same samples, brackets, exact-sample crossings and paired companions
     as :func:`fracdde.critical_tau2_for_tau1`, with companions on every
-    winding up to ``max_branch``; every bracket is bisected for at most 90
-    steps on its own branch, in numpy arrays.
+    winding up to ``max_branch`` (:func:`paired_companion`); every bracket
+    is bisected for at most 90 steps on its own branch, in numpy arrays.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -450,25 +484,59 @@ def bisect_line_search(
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
     labels = _branch_labels(max_branch)
     sign, m = np.array(labels, dtype=float).T
-    y = _branches(al, c, vs, labels)[0] - q
+    y = tau1_branches(al, c, vs, sign[:, None], m[:, None]) - q
     rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
     line = lambda v: tau1_branches(al, c, v, sign[rows], m[rows]) - q
     v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
     exact_rows, exact_cols = np.nonzero(y == 0.0)
     v_star = np.concatenate([vs[exact_cols], v_cross])
     row_star = np.concatenate([exact_rows, rows])
-    tau1_star, tau2_star, va = _branches(al, c, v_star, labels)
-    t1 = tau1_star[row_star, np.arange(len(v_star))]
-    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
-    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
-    return float(tau2_star[ok].min()) if ok.any() else None
+    return paired_companion(al, c, v_star, sign[row_star], max_branch)
+
+
+def branch_delay(al: float, arg, outside, v, sign, m):
+    """Delay ``(sign*arccos(arg) - alpha*pi/2 + 2*pi*m) / v`` on branch (sign, m).
+
+    ``sign`` and ``m`` are float arrays that broadcast against ``v``: a
+    column per branch gives a table, one entry per frequency gives each
+    frequency its own branch.  The delay is NaN wherever ``outside``.
+    """
+    return _delay(0.5 * math.pi * al, _arccos(arg, outside), v, sign, m)
+
+
+def branches(al: float, c: LinearCoefficients, v: np.ndarray, labels):
+    """Both delays on the arccos branches ``labels`` at the frequencies ``v``.
+
+    Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in
+    ``labels``, one column per entry of the 1-d array ``v``, and
+    ``va = v**alpha``; both delays are NaN outside the crossing band.
+    """
+    a1, a2, outside, va = _band(al, c, v)
+    sign, m = np.array(labels, dtype=float).T[:, :, None]
+    return branch_delay(al, a1, outside, v, sign, m), branch_delay(al, a2, outside, v, sign, m), va
 
 
 def tau1_branches(al: float, c: LinearCoefficients, v, sign, m):
     """tau1 on the branches (sign, m), broadcast against ``v`` as in
-    ``fracdde.stability._branch_delay``: the table of the line search."""
+    :func:`branch_delay`: the table of the line search."""
     a1, _, outside, _ = _band(al, c, v)
-    return _branch_delay(al, a1, outside, v, sign, m)
+    return branch_delay(al, a1, outside, v, sign, m)
+
+
+def paired_companion(al: float, c: LinearCoefficients, v_star, sign1, max_branch: int):
+    """Smallest nonnegative tau2 at the crossings ``v_star``, or None.
+
+    ``sign1[i]`` is the tau1 arccos sign of crossing ``i``.  Every winding
+    up to ``max_branch`` of the paired tau2 sign counts, and of both signs
+    where the tau2 arccos is 0 or pi.
+    """
+    _, a2, outside, _ = _band(al, c, v_star)
+    th2 = _arccos(a2, outside)
+    sign, m = np.array(_branch_labels(max_branch), dtype=float).T[:, :, None]
+    tau2 = _delay(0.5 * math.pi * al, th2, v_star, sign, m)
+    paired = (sign == _paired_sign(c, sign1)) | (th2 == 0.0) | (th2 == math.pi)
+    ok = (tau2 >= 0.0) & paired
+    return float(tau2[ok].min()) if ok.any() else None
 
 
 def reach(alpha, coef, tau1: float, v_range: tuple[float, float] | None = None) -> int:
@@ -495,7 +563,7 @@ def table_line_search(
     """Smallest valid tau2 on the line tau1 = const from the full branch table.
 
     Same samples, brackets, exact-sample crossings, refiner iterates and
-    companion validation as :func:`fracdde.critical_tau2_for_tau1`, so the
+    paired companions as :func:`fracdde.critical_tau2_for_tau1`, so the
     two agree bitwise once ``max_branch`` is at least :func:`reach`; the
     tau1 table holds every branch (sign, m), the companions every winding
     up to ``max_branch``, and :func:`array_illinois` refines the brackets.
@@ -518,12 +586,7 @@ def table_line_search(
     exact_rows, exact_cols = np.nonzero(y == 0.0)
     v_star = np.concatenate([vs[exact_cols], v_cross])
     row_star = np.concatenate([exact_rows, rows])
-    a1, a2, outside, va = _band(al, c, v_star)
-    t1 = _branch_delay(al, a1, outside, v_star, sign[row_star], m[row_star])
-    tau2_star = _branch_delay(al, a2, outside, v_star, sign[:, None], m[:, None])
-    residual = _residual(al, c, v_star, t1, _tau2_terms(c, v_star, tau2_star), va)
-    ok = (tau2_star >= 0.0) & (residual <= _RESIDUAL_TOL)
-    return float(tau2_star[ok].min()) if ok.any() else None
+    return paired_companion(al, c, v_star, sign[row_star], max_branch)
 
 
 def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:

@@ -18,7 +18,13 @@ from fracdde import (
 )
 from fracdde import cli
 from fracdde.cli import main
-from oracles import CurvePoint, object_curve_points
+from oracles import (
+    CurvePoint,
+    assert_rescaled_locus,
+    locus_rows,
+    object_curve_points,
+    rescaled,
+)
 
 
 def read_csv(path):
@@ -347,13 +353,23 @@ class TestCurvesCommand:
         assert "together" in capsys.readouterr().err
 
 
-# (|a| + |b|)**(1/alpha) overflows; the window holds no crossing on a line
-# near tau1 = 1e-290.  In the second window about tau1*1e290 windings reach
-# a line, far over the line search's table budget at tau1 = 0.1.
+# (|a| + |b|)**(1/alpha) overflows.  The first window lies below the band;
+# in the second the band starts at 1e290, and the line tau1 = 1e-290 meets
+# it.  There about tau1*1e290 windings reach a line, far over the line
+# search's table budget at tau1 = 0.1.
 HUGE_BAND = [
     (["--a", "1e200", "--b=-3e200", "--alpha", "0.5"], ["--v-min", "1", "--v-max", "10"]),
     (["--a", "3.4e30", "--b=-3.5e30", "--alpha", "0.1"], ["--v-min", "1e289", "--v-max", "1e291"]),
 ]
+
+
+def huge_band_problem(coef, window):
+    """``(alpha, (a, b), window)`` of a HUGE_BAND case, and the same problem
+    rescaled to a window centred on 1 as ``(s, coef', window')``."""
+    opts = " ".join(coef + window).replace("=", " ").split()
+    o = dict(zip(opts[::2], map(float, opts[1::2])))
+    problem = (o["--alpha"], (o["--a"], o["--b"]), (o["--v-min"], o["--v-max"]))
+    return problem, rescaled(*problem)
 
 
 class TestOverflowingBandEdge:
@@ -371,16 +387,33 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("coef, window", HUGE_BAND)
     def test_explicit_window_curves(self, tmp_path, capsys, coef, window):
+        # The CSV holds the locus of the problem rescaled to a window
+        # centred on 1, mapped back, to 1e-12 relative.
         out = tmp_path / "c.csv"
-        assert main(["curves", *coef, *window, "--out", str(out)]) == 0
-        assert out.read_text() == "v,tau1,tau2,sign1,m1,sign2,m2,residual\n"
+        assert main(["curves", *coef, *window, "--samples", "200", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        header, rows = read_csv(out)
+        assert header == list(CurvePoint._fields)
+        (alpha, _, _), (s, scaled, scaled_window) = huge_band_problem(coef, window)
+        want = curve_columns(alpha, scaled, v_range=scaled_window, samples=200)
+        rows = np.array(rows, dtype=float).reshape(-1, 8)
+        assert_rescaled_locus(rows, locus_rows(want), s, 1e-12)
+        assert (len(rows) > 0) == (alpha == 0.1)
 
     @pytest.mark.parametrize("coef, window", HUGE_BAND)
     def test_explicit_window_classify(self, capsys, coef, window):
         assert main(["classify", *coef, *window, "--tau1", "1e-290", "--tau2", "0.1"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["verdict"] == "Stable" and doc["critical_tau2"] is None
+        (alpha, _, _), (s, scaled, scaled_window) = huge_band_problem(coef, window)
+        verdict, ref = stability._classify_with_boundary(
+            alpha, scaled, (1e-290 * s, 0.1 * s), 1e-6 * s, scaled_window, 2000
+        )
+        assert doc["verdict"] == verdict.value
+        if ref is None:
+            assert doc["critical_tau2"] is None
+        else:
+            assert doc["critical_tau2"] * s == pytest.approx(ref, rel=1e-12)
+        assert doc["verdict"] == ("Unstable" if alpha == 0.1 else "Stable")
 
 
 class TestClassifyCommand:

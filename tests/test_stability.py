@@ -29,11 +29,14 @@ from fracdde import (
 from fracdde import stability
 from oracles import (
     array_illinois,
+    assert_rescaled_locus,
     bisect_line_search,
     curve_points,
+    locus_rows,
     object_curve_points,
     parametric_delays,
     reach,
+    rescaled,
     scalar_equilibria,
     table_line_search,
     tau1_branches,
@@ -304,6 +307,45 @@ class TestCriticalCurve:
                 checked += 1
         assert checked > 100
 
+    def test_locus_does_not_thin_out_at_large_coefficients(self):
+        # At order 1, (s*a, s*b) is the problem (a, b) with v scaled by s and
+        # the delays by 1/s, so the sampled locus keeps every row.
+        counts = [len(curve_columns(1.0, (s, -3.0 * s)).v) for s in (1.0, 1e6, 1e8)]
+        assert counts == [34_936] * 3
+
+    # Every sign pair, coefficients from 1e-3 to 1e4 and alpha down to 0.05,
+    # on a window from below the band to past it or on one whose ends are
+    # band edges.  The window starts at 1e-6 of the upper edge or above:
+    # near |a| = |b| the lower edge can be subnormal, and 1/v overflows
+    # there (the one-scale item of the roadmap).  Where both arccos
+    # arguments stay 1e-6 away from +-1 the rows hold to 2e-13 relative.
+    # At an edge sample an argument rounds to within a few ulps of +-1,
+    # where the arccos turns that into an angle error of about
+    # sqrt(eps) = 1.5e-8: over 15 000 random draws with both edges sampled,
+    # the largest residual was 2.6e-8 * (|a| + |b|).
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        a=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+        b=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+        signs=st.sampled_from([(1, -1), (-1, 1), (-1, -1), (1, 1)]),
+        edges=st.booleans(),
+    )
+    def test_property_rows_satisfy_both_crossing_equations(self, alpha, a, b, signs, edges):
+        a, b = signs[0] * a, signs[1] * b
+        edge_lo, edge_hi = stability._band_edges(alpha, LinearCoefficients(a, b))
+        if edges:
+            window = (max(edge_lo, 1e-6 * edge_hi), edge_hi)
+        else:
+            window = (0.5 * edge_lo + 1e-6 * edge_hi, 2.0 * edge_hi)
+        columns = curve_columns(alpha, (a, b), v_range=window, samples=200)
+        bound = 5e-8 * (abs(a) + abs(b))
+        assert (columns.residual <= bound).all()
+        # The characteristic function itself, in numpy's complex arithmetic.
+        v, tau1, tau2 = columns.v, columns.tau1, columns.tau2
+        f = (1j * v) ** alpha - a * np.exp(-1j * v * tau1) - b * np.exp(-1j * v * tau2)
+        assert (np.abs(f) <= bound).all()
+
     def test_points_match_scalar_parametrization(self):
         points = curve_points(0.8, UCAR_COEF, samples=150, max_branch=2)
         assert points
@@ -422,6 +464,23 @@ class TestCriticalTau2ForTau1:
         bisected = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(1.999, 4.0), samples=201)
         assert on_sample == 0.7853981633974483
         assert bisected == 0.7853981633974483
+
+    def test_large_coefficients_rescale(self):
+        # At order 1, (1e8, -3e8) is (1, -3) with the delays divided by 1e8.
+        got = critical_tau2_for_tau1(1.0, (1e8, -3e8), 0.0)
+        assert got == pytest.approx(critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0) / 1e8, rel=1e-13)
+
+    def test_crossing_at_a_row_extreme_on_the_band_edge(self):
+        # At order 0.9 the band of (2, -5) starts at v = 3**(1/0.9), where
+        # this line touches a tau1 row.  Both arccos arguments round to
+        # within a few ulps of +-1 there, so the crossing holds only to
+        # about sqrt(eps) relative, as every band-edge row of the locus does.
+        q = 0.5097741723787141
+        got = critical_tau2_for_tau1(0.9, (2.0, -5.0), q)
+        assert got == pytest.approx(0.5097741755970148, abs=1e-9)
+        v = 3.0 ** (1.0 / 0.9)
+        residual = characteristic_residual(0.9, (2.0, -5.0), (q, got), complex(0.0, v))
+        assert abs(residual) <= 5e-8 * 7.0
 
     def test_none_when_line_misses_curve(self, monkeypatch):
         # In this window the m = 0 branches lie below tau1 = -0.3 and the
@@ -678,6 +737,22 @@ class TestCriticalTau2ForTau1:
         q = float(np.nanmax(row))
         assert self.assert_matches_table([(alpha, coef, q)], v_range=window, samples=2) == 1
 
+    def test_cap_rounding_keeps_the_last_winding(self):
+        # The band of (-1, -3) at order 0.5 ends at v = 16, where the tau1
+        # arccos is pi.  Row (-1, 11) takes its smallest value there, so the
+        # line through that value meets the row at that sample only.  The
+        # cap on the windings, (tau1*16 + pi*(1 + alpha/2))/(2*pi), is 11
+        # exactly, but it rounds to 10.999999999999998: only the winding by
+        # which the range is widened at its high end keeps the row.  Row
+        # (1, 10) meets the same point in exact arithmetic but stays an ulp
+        # above the line.  The crossing sits on the band edge, where the
+        # tau2 arccos is pi too, so tau2 = (pi - pi/4)/16.
+        c = stability.LinearCoefficients(-1.0, -3.0)
+        q = float(tau1_branches(0.5, c, np.array([16.0]), -1.0, 11.0)[0])
+        assert (q * 16.0 + math.pi * 1.25) / (2.0 * math.pi) < 11.0
+        assert critical_tau2_for_tau1(0.5, c, q) == 3.0 * math.pi / 64.0
+        assert self.assert_matches_table([(0.5, (-1.0, -3.0), q)]) == 1
+
     # Coefficients stay at least 0.05 in size: a tiny one overflows inside
     # _band, and tiny ones at small alpha put the default window's upper
     # end below its fixed lower end 1e-6.  tau1 stays within 40 and within
@@ -892,7 +967,30 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("alpha, coef, window", HUGE_BAND)
     def test_explicit_window_leaves_the_edge_outside(self, alpha, coef, window):
-        assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 0
-        assert critical_tau2_for_tau1(alpha, coef, 1e-290, v_range=window) is None
+        # The overflowing edge lies above the window, so what the window
+        # holds is that of the problem rescaled to a window centred on 1,
+        # where every value is of order one.  The rescaled coefficients
+        # round, so the two agree to 1e-12 relative, not bitwise.
+        s, scaled, scaled_window = rescaled(alpha, coef, window)
+        got = curve_columns(alpha, coef, v_range=window, samples=200)
+        want = curve_columns(alpha, scaled, v_range=scaled_window, samples=200)
+        assert_rescaled_locus(locus_rows(got), locus_rows(want), s, 1e-12)
+        tau2 = critical_tau2_for_tau1(alpha, coef, 1e-290, v_range=window)
+        ref = critical_tau2_for_tau1(alpha, scaled, 1e-290 * s, v_range=scaled_window)
+        assert (tau2 is None) == (ref is None)
+        if ref is not None:
+            assert tau2 * s == pytest.approx(ref, rel=1e-12)
         verdict = classify(alpha, coef, (1e-290, 0.1), v_range=window)
-        assert verdict is StabilityVerdict.STABLE
+        delays, tolerance = (1e-290 * s, 0.1 * s), 1e-6 * s
+        assert verdict is classify(alpha, scaled, delays, tolerance, v_range=scaled_window)
+
+    def test_locus_above_the_finite_edge(self):
+        # The band of the second pair starts at 1e290, inside its window:
+        # the locus there is as full as at order one, and the line
+        # tau1 = 1e-290 meets it.
+        alpha, coef, window = HUGE_BAND[1]
+        assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 26_245
+        tau2 = critical_tau2_for_tau1(alpha, coef, 1e-290, v_range=window)
+        assert tau2 == pytest.approx(2.7388448688224e-291, rel=1e-12)
+        verdict = classify(alpha, coef, (1e-290, 0.1), v_range=window)
+        assert verdict is StabilityVerdict.UNSTABLE
