@@ -201,7 +201,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         delays,
         tolerance=args.tolerance,
         v_range=_v_range(args),
-        samples=args.samples,
     )
     print(
         json.dumps(
@@ -256,7 +255,6 @@ def _add_model_params(parser: argparse.ArgumentParser) -> None:
 def _add_window(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v-min", type=float, help="lower end of the frequency window")
     parser.add_argument("--v-max", type=float, help="upper end of the frequency window")
-    parser.add_argument("--samples", type=int, default=2000, help="frequency samples (default 2000)")
 
 
 # Built once per process: parsing leaves the parser unchanged, and the
@@ -290,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coefficient_source(p_cur)
     p_cur.add_argument("--alpha", type=float, required=True)
     _add_window(p_cur)
+    p_cur.add_argument("--samples", type=int, default=2000, help="frequency samples (default 2000)")
     p_cur.add_argument(
         "--max-branch", type=int, default=8, help="largest winding number (default 8)"
     )

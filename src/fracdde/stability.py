@@ -16,20 +16,6 @@ the region, attached to the origin, where stability persists.  The signs of
 the two arccos branches are tied to each other by the coefficient signs
 (:func:`_paired_sign`), so every pairing formed is a crossing, whatever the
 scale of the coefficients.
-
-The line search does its short, per-bracket and per-label arithmetic in
-Python floats and keeps every transcendental function in numpy, so that
-its results are bitwise those of the array formulas.  Python's + - * /
-round exactly as the float64 ufuncs do, and ``min``, ``max`` and ``abs``
-are exact.  numpy's ``arccos`` and ``power`` are not the C library's: on an
-AVX-512 host with numpy 2.4, ``np.arccos`` differs from ``math.acos`` on
-9.4 % of 200 000 inputs in [-1, 1], and ``np.power`` from Python's ``**``
-on 5.3 %.  So powers, arccos, cos and sin always run as numpy calls on
-contiguous float64 arrays, whose elementwise results depend neither on
-the array's length nor on its offset.  Python raises on division by 0
-and on an overflowing ``**``, where IEEE gives inf or NaN: a division
-whose divisor can be 0 goes through :func:`_divide`, and ``**`` is never
-applied to Python floats.
 """
 
 from __future__ import annotations
@@ -70,8 +56,14 @@ _FD_BASE_STEP = 1e-6
 
 _DEFAULT_SAMPLES = 2000
 _DEFAULT_MAX_BRANCH = 8
-# Most entries (branches x in-band samples) the tau1 line search tabulates.
-_TABLE_BUDGET = 2**22
+# The tau1 line search samples the crossing band at _SCAN_MIN frequencies
+# plus _SCAN_PER_RADIAN per radian of tau1*v, reaching _SCAN_SLACK past both
+# ends so that rounding cannot hide a crossing on one, and evaluates at most
+# _SCAN_BUDGET frequencies.
+_SCAN_MIN = 256
+_SCAN_PER_RADIAN = 2.0
+_SCAN_SLACK = 1e-9
+_SCAN_BUDGET = 2**18
 _TWO_PI = 2.0 * math.pi
 
 
@@ -354,10 +346,8 @@ def default_v_window(
     the frequencies at which both arccos arguments lie in [-1, 1].  The
     window extends to four times the upper band edge with a tiny positive
     lower end (v = 0 itself is never a crossing of interest and the
-    parametrization is singular there).  Both band edges are square-root
-    folds of the branch functions, which is why the line search of
-    :func:`critical_tau2_for_tau1` samples them explicitly.  Raises
-    ValueError when the window end exceeds the float range.
+    parametrization is singular there).  Raises ValueError when the window
+    end exceeds the float range.
     """
     al = order_value(alpha)
     c = _as_coef(coef)
@@ -389,19 +379,25 @@ def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
     return [(sign, m) for sign in (1, -1) for m in range(int(max_branch) + 1)]
 
 
+def _argument(k: float, l: float, va, v2a):
+    """Arccos argument ``(v**(2*alpha) + k*k - l*l) / (2*k*v**alpha)`` of the
+    delay with coefficient k, the other delay's being l, from ``va =
+    v**alpha`` and ``v2a = v**(2*alpha)``."""
+    return (v2a + (k * k - l * l)) / ((2.0 * k) * va)
+
+
 def _band(al: float, c: LinearCoefficients, v: np.ndarray):
     """Arccos arguments of both delays at the frequencies ``v``.
 
     Returns ``(a1, a2, outside, va)`` with ``va = v**alpha`` and ``outside``
     true wherever either argument leaves [-1, 1] beyond rounding slack,
-    i.e. outside the crossing band.  The two arguments share one expression
-    tree with the roles of a and b exchanged, so swapping the coefficients
-    swaps the delays bitwise.
+    i.e. outside the crossing band.  The two arguments are one expression
+    with the roles of a and b exchanged, so swapping the coefficients swaps
+    the delays bitwise.
     """
     va = v ** al
     v2a = v ** (2.0 * al)
-    a1 = (v2a + (c.a * c.a - c.b * c.b)) / ((2.0 * c.a) * va)
-    a2 = (v2a + (c.b * c.b - c.a * c.a)) / ((2.0 * c.b) * va)
+    a1, a2 = _argument(c.a, c.b, va, v2a), _argument(c.b, c.a, va, v2a)
     outside = (np.abs(a1) > 1.0 + _CLAMP_SLACK) | (np.abs(a2) > 1.0 + _CLAMP_SLACK)
     return a1, a2, outside, va
 
@@ -420,50 +416,6 @@ def _delay(half: float, th, v, sign, m):
     form gives the same bits.
     """
     return (sign * th - half + _TWO_PI * m) / v
-
-
-def _divide(n: float, d: float) -> float:
-    """``n / d`` in Python floats, with the float64 array result where ``d`` is 0."""
-    try:
-        return n / d
-    except ZeroDivisionError:
-        return float(np.divide(n, d))
-
-
-def _angles(al: float, c: LinearCoefficients, v: np.ndarray):
-    """:func:`_band` and :func:`_arccos` of both arguments, in Python floats.
-
-    Returns ``(th1, th2)``: lists of both arccos angles at the frequencies
-    ``v``, NaN outside the band, bitwise equal to the array forms.
-    """
-    va, v2a = (v ** al).tolist(), (v ** (2.0 * al)).tolist()
-    d1, d2 = c.a * c.a - c.b * c.b, c.b * c.b - c.a * c.a
-    two_a, two_b = 2.0 * c.a, 2.0 * c.b
-    args = []
-    for p, p2 in zip(va, v2a):
-        a1, a2 = _divide(p2 + d1, two_a * p), _divide(p2 + d2, two_b * p)
-        if abs(a1) > 1.0 + _CLAMP_SLACK or abs(a2) > 1.0 + _CLAMP_SLACK:
-            args += (math.nan, math.nan)
-        else:
-            # A NaN argument comes first, so max and min return it, as the
-            # ufuncs would.
-            args += (min(max(a1, -1.0), 1.0), min(max(a2, -1.0), 1.0))
-    th = np.arccos(args).tolist()
-    return th[0::2], th[1::2]
-
-
-def _line(al: float, c: LinearCoefficients, q: float, labels, v: np.ndarray) -> np.ndarray:
-    """``tau1 - q`` at each frequency ``v[i]`` on its own branch ``labels[i]``.
-
-    The bracket evaluator of :func:`critical_tau2_for_tau1`, bitwise equal
-    to its table rows.  It keeps :func:`_band`'s outside test, so the two
-    agree everywhere, not only between in-band samples.
-    """
-    half = 0.5 * math.pi * al
-    th1 = _angles(al, c, v)[0]
-    return np.array(
-        [_delay(half, t, u, s, m) - q for (s, m), t, u in zip(labels, th1, v.tolist())]
-    )
 
 
 def _terms(k: float, v, tau):
@@ -500,18 +452,13 @@ def _paired_sign(c: LinearCoefficients, sign1: int) -> int:
 
 
 def _resolve_search(
-    al: float,
-    c: LinearCoefficients,
-    v_range: tuple[float, float] | None,
-    samples: int,
-) -> tuple[float, float, int]:
+    al: float, c: LinearCoefficients, v_range: tuple[float, float] | None
+) -> tuple[float, float]:
     lo, hi = v_range if v_range is not None else default_v_window(al, c)
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"frequency window must satisfy 0 < lo < hi, got {(lo, hi)!r}")
-    if int(samples) < 2:
-        raise ValueError("samples must be at least 2")
-    return (lo, hi, int(samples))
+    return lo, hi
 
 
 def curve_columns(
@@ -542,7 +489,10 @@ def curve_columns(
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    lo, hi, samples = _resolve_search(al, c, v_range, samples)
+    lo, hi = _resolve_search(al, c, v_range)
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     labels = _branch_labels(max_branch)
 
     vs = np.linspace(lo, hi, samples)
@@ -572,48 +522,63 @@ def curve_columns(
     )
 
 
+def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_left, g_right):
+    """Where an interval of the line function g of :func:`critical_tau2_for_tau1`
+    without a sign change may still hold a root.
+
+    ``g = a1 - cos(q*v + alpha*pi/2)`` with ``a1 = (va + d/va)/(2a)``, ``va
+    = v**alpha``, ``d = a*a - b*b``.  An interval is root-free when the end
+    values exceed the total variation of g, at most ``q*width`` plus that of
+    the monotone va and d/va, or when the smaller one exceeds how far g can
+    bend from its chord, ``M*width**2/8`` with M = q**2 plus the bound of
+    ``|a1''|`` at the left end.  The first test alone never passes next to
+    a root where ``|g'|`` is below its bound.  A NaN end is never a root.
+    """
+    d, two_a, width = c.a * c.a - c.b * c.b, 2.0 * abs(c.a), right - left
+    va_left, va_right = left**al, right**al
+    size_left, size_right = np.abs(g_left), np.abs(g_right)
+    travel = q * width + (va_right - va_left + np.abs(d / va_left - d / va_right)) / two_a
+    with np.errstate(over="ignore", divide="ignore"):
+        bend = q * q + al * ((1.0 - al) * va_left + (1.0 + al) * abs(d) / va_left) / two_a / left / left
+    return (size_left + size_right <= travel) & (
+        np.minimum(size_left, size_right) <= 0.125 * bend * width * width
+    )
+
+
 def critical_tau2_for_tau1(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
     tau1: float,
     v_range: tuple[float, float] | None = None,
-    samples: int = _DEFAULT_SAMPLES,
 ) -> float | None:
     """Smallest tau2 at which the vertical line tau1 = const meets the locus.
 
     For coefficients that are stable at zero delays, this is the first delay
     pair (tau1, tau2) at which a characteristic root reaches the imaginary
     axis when tau2 grows from 0 with tau1 held fixed, i.e. the stability
-    boundary along that line; None means the line meets no crossing inside
-    the frequency window.
+    boundary along that line; None means the line meets no crossing in the
+    crossing band ``||a| - |b|| <= v**alpha <= |a| + |b|``, or in the part
+    of it inside ``v_range`` when a window is given.
 
-    The branch functions tau1(v) are tabulated from the first to the last
-    window sample inside the crossing band ``||a| - |b|| <= v**alpha <= |a|
-    + |b|``, where the table is not NaN, from one arccos.  A branch (sign,
-    m) is its sign's m = 0 branch plus 2*pi*m/v, so the sampled m = 0 range
-    and the range of 1/v give each sign, in closed form, the windings whose
-    range can reach the requested value; only those are tabulated.  As the
-    arccos lies in [0, pi], none with ``2*pi*m > tau1*v_top + pi*(1 +
-    alpha/2)``, ``v_top`` the last in-band sample, can.  Every bracketed
-    crossing is sharpened by Illinois regula falsi steps on its own branch,
-    falling back to the midpoint when a step stalls, until the bracket
-    shrinks onto adjacent floats or a step lands on an exact crossing.  The
-    smallest nonnegative tau2 at the crossing frequencies is returned, on
-    the tau2 arccos sign that pairs with the crossing's tau1 branch (see
-    :func:`_paired_sign`; both signs at a fold) and winding 0 or 1.  At both
-    band edges the branch functions fold with square-root speed, so a
-    crossing can lie between an edge and the nearest interior sample, where
-    a plain scanline would miss it; the band edges that fall inside the
-    window are therefore sampled as well.  The brackets, the branch bounds
-    and the tau2 companions are worked in Python floats, bitwise as the
-    array formulas give them (see the module docstring).
+    On the line, lambda = i*v is a root for some tau2 exactly where ``z =
+    (i*v)**alpha - a*exp(-i*v*tau1)`` has modulus |b|, i.e. where ``g(v) =
+    a1(v) - cos(tau1*v + alpha*pi/2)`` vanishes, a1 the tau1 arccos argument
+    (:func:`_argument`).  g is sampled across the band at 256 frequencies
+    plus 2 per radian that tau1*v sweeps there.  An interval without a sign
+    change that :func:`_may_hide_root` cannot show root-free is split in
+    two, down to adjacent floats, so two crossings between neighbouring
+    samples are found too.  :func:`_illinois` refines every sign change.  At
+    a root v, ``b*exp(-i*v*tau2) = z``: ``((-arg(z/b)) mod 2*pi)/v`` is the
+    smallest nonnegative tau2, and every 2*pi/v above it is one more.
 
     Raises
     ------
     ValueError
         If the coefficients are not stable at zero delays (the first
         crossing of a line from an already unstable origin is meaningless),
-        or, before the table is built, if it would exceed 2**22 entries.
+        if no window is given and the band ends beyond the float range, or,
+        before allocating them, if the scan needs more than 2**18
+        frequencies, samples and split points together.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -625,75 +590,49 @@ def critical_tau2_for_tau1(
             "the crossing search requires coefficients stable at zero delays "
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
-    lo, hi, samples = _resolve_search(al, c, v_range, samples)
-
-    # The band edges join the grid at their sorted places.  A value sampled
-    # twice (an edge on a grid point, or a window a few ulps wide) is
-    # harmless: equal neighbours are no sign change, and a repeated exact
-    # hit only repeats a companion.
-    edges = [e for e in _band_edges(al, c) if lo < e < hi]
-    vs = np.concatenate([np.linspace(lo, hi, samples), edges])
-    vs.sort(kind="stable")
-    a1, _, outside, _ = _band(al, c, vs)
-    band = np.flatnonzero(~(outside | np.isnan(a1)))
-    if not band.size:
-        return None
-    # The table is NaN outside the band, so it spans only the samples from
-    # the first to the last in-band one, and every row is a broadcast of
-    # one arccos.
-    span = slice(band[0], band[-1] + 1)
-    v, th = vs[span], _arccos(a1[span], outside[span])
-    half = 0.5 * math.pi * al
-    base = _delay(half, th, v, np.array([[1.0], [-1.0]]), 0.0)
-    lows, highs = np.fmin.reduce(base, axis=1).tolist(), np.fmax.reduce(base, axis=1).tolist()
-    # Row (sign, m) is the m = 0 row of its sign plus 2*pi*m/v, so its
-    # sampled range lies within the m = 0 range plus 2*pi*m*[min, max](1/v),
-    # give or take 1e-9*(max|m = 0 row| + 2*pi*m*max(1/v) + tau1): rounding
-    # never drops a row whose entry changes sign or is 0.  Solved for m and
-    # cut at the cap on 2*pi*m (see the docstring), this gives each sign a
-    # range of windings; it is widened by one at each end, as an extra row
-    # holds no sign change.  A NaN end gives way: max and min then return
-    # their first argument.
-    wind_lo, wind_hi = _TWO_PI / float(v[-1]), _TWO_PI / float(v[0])
-    cap = (q * float(v[-1]) + math.pi * (1.0 + 0.5 * al)) / _TWO_PI
-    slope, windings = wind_lo - 1e-9 * wind_hi, []
-    for sign, low, high in zip((1, -1), lows, highs):
-        margin = 1e-9 * (max(abs(low), abs(high)) + q)
-        first = max(0.0, (q - high - margin) / ((1.0 + 1e-9) * wind_hi) - 1.0)
-        last = min(cap, (q - low + margin) / slope if slope > 0.0 else cap) + 1.0
-        if first <= last:
-            windings.append((sign, first, last))
-    count = sum(last - first + 1.0 for _, first, last in windings)
-    if not count * len(v) <= _TABLE_BUDGET:
+    lo, hi = _band_edges(al, c)
+    if v_range is not None:
+        w_lo, w_hi = _resolve_search(al, c, v_range)
+        lo, hi = max(lo, w_lo), min(hi, w_hi)
+    elif math.isinf(hi):
         raise ValueError(
-            f"the line tau1 = {q!r} can meet about {count:.4g} branches over {len(v)} in-band "
-            f"samples, more than the {_TABLE_BUDGET} table entries allowed; narrow the window"
+            f"the crossing band's upper end (|a| + |b|)**(1/alpha) exceeds the float range "
+            f"for a={c.a}, b={c.b}, alpha={al}; give an explicit window"
         )
-    labels = [(s, m) for s, first, last in windings for m in range(math.ceil(first), int(last) + 1)]
-    sign, m = np.array(labels, dtype=float).reshape(-1, 2).T[:, :, None]
-    y = _delay(half, th, v, sign, m) - q
-    # Flat indices and divmod: a 2-d nonzero on this table costs several
-    # times as much, even when it finds nothing.
-    rows, cols = np.divmod(np.flatnonzero(_sign_change(y[:, :-1], y[:, 1:])), len(v) - 1)
-    row_labels = [labels[r] for r in rows.tolist()]
-    line = lambda x: _line(al, c, q, row_labels, x)
+    # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0 there.
+    lo, hi = max(lo * (1.0 - _SCAN_SLACK), math.ulp(0.0)), hi * (1.0 + _SCAN_SLACK)
+    if not lo < hi:
+        return None
+    half = 0.5 * math.pi * al
+    g = lambda v: _argument(c.a, c.b, v**al, v ** (2.0 * al)) - np.cos(q * v + half)
+
+    def charge(count: float) -> None:
+        if not count <= _SCAN_BUDGET:
+            raise ValueError(
+                f"the line tau1 = {q!r} needs about {count:.4g} frequencies across the "
+                f"crossing band, more than the {_SCAN_BUDGET} allowed; narrow the window"
+            )
+
+    count = _SCAN_MIN + _SCAN_PER_RADIAN * q * (hi - lo)
+    charge(count)
+    v = np.linspace(lo, hi, math.ceil(count))
+    y = g(v)
+    while True:
+        mid = 0.5 * (v[:-1] + v[1:])
+        splittable = (v[:-1] < mid) & (mid < v[1:]) & ~_sign_change(y[:-1], y[1:])
+        split = np.flatnonzero(splittable & _may_hide_root(al, c, q, v[:-1], v[1:], y[:-1], y[1:]))
+        if not split.size:
+            break
+        charge(v.size + split.size)
+        v, y = np.insert(v, split + 1, mid[split]), np.insert(y, split + 1, g(mid[split]))
+    i = np.flatnonzero(_sign_change(y[:-1], y[1:]))
     # The midpoint fallback halves every bracket at least every fourth
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
-    v_cross = _illinois(line, v[cols], v[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
-    exact_rows, exact_cols = np.divmod(np.flatnonzero(y == 0.0), len(v))
-    v_star = np.concatenate([v[exact_cols], v_cross])
-    th2 = _angles(al, c, v_star)[1]
-    star_labels = [labels[r] for r in exact_rows.tolist()] + row_labels
-    # Winding m2 adds 2*pi/v to tau2, and the arccos lies in [0, pi], so
-    # each sign's smallest nonnegative tau2 has m2 = 0 or 1.
-    companions = [
-        tau2
-        for (sign1, _), t, u in zip(star_labels, th2, v_star.tolist())
-        for sign2 in ((1, -1) if t in (0.0, math.pi) else (_paired_sign(c, sign1),))
-        for m2 in (0, 1)
-        if (tau2 := _delay(half, t, u, sign2, m2)) >= 0.0
-    ]
-    return min(companions, default=None)
+    v = np.concatenate([v[y == 0.0], _illinois(g, v[i], v[i + 1], y[i], y[i + 1], 360)])
+    if not v.size:
+        return None
+    z = (1j * v) ** al - c.a * np.exp(-1j * q * v)
+    return float((np.mod(-np.angle(z / c.b), _TWO_PI) / v).min())
 
 
 def classify(
@@ -702,7 +641,6 @@ def classify(
     delays: DelayPair | tuple[float, float],
     tolerance: float = 1e-6,
     v_range: tuple[float, float] | None = None,
-    samples: int = _DEFAULT_SAMPLES,
 ) -> StabilityVerdict:
     """Classify an equilibrium of the linearized problem at given delays.
 
@@ -713,14 +651,16 @@ def classify(
     compared against the stability boundary along its tau1 line: Stable
     below it by more than ``tolerance``, Unstable above it by more than
     ``tolerance``, OnBoundary inside the band.  The boundary is
-    :func:`critical_tau2_for_tau1`.  When the tau1 line misses every
-    branch in a custom frequency window, the lowest tau2 of the
-    :func:`curve_columns` locus, the curve floor, stands in as a
-    conservative boundary.  If the window holds no crossing locus at all
-    the delays are classified Stable, since no root can have crossed the
-    imaginary axis.
+    :func:`critical_tau2_for_tau1`, searched over the whole crossing band,
+    or over its part inside ``v_range`` when a window is given; the search
+    works its sampling density out from the query.  When the tau1 line
+    misses every crossing, the lowest tau2 of the :func:`curve_columns`
+    locus on ``v_range`` (default :func:`default_v_window`), the curve
+    floor, stands in as a conservative boundary.  If the window holds no
+    crossing locus at all the delays are classified Stable, since no root
+    can have crossed the imaginary axis.
     """
-    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range, samples)[0]
+    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range)[0]
 
 
 def _classify_with_boundary(
@@ -729,7 +669,6 @@ def _classify_with_boundary(
     delays: DelayPair | tuple[float, float],
     tolerance: float,
     v_range: tuple[float, float] | None,
-    samples: int,
 ) -> tuple[StabilityVerdict, float | None]:
     """The verdict of :func:`classify` and the boundary tau2 behind it.
 
@@ -749,9 +688,9 @@ def _classify_with_boundary(
         return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return StabilityVerdict.UNSTABLE, None
-    boundary = critical_tau2_for_tau1(alpha, c, d.tau1, v_range=v_range, samples=samples)
+    boundary = critical_tau2_for_tau1(alpha, c, d.tau1, v_range=v_range)
     if boundary is None:
-        floor = curve_columns(alpha, c, v_range, samples).tau2
+        floor = curve_columns(alpha, c, v_range).tau2
         boundary = float(floor.min()) if floor.size else None
     if boundary is None or d.tau2 < boundary - tolerance:
         return StabilityVerdict.STABLE, boundary

@@ -23,19 +23,17 @@ whose rows :func:`curve_points` puts in the same order, at coefficients of
 order one.  ``parametric_delays`` gives the raw delay pair of one frequency
 on one branch, from the branch formulas of :func:`branches`.
 
-``bisect_line_search`` bisects every bracket of the tau1 line search in
-numpy arrays: the reference for the Illinois refiner of
-:func:`fracdde.critical_tau2_for_tau1`.  ``tau1_branches`` is the tau1
-table that both line-search references sample, and ``paired_companion``
-their tau2 companions.
-
-``table_line_search`` samples every branch up to ``max_branch``, including
-those whose range cannot reach the line, takes companions on every
-winding, and runs the Illinois refiner with its bracket state in numpy
-arrays: the bitwise reference for the pruned table, the two companion
-windings and the Python-float refiner of
-:func:`fracdde.critical_tau2_for_tau1`.  ``reach`` is the largest winding
-number whose tau1 branch can meet a line, from the closed-form band.
+``table_line_search`` and ``bisect_line_search`` are the references for
+:func:`fracdde.critical_tau2_for_tau1`, which solves one real equation in
+the frequency instead.  Both tabulate tau1 on every arccos branch up to
+``max_branch`` at sampled frequencies, refine each sign change on its own
+branch and take the tau2 arccos companions on every winding; the first
+refines with the Illinois method, its bracket state in numpy arrays, the
+second by bisection.  ``tau1_branches`` is the tau1 table that both
+sample, and ``paired_companion`` their tau2 companions.  ``reach`` is the
+largest winding number whose tau1 branch can meet a line, from the
+closed-form band.  ``array_illinois`` is also the reference for the
+Python-float refiner :func:`fracdde.stability._illinois`.
 """
 
 from __future__ import annotations
@@ -428,7 +426,7 @@ def object_curve_points(
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    lo, hi, samples = _resolve_search(al, c, v_range, samples)
+    lo, hi = _resolve_search(al, c, v_range)
     residual_tol = float(residual_tol)
 
     vs = np.linspace(lo, hi, samples)
@@ -468,17 +466,17 @@ def bisect_line_search(
 ) -> float | None:
     """Smallest valid tau2 on the line tau1 = const, refined by bisection.
 
-    Same samples, brackets, exact-sample crossings and paired companions
-    as :func:`fracdde.critical_tau2_for_tau1`, with companions on every
-    winding up to ``max_branch`` (:func:`paired_companion`); every bracket
-    is bisected for at most 90 steps on its own branch, in numpy arrays.
+    The samples, brackets, exact-sample crossings and paired companions of
+    :func:`table_line_search`, with companions on every winding up to
+    ``max_branch`` (:func:`paired_companion`); every bracket is bisected
+    for at most 90 steps on its own branch, in numpy arrays.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     q = float(tau1)
     if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
         raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi, samples = _resolve_search(al, c, v_range, samples)
+    lo, hi = _resolve_search(al, c, v_range)
 
     edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
@@ -548,7 +546,7 @@ def reach(alpha, coef, tau1: float, v_range: tuple[float, float] | None = None) 
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
-    v_top = min(_band_edges(al, c)[1], _resolve_search(al, c, v_range, 2)[1])
+    v_top = min(_band_edges(al, c)[1], _resolve_search(al, c, v_range)[1])
     return math.floor((tau1 * v_top + math.pi * (1.0 + 0.5 * al)) / (2.0 * math.pi))
 
 
@@ -562,18 +560,22 @@ def table_line_search(
 ) -> float | None:
     """Smallest valid tau2 on the line tau1 = const from the full branch table.
 
-    Same samples, brackets, exact-sample crossings, refiner iterates and
-    paired companions as :func:`fracdde.critical_tau2_for_tau1`, so the
-    two agree bitwise once ``max_branch`` is at least :func:`reach`; the
-    tau1 table holds every branch (sign, m), the companions every winding
-    up to ``max_branch``, and :func:`array_illinois` refines the brackets.
+    The window (default :func:`fracdde.default_v_window`) is sampled at
+    ``samples`` frequencies plus the band edges inside it.  The tau1 table
+    holds every branch (sign, m) up to ``max_branch``, which covers every
+    branch that can meet the line once ``max_branch`` is at least
+    :func:`reach`.  A sign change between adjacent samples is a crossing,
+    and so is a sample where a branch equals the line exactly; a branch
+    that meets the line twice between two samples is missed.
+    :func:`array_illinois` refines the brackets, and the companions take
+    every winding up to ``max_branch``.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
     q = float(tau1)
     if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
         raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi, samples = _resolve_search(al, c, v_range, samples)
+    lo, hi = _resolve_search(al, c, v_range)
 
     edges = [e for e in _band_edges(al, c) if lo < e < hi]
     vs = np.union1d(np.linspace(lo, hi, samples), edges)

@@ -406,7 +406,7 @@ class TestOverflowingBandEdge:
         doc = json.loads(capsys.readouterr().out)
         (alpha, _, _), (s, scaled, scaled_window) = huge_band_problem(coef, window)
         verdict, ref = stability._classify_with_boundary(
-            alpha, scaled, (1e-290 * s, 0.1 * s), 1e-6 * s, scaled_window, 2000
+            alpha, scaled, (1e-290 * s, 0.1 * s), 1e-6 * s, scaled_window
         )
         assert doc["verdict"] == verdict.value
         if ref is None:
@@ -494,11 +494,12 @@ class TestClassifyCommand:
         assert doc["b"] == pytest.approx(-3.0)
 
     def test_max_branch_is_a_curves_option_only(self, tmp_path, capsys):
-        # classify derives its winding range from the query; curves keeps
-        # the option, which sets how much of the locus it plots.
+        # classify works its scan out from the query; curves keeps the
+        # options, which set how much of the locus it plots and how finely.
         coef = ["--a", "1", "--b", "-3", "--alpha", "0.9"]
-        assert main(["classify", *coef, "--tau1", "0.4", "--tau2", "0.5", "--max-branch", "3"]) == 1
-        assert "unrecognized arguments: --max-branch 3" in capsys.readouterr().err
+        for option in (["--max-branch", "3"], ["--samples", "500"]):
+            assert main(["classify", *coef, "--tau1", "0.4", "--tau2", "0.5", *option]) == 1
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         out = tmp_path / "c.csv"
         window = ["--samples", "300", "--max-branch", "2"]
         assert main(["curves", *coef, *window, "--out", str(out)]) == 0
@@ -507,13 +508,27 @@ class TestClassifyCommand:
         assert max(int(r[4]) for r in rows) == 2
 
     def test_line_search_over_budget_is_a_usage_error(self, capsys):
-        # About 1.5 times the 2**22 table entries (see test_stability).
-        argv = ["classify", "--a", "1", "--b", "-3", "--alpha", "1", "--tau1", "4e4", "--tau2", "1"]
+        # About 1.5 times the 2**18 frequencies allowed (see test_stability).
+        argv = ["classify", "--a", "1", "--b", "-3", "--alpha", "1", "--tau1", "1e5", "--tau2", "1"]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("fracdde: error: the line tau1 = 40000.0 can meet about")
+        assert err.startswith("fracdde: error: the line tau1 = 100000.0 needs about")
         assert err.count("\n") == 1
+
+    def test_band_below_the_default_window_floor(self, capsys):
+        # The crossing band of these coefficients, about [1.9e-8, 1.5e-7],
+        # lies below the default window's fixed lower end 1e-6, which the
+        # line search does not use.  The value is the table search's on the
+        # whole band as an explicit window.
+        code, doc = self.run(
+            ["classify", "--a", "0.00390625", "--b", "-0.015625", "--alpha", "0.25",
+             "--tau1", "0.1", "--tau2", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert doc["verdict"] == "Stable"
+        assert doc["critical_tau2"] == pytest.approx(19677288.86819256, rel=1e-13)
 
     def test_curve_floor_fallback(self, tmp_path, capsys):
         # The tau1 = 0.5 line misses every branch in this window, so the

@@ -45,6 +45,24 @@ from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
 FIELDS = ("v", "tau1", "tau2", "sign1", "m1", "sign2", "m2", "residual")
+# How far the line search's tau2 may lie from the table and bisection
+# references of tests/oracles.py, relative to max(1, tau2).  At a crossing
+# away from the band edges the two agree to a few ulps.  The references take
+# tau2 from an arccos, which holds only to about sqrt(eps) where its
+# argument is +-1, on a band edge.
+TAU2_TOL = 1e-13
+FOLD_TOL = 1e-8
+
+
+def same_crossing(got, ref, tol=TAU2_TOL):
+    return (got is None) == (ref is None) and (
+        ref is None or abs(got - ref) <= tol * max(1.0, abs(ref))
+    )
+
+
+def doubled_scan_density(monkeypatch):
+    monkeypatch.setattr(stability, "_SCAN_MIN", 2 * stability._SCAN_MIN)
+    monkeypatch.setattr(stability, "_SCAN_PER_RADIAN", 2 * stability._SCAN_PER_RADIAN)
 
 
 def independent_residual(alpha, a, b, v, tau1, tau2):
@@ -53,6 +71,19 @@ def independent_residual(alpha, a, b, v, tau1, tau2):
     r1 = v ** alpha * math.cos(half) - a * math.cos(v * tau1) - b * math.cos(v * tau2)
     r2 = v ** alpha * math.sin(half) + a * math.sin(v * tau1) + b * math.sin(v * tau2)
     return max(abs(r1), abs(r2))
+
+
+def crossing_defect(alpha, a, b, tau1, tau2):
+    # Written from scratch on purpose; keep it free of package code.  The
+    # smallest modulus of the characteristic function on the imaginary axis
+    # over the crossing band, found by zooming a grid onto its minimum.
+    lo, hi = abs(abs(a) - abs(b)) ** (1.0 / alpha), (abs(a) + abs(b)) ** (1.0 / alpha)
+    for _ in range(8):
+        v = np.linspace(lo, hi, 20001)
+        f = np.abs((1j * v) ** alpha - a * np.exp(-1j * v * tau1) - b * np.exp(-1j * v * tau2))
+        k = int(np.argmin(f))
+        lo, hi = v[max(k - 1, 0)], v[min(k + 1, v.size - 1)]
+    return float(f[k])
 
 
 class TestFindEquilibria:
@@ -412,18 +443,19 @@ class TestCriticalTau2ForTau1:
         got = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
         assert got == pytest.approx(expected, abs=1e-9)
 
-    def test_insensitive_to_sampling_density(self, rng):
-        # Doubling the samples moves the brackets, so the refined crossings
-        # may differ in their last bits, but no crossing appears or vanishes.
-        found = 0
-        for alpha, coef, q in [(1.0, UCAR_COEF, 0.3)] + self.random_queries(rng, 200):
-            base = critical_tau2_for_tau1(alpha, coef, q)
-            dense = critical_tau2_for_tau1(alpha, coef, q, samples=4000)
-            assert (base is None) == (dense is None), (alpha, coef, q)
-            if base is not None:
-                found += 1
-                assert abs(dense - base) <= 1e-13 * base, (alpha, coef, q, base, dense)
-        assert found > 40
+    def test_insensitive_to_sampling_density(self, rng, monkeypatch):
+        # Doubling the scan density moves the brackets, so the refined
+        # crossings may differ in their last bits, but no crossing appears
+        # or vanishes.
+        queries = [(1.0, UCAR_COEF, 0.3)] + self.random_queries(rng, 200)
+        base = [critical_tau2_for_tau1(alpha, coef, q) for alpha, coef, q in queries]
+        doubled_scan_density(monkeypatch)
+        for (alpha, coef, q), got in zip(queries, base):
+            dense = critical_tau2_for_tau1(alpha, coef, q)
+            assert (got is None) == (dense is None), (alpha, coef, q)
+            if got is not None:
+                assert abs(dense - got) <= 1e-13 * got, (alpha, coef, q, got, dense)
+        assert sum(got is not None for got in base) > 40
 
     def test_fold_edge_crossing_is_found(self):
         # The upper branch of tau1(v) for these coefficients folds at the
@@ -456,14 +488,14 @@ class TestCriticalTau2ForTau1:
 
     def test_crossing_on_a_sample_is_exact(self):
         # At order 1 the band of (1, -3) starts at v = 2, where the line
-        # tau1 = pi/4 meets the fold.  In the window (2, 4) that frequency
-        # is a sample with tau1(v) - q exactly 0; in (1.999, 4) it is not,
-        # and bisection must reach the same crossing.
+        # tau1 = pi/4 meets the fold, and tau2 = pi/4 as well.  The window
+        # (2, 4) ends on that frequency and (1.999, 4) reaches below it; the
+        # scan runs past the band edge either way, so both find the crossing.
         q = 0.7853981633974483
-        on_sample = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(2.0, 4.0), samples=201)
-        bisected = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(1.999, 4.0), samples=201)
-        assert on_sample == 0.7853981633974483
-        assert bisected == 0.7853981633974483
+        on_end = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(2.0, 4.0))
+        inside = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(1.999, 4.0))
+        assert on_end == pytest.approx(0.7853981633974483, abs=1e-15)
+        assert inside == pytest.approx(0.7853981633974483, abs=1e-15)
 
     def test_large_coefficients_rescale(self):
         # At order 1, (1e8, -3e8) is (1, -3) with the delays divided by 1e8.
@@ -473,11 +505,14 @@ class TestCriticalTau2ForTau1:
     def test_crossing_at_a_row_extreme_on_the_band_edge(self):
         # At order 0.9 the band of (2, -5) starts at v = 3**(1/0.9), where
         # this line touches a tau1 row.  Both arccos arguments round to
-        # within a few ulps of +-1 there, so the crossing holds only to
-        # about sqrt(eps) relative, as every band-edge row of the locus does.
+        # within a few ulps of +-1 there, so a delay formed from them holds
+        # only to about sqrt(eps) relative, as every band-edge row of the
+        # locus does: the table search gave 0.5097741755970148.  The line
+        # search takes tau2 from the phase of the crossing equation instead.
+        # The reference is a 50-digit solution of |z| = |b| at the edge.
         q = 0.5097741723787141
         got = critical_tau2_for_tau1(0.9, (2.0, -5.0), q)
-        assert got == pytest.approx(0.5097741755970148, abs=1e-9)
+        assert got == pytest.approx(0.50977417694746279, abs=1e-15)
         v = 3.0 ** (1.0 / 0.9)
         residual = characteristic_residual(0.9, (2.0, -5.0), (q, got), complex(0.0, v))
         assert abs(residual) <= 5e-8 * 7.0
@@ -494,11 +529,12 @@ class TestCriticalTau2ForTau1:
     def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
         # At order 0.9 the crossing band of UCAR_COEF ends at v = 4.666, so
         # the window (5, 6) holds no branch for the line tau1 = 1e3 to meet:
-        # the search returns before it tabulates a row or refines a bracket.
+        # the search returns before it evaluates the line or refines a
+        # bracket.
         brackets = self.count_brackets(monkeypatch)
         rows = []
-        delay = stability._delay
-        monkeypatch.setattr(stability, "_delay", lambda *args: rows.append(args) or delay(*args))
+        argument = stability._argument
+        monkeypatch.setattr(stability, "_argument", lambda *args: rows.append(args) or argument(*args))
         assert critical_tau2_for_tau1(0.9, UCAR_COEF, 1e3, v_range=(5.0, 6.0)) is None
         assert rows == []
         assert brackets == []
@@ -514,26 +550,45 @@ class TestCriticalTau2ForTau1:
         ],
     )
     def test_windings_beyond_eight_are_searched(self, alpha, tau1, expected):
+        # The expected values are those of the table search.
         assert reach(alpha, UCAR_COEF, tau1) > 20
         got = critical_tau2_for_tau1(alpha, UCAR_COEF, tau1)
-        assert got == expected
-        assert got == table_line_search(
-            alpha, UCAR_COEF, tau1, max_branch=reach(alpha, UCAR_COEF, tau1) + 4
-        )
+        assert same_crossing(got, expected)
+        ref = table_line_search(alpha, UCAR_COEF, tau1, max_branch=reach(alpha, UCAR_COEF, tau1) + 4)
+        assert same_crossing(got, ref)
 
     def test_oversized_table_is_refused_before_it_is_built(self):
-        # Windings from about 12 700 to 25 500 reach the line tau1 = 4e4 on
-        # 252 in-band samples: 1.5 times the budget of 2**22 table entries.
-        # A query only just over the budget keeps a broken check from taking
-        # all memory; the check itself allocates only the in-band samples.
+        # The phase tau1*v sweeps 2e5 radians across the band [2, 4] of the
+        # line tau1 = 1e5, which asks for 4e5 samples: 1.5 times the budget
+        # of 2**18 frequencies.  A query only just over the budget keeps a
+        # broken check from taking all memory; the check allocates nothing.
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"tau1 = 40000\.0 can meet about 2\.547e\+04 "):
-                critical_tau2_for_tau1(1.0, UCAR_COEF, 4e4)
+            with pytest.raises(ValueError, match=r"tau1 = 100000\.0 needs about 4\.003e\+05 "):
+                critical_tau2_for_tau1(1.0, UCAR_COEF, 1e5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_split_points_count_against_the_budget(self, monkeypatch):
+        # The 257 samples of test_close_pair_between_samples_is_found fit a
+        # budget of 257; the points that split the interval around its
+        # close pair do not.
+        monkeypatch.setattr(stability, "_SCAN_BUDGET", 257)
+        with pytest.raises(ValueError, match=r"needs about 2\d\d frequencies .* more than the 257 "):
+            critical_tau2_for_tau1(1.0, UCAR_COEF, 4.019937207034583 - 1e-10, v_range=(2.0, 2.1))
+
+    def test_close_pair_between_samples_is_found(self):
+        # The line passes just below the interior maximum of row (-1, 2), at
+        # v = 2.045927, and meets it twice within about 1e-5.  The table
+        # search finds neither crossing on its 2000 samples, and finds them
+        # with 200 000, at tau2 = 0.8269058492039539.
+        q = 4.019937207034583 - 1e-10
+        got = critical_tau2_for_tau1(1.0, UCAR_COEF, q, v_range=(2.0, 2.1))
+        windings = reach(1.0, UCAR_COEF, q, (2.0, 2.1)) + 4
+        assert table_line_search(1.0, UCAR_COEF, q, (2.0, 2.1), max_branch=windings) is None
+        assert got == pytest.approx(0.8269058492039539, abs=1e-9)
 
     @staticmethod
     def sweep_queries(rng):
@@ -567,10 +622,8 @@ class TestCriticalTau2ForTau1:
         for alpha, coef, q in queries:
             got = critical_tau2_for_tau1(alpha, coef, q)
             ref = bisect_line_search(alpha, coef, q, max_branch=reach(alpha, coef, q) + 4)
-            assert (got is None) == (ref is None), (alpha, coef, q)
-            if ref is not None:
-                found += 1
-                assert abs(got - ref) <= 1e-13 * abs(ref), (alpha, coef, q, got, ref)
+            assert same_crossing(got, ref), (alpha, coef, q, got, ref)
+            found += ref is not None
         return found
 
     def test_matches_bisection_reference_on_sweep_grids(self, rng):
@@ -582,23 +635,23 @@ class TestCriticalTau2ForTau1:
         assert 10 < found < 50
 
     def test_line_evaluations_per_query(self, rng, monkeypatch):
-        # Bisection evaluates the line about 43 times per query on this grid.
+        # Each evaluation of the line function, on an array of frequencies,
+        # forms the tau1 arccos argument once.  On this grid a query takes
+        # about 15.5: one for the scan, one per level of splits and the rest
+        # in the refiner; bisection would take about 43 for the refiner.
         calls = 0
-        refine = stability._illinois
+        argument = stability._argument
 
-        def counted(fun, *args):
-            def line(v):
-                nonlocal calls
-                calls += 1
-                return fun(v)
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return argument(*args)
 
-            return refine(line, *args)
-
-        monkeypatch.setattr(stability, "_illinois", counted)
+        monkeypatch.setattr(stability, "_argument", counted)
         queries = self.sweep_queries(rng)
         for alpha, coef, q in queries:
             critical_tau2_for_tau1(alpha, coef, q)
-        assert calls <= 12 * len(queries)
+        assert calls <= 18 * len(queries)
 
     @pytest.mark.parametrize(
         "fun, root",
@@ -634,16 +687,37 @@ class TestCriticalTau2ForTau1:
         assert counts["illinois"] <= 4 * counts["bisect"]
 
     @staticmethod
-    def assert_matches_table(queries, **kwargs):
-        # The reference tabulates every winding up to four past the reach.
+    def assert_matches_table(queries, v_range=None, samples=2000):
+        # The reference tabulates every winding up to four past the reach,
+        # on ``samples`` frequencies of the window.
         found = 0
         for alpha, coef, q in queries:
-            got = critical_tau2_for_tau1(alpha, coef, q, **kwargs)
-            windings = reach(alpha, coef, q, kwargs.get("v_range")) + 4
-            ref = table_line_search(alpha, coef, q, max_branch=windings, **kwargs)
-            assert got == ref, (alpha, coef, q)
+            got = critical_tau2_for_tau1(alpha, coef, q, v_range=v_range)
+            windings = reach(alpha, coef, q, v_range) + 4
+            ref = table_line_search(alpha, coef, q, v_range, samples, max_branch=windings)
+            assert same_crossing(got, ref), (alpha, coef, q, got, ref)
             found += got is not None
         return found
+
+    @staticmethod
+    def assert_covers_table(queries, v_range, samples):
+        # For lines that touch a row of the reference's table at one of its
+        # samples.  The line search finds the crossing the reference finds,
+        # to FOLD_TOL, or a lower one: the touching row's true extreme lies
+        # between samples, so the line meets it twice, and the reference
+        # can step over the second crossing.  A lower tau2 must then solve
+        # the characteristic equation.
+        lower = 0
+        for alpha, (a, b), q in queries:
+            got = critical_tau2_for_tau1(alpha, (a, b), q, v_range=v_range)
+            windings = reach(alpha, (a, b), q, v_range) + 4
+            ref = table_line_search(alpha, (a, b), q, v_range, samples, max_branch=windings)
+            assert (got is None) == (ref is None), (alpha, (a, b), q, got, ref)
+            if ref is not None and not same_crossing(got, ref, FOLD_TOL):
+                assert got < ref, (alpha, (a, b), q, got, ref)
+                assert crossing_defect(alpha, a, b, q, got) <= 1e-13 * (abs(a) + abs(b))
+                lower += 1
+        return lower
 
     def test_matches_table_reference_bitwise_on_sweep_grids(self, rng):
         queries = self.sweep_queries(rng)
@@ -682,23 +756,25 @@ class TestCriticalTau2ForTau1:
         assert sum(brackets) >= 20 * len(queries)
 
     @pytest.mark.parametrize(
-        "alpha, coef, window, samples",
+        "alpha, coef, window, samples, lower",
         [
-            pytest.param(0.9, UCAR_COEF, None, 2000, id="coef0"),
-            pytest.param(0.9, (-3.0, 1.0), None, 2000, id="coef1"),
-            pytest.param(0.9, (2.0, -5.0), None, 2000, id="coef2"),
+            pytest.param(0.9, UCAR_COEF, None, 2000, 3, id="coef0"),
+            pytest.param(0.9, (-3.0, 1.0), None, 2000, 2, id="coef1"),
+            pytest.param(0.9, (2.0, -5.0), None, 2000, 1, id="coef2"),
             # Both band edges, v = 2 and 4, are also grid points.
-            pytest.param(1.0, UCAR_COEF, (1.0, 5.0), 5, id="edges_on_samples"),
+            pytest.param(1.0, UCAR_COEF, (1.0, 5.0), 5, 0, id="edges_on_samples"),
             # One ulp wide: the 2000 samples take 2 distinct values.
-            pytest.param(1.0, UCAR_COEF, (3.0, 3.0000000000000004), 2000, id="two_values"),
+            pytest.param(1.0, UCAR_COEF, (3.0, 3.0000000000000004), 2000, 0, id="two_values"),
             # Inside the band: neither edge is sampled.
-            pytest.param(1.0, UCAR_COEF, (2.5, 3.5), 2000, id="no_edge"),
+            pytest.param(1.0, UCAR_COEF, (2.5, 3.5), 2000, 0, id="no_edge"),
         ],
     )
-    def test_line_through_a_row_extreme_is_an_exact_hit(self, alpha, coef, window, samples):
+    def test_line_through_a_row_extreme_is_an_exact_hit(self, alpha, coef, window, samples, lower):
         # tau1 equal to the largest or smallest sampled value of one row:
         # that row touches the line at one sample, with no sign change, so
-        # only the exact-sample hit can find it and the row must be sampled.
+        # the table reference finds it only by its exact-sample hit.  On
+        # ``lower`` of these lines the line search finds a lower crossing
+        # that the reference steps over.
         c = stability.LinearCoefficients(*coef)
         lo, hi = window or stability.default_v_window(alpha, c)
         edges = [e for e in stability._band_edges(alpha, c) if lo < e < hi]
@@ -712,15 +788,15 @@ class TestCriticalTau2ForTau1:
             for q in (np.nanmax(row), np.nanmin(row))
             if q >= 0.0
         ]
-        assert self.assert_matches_table(queries, v_range=window, samples=samples) > 0
+        assert self.assert_covers_table(queries, window, samples) == lower
 
     @pytest.mark.parametrize(
         "alpha, coef, window, label",
         [
             # One sample of each window lies in the band: the upper band edge,
-            # where both arccos arguments are 1.  So every row's range is one
-            # value and its bound is tight on both sides.  The line meets
-            # rows (1, 1) and (-1, 1) exactly there, at tau1 = 3*pi/13.
+            # where both arccos arguments are 1, at the window's lower end.
+            # The line meets rows (1, 1) and (-1, 1) exactly there, at
+            # tau1 = 3*pi/13.
             (1.0, (3.0, -3.5), (6.5, 13.0), (-1, 1)),
             # The same at v = 4.225e9: the m = 0 term, about -1.9e-10, and
             # the winding term, about 1.5e-9, add up to tau1 = 1.3e-9.
@@ -728,30 +804,29 @@ class TestCriticalTau2ForTau1:
         ],
     )
     def test_prune_margin_keeps_a_tight_row(self, alpha, coef, window, label):
-        # Adding the two bounded terms rounds differently from the table's
-        # one expression, so without a margin this row would be dropped.
+        # The crossing lies on a band edge that is also a window end, which
+        # the scan reaches only because it runs a little past both.  (The
+        # table search needed a rounding margin to keep this row.)
         c = stability.LinearCoefficients(*coef)
         sign, m = (np.array([[x]], dtype=float) for x in label)
         row = tau1_branches(alpha, c, np.linspace(*window, 2), sign, m)
         assert np.isnan(row).sum() == 1
         q = float(np.nanmax(row))
-        assert self.assert_matches_table([(alpha, coef, q)], v_range=window, samples=2) == 1
+        assert self.assert_covers_table([(alpha, coef, q)], window, 2) == 0
 
     def test_cap_rounding_keeps_the_last_winding(self):
         # The band of (-1, -3) at order 0.5 ends at v = 16, where the tau1
         # arccos is pi.  Row (-1, 11) takes its smallest value there, so the
-        # line through that value meets the row at that sample only.  The
-        # cap on the windings, (tau1*16 + pi*(1 + alpha/2))/(2*pi), is 11
-        # exactly, but it rounds to 10.999999999999998: only the winding by
-        # which the range is widened at its high end keeps the row.  Row
-        # (1, 10) meets the same point in exact arithmetic but stays an ulp
-        # above the line.  The crossing sits on the band edge, where the
-        # tau2 arccos is pi too, so tau2 = (pi - pi/4)/16.
+        # line through that value meets the row at that sample only, on the
+        # band edge.  (The table search's cap on the windings,
+        # (tau1*16 + pi*(1 + alpha/2))/(2*pi), is 11 exactly but rounds to
+        # 10.999999999999998, and only a widened winding range kept the
+        # row.)  The tau2 arccos is pi there too, so tau2 = (pi - pi/4)/16.
         c = stability.LinearCoefficients(-1.0, -3.0)
         q = float(tau1_branches(0.5, c, np.array([16.0]), -1.0, 11.0)[0])
         assert (q * 16.0 + math.pi * 1.25) / (2.0 * math.pi) < 11.0
-        assert critical_tau2_for_tau1(0.5, c, q) == 3.0 * math.pi / 64.0
-        assert self.assert_matches_table([(0.5, (-1.0, -3.0), q)]) == 1
+        assert critical_tau2_for_tau1(0.5, c, q) == pytest.approx(3.0 * math.pi / 64.0, abs=1e-15)
+        assert self.assert_covers_table([(0.5, (-1.0, -3.0), q)], None, 2000) == 0
 
     # Coefficients stay at least 0.05 in size: a tiny one overflows inside
     # _band, and tiny ones at small alpha put the default window's upper
@@ -772,36 +847,6 @@ class TestCriticalTau2ForTau1:
         q = t * min(40.0, 300 * 2.0 * math.pi / v_top)
         assert reach(alpha, (a, b), q) <= 301
         self.assert_matches_table([(alpha, (a, b), q)])
-
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-    @given(
-        alpha=st.floats(0.05, 1.0),
-        a=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
-        b=st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
-        signs=st.sampled_from([(1, -1), (-1, 1), (-1, -1), (1, 1)]),
-        label=st.tuples(st.sampled_from([1, -1]), st.integers(0, 40)),
-        q=st.floats(0.0, 40.0),
-        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    )
-    def test_property_line_evaluator_matches_tau1(self, alpha, a, b, signs, label, q, t):
-        # The bracket evaluator works in Python floats and the table in
-        # numpy arrays; between any two adjacent in-band samples the two
-        # must give the same bits, and the arccos arguments stay inside
-        # [-1, 1], so a bracket never evaluates to NaN.
-        c = stability.LinearCoefficients(signs[0] * a, signs[1] * b)
-        edge_lo, edge_hi = stability._band_edges(alpha, c)
-        lo, hi = 0.5 * edge_lo + 1e-6 * edge_hi, 2.0 * edge_hi
-        vs = np.union1d(np.linspace(lo, hi, 200), [e for e in (edge_lo, edge_hi) if lo < e])
-        a1, _, outside, _ = stability._band(alpha, c, vs)
-        band = ~(outside | np.isnan(a1))
-        left, right = vs[:-1][band[:-1] & band[1:]], vs[1:][band[:-1] & band[1:]]
-        x = left + t * (right - left)
-        x = x[(left < x) & (x < right)]
-        assume(x.size)
-        got = stability._line(alpha, c, q, [label] * x.size, x)
-        want = tau1_branches(alpha, c, x, float(label[0]), float(label[1])) - q
-        assert got.tobytes() == want.tobytes()
-        assert not np.isnan(got).any()
 
     @pytest.mark.parametrize(
         "fun, lo, hi",
@@ -865,9 +910,7 @@ class TestDelayPlaneBoundary:
     # The boundary tau2 that classify compares a point against.
     @staticmethod
     def boundary(tau1, tau2=1.0, v_range=None):
-        return stability._classify_with_boundary(
-            1.0, UCAR_COEF, (tau1, tau2), 1e-6, v_range, 2000
-        )[1]
+        return stability._classify_with_boundary(1.0, UCAR_COEF, (tau1, tau2), 1e-6, v_range)[1]
 
     def test_equals_line_search_when_it_hits(self):
         direct = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
@@ -888,7 +931,8 @@ class TestDelayPlaneBoundary:
         # Windings up to 19 reach tau1 = 30, so the line meets the locus
         # itself, just above the curve floor, and the floor is not used.
         boundary = self.boundary(30.0)
-        assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0) == 0.36622093074825357
+        assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0)
+        assert same_crossing(boundary, 0.36622093074825357)
         assert boundary > curve_columns(1.0, UCAR_COEF).tau2.min()
         assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
         assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
@@ -925,17 +969,17 @@ class TestClassify:
         assert stable is StabilityVerdict.STABLE
         assert unstable is StabilityVerdict.UNSTABLE
 
-    def test_verdict_stable_under_sampling_density(self):
+    def test_verdict_stable_under_sampling_density(self, monkeypatch):
         cases = [
             (0.9, UCAR_COEF, (0.4, 0.5)),
             (0.9, UCAR_COEF, (1.6, 1.4)),
             (1.0, UCAR_COEF, (0.0, 0.3)),
             (1.0, UCAR_COEF, (0.0, 0.5)),
         ]
-        for alpha, coef, delays in cases:
-            v1 = classify(alpha, coef, delays, samples=1000)
-            v2 = classify(alpha, coef, delays, samples=2000)
-            assert v1 is v2, f"{alpha}, {delays}"
+        base = [classify(alpha, coef, delays) for alpha, coef, delays in cases]
+        doubled_scan_density(monkeypatch)
+        for (alpha, coef, delays), verdict in zip(cases, base):
+            assert classify(alpha, coef, delays) is verdict, f"{alpha}, {delays}"
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateCoefficientsError):
