@@ -206,13 +206,18 @@ def _illinois(
     there is halved (the Illinois method; Dowell & Jarratt, BIT 11 (1971)
     168-174), so a far end with a large value cannot pin the falsi point;
     a value that would halve to zero is kept as it is.
-    A bracket steps to its midpoint instead when the falsi point is NaN or
-    not strictly inside it (a zero ``f_lo - f_hi`` included), or when its
-    width has not halved within the last 3 steps, so it needs at most four
-    times bisection's step count.  An exact zero collapses its bracket onto
-    itself.  Stops as :func:`_bisect` does: after ``max_iter`` steps, or
-    sooner, once every midpoint rounds onto an end of its bracket.  Returns
-    the bracket midpoints.
+    A falsi point that rounds onto an end steps to that end's neighbouring
+    float toward the other end: near a root the falsi point lands within a
+    few ulps of it, and the neighbour closes the bracket where halving down
+    to it would take dozens of steps.  A bracket steps to its midpoint
+    instead when the falsi point is NaN or outside it (a zero ``f_lo -
+    f_hi`` included), or when its width has not halved within the last 3
+    steps, so it still needs at most four times bisection's step count.  An
+    exact zero collapses its bracket onto itself.  A bracket whose midpoint
+    rounds onto one of its ends holds no float inside and is done: it is
+    not passed to ``fun`` again, since no step can move its ends.  Stops
+    after ``max_iter`` steps, or sooner, once every bracket is done.
+    Returns the bracket midpoints.
 
     The bracket state lives in Python floats, which round as float64 arrays
     do: a line search refines only a few brackets, and numpy's per-call
@@ -223,18 +228,20 @@ def _illinois(
     width = [b - a for a, b in zip(lo, hi)]
     age = [0] * len(lo)
     kept_hi = [False] * len(lo)
+    live = range(len(lo))
     for step in range(max_iter):
+        live = [i for i in live if lo[i] < 0.5 * (lo[i] + hi[i]) < hi[i]]
+        if not live:
+            break
         xs = []
-        settled = True
-        for a, b, fa, fb, n in zip(lo, hi, f_lo, f_hi, age):
+        for i in live:
+            a, b, fa, fb = lo[i], hi[i], f_lo[i], f_hi[i]
             mid = 0.5 * (a + b)
-            settled = settled and (mid == a or mid == b)
             d = fa - fb
             x = a + (b - a) * (fa / d) if d != 0.0 else mid
-            xs.append(x if a < x < b and n < 3 else mid)
-        if settled:
-            break
-        for i, (x, f) in enumerate(zip(xs, fun(np.array(xs)).tolist())):
+            x = math.nextafter(a, b) if x == a else math.nextafter(b, a) if x == b else x
+            xs.append(x if a < x < b and age[i] < 3 else mid)
+        for i, x, f in zip(live, xs, fun(np.array(xs)).tolist()):
             below = (f_lo[i] < 0.0) == (f < 0.0)
             scale = 0.5 if below == kept_hi[i] and step > 0 else 1.0
             kept = f_hi[i] if below else f_lo[i]

@@ -596,20 +596,27 @@ def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
 
     Every bracket's state is an array entry and every update is one
     ``np.where`` across all brackets; a NaN or infinite falsi point, which
-    is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint.  A
-    kept value that would halve to zero stays as it is.
+    is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint, and
+    one on an end steps to that end's neighbour.  A kept value that would
+    halve to zero stays as it is.  ``fun`` sees every bracket, since
+    :func:`table_line_search` binds its line function to the rows; a
+    bracket with no float inside reads as an exact zero at its step, its
+    midpoint, and collapses onto the midpoint it returned already.  The
+    package refiner does not evaluate such a bracket.
     """
     width = hi - lo
     age = np.zeros(len(lo), dtype=int)
     kept_hi = np.zeros(len(lo), dtype=bool)
     for step in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if ((mid == lo) | (mid == hi)).all():
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
             break
         with np.errstate(all="ignore"):
             x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        x = np.where(x == lo, np.nextafter(lo, hi), np.where(x == hi, np.nextafter(hi, lo), x))
         x = np.where((lo < x) & (x < hi) & (age < 3), x, mid)
-        f = fun(x)
+        f = np.where(live, fun(x), 0.0)
         hit = f == 0.0
         below = (f_lo < 0.0) == (f < 0.0)
         lo = np.where(below | hit, x, lo)

@@ -637,8 +637,10 @@ class TestCriticalTau2ForTau1:
     def test_line_evaluations_per_query(self, rng, monkeypatch):
         # Each evaluation of the line function, on an array of frequencies,
         # forms the tau1 arccos argument once.  On this grid a query takes
-        # about 15.5: one for the scan, one per level of splits and the rest
-        # in the refiner; bisection would take about 43 for the refiner.
+        # about 6.1: one for the scan, one per level of splits and the rest,
+        # about 5.1, in the refiner.  Bisection would take about 43.5 for the
+        # refiner, and halving the last gap instead of stepping to the
+        # neighbouring float took about 14.5.
         calls = 0
         argument = stability._argument
 
@@ -651,7 +653,57 @@ class TestCriticalTau2ForTau1:
         queries = self.sweep_queries(rng)
         for alpha, coef, q in queries:
             critical_tau2_for_tau1(alpha, coef, q)
-        assert calls <= 18 * len(queries)
+        assert calls <= 8 * len(queries)
+
+    def test_bracket_closes_on_the_neighbouring_float(self, monkeypatch):
+        # On this line the falsi point lands within a few ulps of the root by
+        # the fourth evaluation and then rounds onto an end of the bracket.
+        # Halving from there down to the neighbouring float took 31
+        # evaluations; stepping to it takes 6.  Bisection ends on the same
+        # adjacent floats.
+        brackets = []
+        refine = stability._illinois
+
+        def recorded(fun, lo, hi, f_lo, f_hi, max_iter):
+            brackets.append((fun, lo, hi, f_lo, f_hi))
+            return refine(fun, lo, hi, f_lo, f_hi, max_iter)
+
+        monkeypatch.setattr(stability, "_illinois", recorded)
+        critical_tau2_for_tau1(0.9, UCAR_COEF, 0.88)
+        [(fun, lo, hi, f_lo, f_hi)] = brackets
+        assert len(lo) == 1
+        calls = 0
+
+        def counted(v):
+            nonlocal calls
+            calls += 1
+            return fun(v)
+
+        got = refine(counted, lo, hi, f_lo, f_hi, 360)
+        assert calls <= 8
+        assert got.tobytes() == stability._bisect(fun, lo, hi, f_lo, 0.0, 360).tobytes()
+        assert got[0] == pytest.approx(float.fromhex("0x1.16407e3da0990p+1"), rel=1e-15)
+
+    def test_done_bracket_is_not_evaluated_again(self):
+        # The first bracket closes on adjacent floats around sqrt(2) after
+        # 9 steps; the second, a jump at 3.1, takes many more.  From then on
+        # only the second bracket's points reach the line function.
+        fun = lambda v: np.where(v < 2.25, v * v - 2.0, np.where(v < 3.1, -1.0, 2.0))
+        lo, hi = np.array([1.0, 2.5]), np.array([2.0, 3.5])
+        points = []
+
+        def recorded(v):
+            points.append(v.tolist())
+            return fun(v)
+
+        got = stability._illinois(recorded, lo, hi, fun(lo), fun(hi), 360)
+        assert got.tobytes() == array_illinois(fun, lo, hi, fun(lo), fun(hi), 360).tobytes()
+        lengths = [len(v) for v in points]
+        done = lengths.index(1)
+        assert 2 <= done <= len(lengths) - 10
+        assert lengths == [2] * done + [1] * (len(lengths) - done)
+        assert all(2.5 < v[0] < 3.5 for v in points[done:])
+        assert got[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     @pytest.mark.parametrize(
         "fun, root",
@@ -851,10 +903,14 @@ class TestCriticalTau2ForTau1:
     @pytest.mark.parametrize(
         "fun, lo, hi",
         [
-            # f_lo - f_hi overflows to -inf, so every falsi point is lo and
-            # each step takes the midpoint.
+            # f_lo - f_hi overflows to -inf, so the first falsi points are lo
+            # and step to its neighbours, until halving the kept end value
+            # brings the difference back into range.
             (lambda v: np.where(v < 0.3, -1e308, 1e308), [0.0], [1.0]),
             (lambda v: 1e308 * np.tanh(40.0 * (v - 0.3)), [0.0], [1.0]),
+            # f_lo is too small to move the falsi point off lo = 1: each step
+            # goes to lo's neighbour until the age rule takes the midpoint.
+            (lambda v: np.where(v < 1.3, -1e-20, 1.0), [1.0], [2.0]),
             # Subnormal values.  The first bracket hits 0 at once; its
             # stored -5e-324 would then halve to -0 and is kept, while the
             # second bracket still steps.
@@ -864,14 +920,29 @@ class TestCriticalTau2ForTau1:
                 [1.0, 3.0],
             ),
         ],
-        ids=["huge_step", "huge_smooth", "subnormal"],
+        ids=["huge_step", "huge_smooth", "onto_end", "subnormal"],
     )
     def test_refiner_float_edges(self, fun, lo, hi):
         lo, hi = np.array(lo), np.array(hi)
+        points = {"python": [], "array": []}
+
+        def recording(name):
+            def line(v):
+                points[name].append(v.tolist())
+                return fun(v)
+
+            return line
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = stability._illinois(fun, lo, hi, fun(lo), fun(hi), 360)
-        assert got.tobytes() == array_illinois(fun, lo, hi, fun(lo), fun(hi), 360).tobytes()
+            got = stability._illinois(recording("python"), lo, hi, fun(lo), fun(hi), 360)
+        ref = array_illinois(recording("array"), lo, hi, fun(lo), fun(hi), 360)
+        assert got.tobytes() == ref.tobytes()
+        # Both step through the same points; the array refiner also passes
+        # the brackets that are done.
+        assert len(points["python"]) == len(points["array"])
+        for python, array in zip(points["python"], points["array"]):
+            assert set(python) <= set(array)
         f = lambda v: float(fun(np.array([v]))[0])
         for x in got.tolist():
             # An exact zero, or a sign change to the next float.
