@@ -2,14 +2,14 @@
 with two discrete delays.
 
 The package integrates D^alpha x(t) = g(x(t - tau1), x(t - tau2)) with a
-Caputo derivative of order alpha in (0, 1] on a grid shared by both delays,
+Caputo derivative of order alpha in (0, 1] on a uniform grid,
 and analyzes the stability of equilibria through the parametric curves in
 the (tau1, tau2) plane where characteristic roots cross the imaginary axis.
 """
 
 from __future__ import annotations
 
-from .errors import DegenerateCoefficientsError, IncommensurableDelaysError
+from .errors import DegenerateCoefficientsError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
 from .numerics import FractionalOrder, corner_weight_table, interior_weight_table
 from .solver import (
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "DegenerateCoefficientsError",
-    "IncommensurableDelaysError",
     "FractionalOrder",
     "corner_weight_table",
     "interior_weight_table",

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
-from .solver import DelayPair, SystemRhs, build_grid, simulate
+from .solver import DelayPair, SystemRhs, _delayed, build_grid, simulate
 from .stability import (
     LinearCoefficients,
     StabilityVerdict,
@@ -114,14 +114,12 @@ def _v_range(args: argparse.Namespace) -> tuple[float, float] | None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
-    grid = build_grid(
-        DelayPair(args.tau1, args.tau2), args.T, args.h, tolerance=args.grid_tolerance
-    )
+    grid = build_grid(DelayPair(args.tau1, args.tau2), args.T, args.h)
     traj = simulate(rhs, args.alpha, grid, args.history)
-    # The rows of phase_columns, without building its table: row j is
-    # t_j, x[k + j], x[k + j - k1], x[k + j - k2].  A chunk of n rows from
-    # start reads values[start : start + k + n], of which the first k were
-    # formatted by the chunk before it (the history, for the first chunk).
+    # The rows of phase_columns, without building its table.  A chunk of n
+    # rows from start reads values[start : start + k + n], of which the first
+    # k were formatted by the chunk before it (the history, for the first
+    # chunk); a delayed column off the grid is interpolated and formatted.
     k = traj.history_steps
     rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
     prev = _formatted(traj.values[:k])
@@ -131,8 +129,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             n = min(_ROWS_PER_WRITE, rows - start)
             t = _formatted(np.arange(start, start + n) * traj.h)
             s = prev + _formatted(traj.values[k + start : k + start + n])
-            x, x1, x2 = (s[k - lag : k - lag + n] for lag in (0, grid.k1, grid.k2))
-            fh.write("\n".join(map(",".join, zip(t, x, x1, x2))))
+            x1, x2 = (
+                _formatted(_delayed(traj.values, k + start - lag, theta, n))
+                if theta
+                else s[k - lag : k - lag + n]
+                for lag, theta in ((grid.k1, grid.theta1), (grid.k2, grid.theta2))
+            )
+            fh.write("\n".join(map(",".join, zip(t, s[k : k + n], x1, x2))))
             fh.write("\n")
             prev = s[n:]
     if traj.truncated_at is not None:
@@ -275,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--T", type=float, required=True, help="integration horizon")
     p_sim.add_argument("--h", type=float, required=True, help="requested step size")
     p_sim.add_argument("--history", type=float, required=True, help="constant history value")
-    p_sim.add_argument(
-        "--grid-tolerance",
-        type=float,
-        default=1e-9,
-        help="relative commensurability tolerance (default 1e-9)",
-    )
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 __all__ = [
     "DegenerateCoefficientsError",
-    "IncommensurableDelaysError",
 ]
-
-
-class IncommensurableDelaysError(ValueError):
-    """No admissible step divides both delays and the horizon within tolerance."""
 
 
 class DegenerateCoefficientsError(ValueError):

@@ -6,9 +6,10 @@ The initial value problem
 
 with Caputo derivative of order alpha in (0, 1] is equivalent to the Volterra
 integral equation x(t) = phi(0) + I^alpha[g(...)](t).  The stepper discretizes
-that integral with product-trapezoidal weights on a uniform grid chosen so
-that both delays are whole numbers of steps, which keeps every delayed sample
-on the grid and makes the scheme explicit.
+that integral with product-trapezoidal weights on a uniform grid of the
+requested step.  A delay of ``k + theta`` steps reads the sample ``k`` steps
+back, or for ``theta > 0`` interpolates linearly with the one before (Bellen
+and Zennaro, Numerical Methods for Delay Differential Equations, OUP 2003).
 
 Both delays are at least ``kmin = min(k1, k2)`` steps, so the right-hand
 side at the next ``kmin`` grid points reads only states already computed:
@@ -37,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IncommensurableDelaysError
 from .numerics import (
     FractionalOrder,
     corner_weight_table,
@@ -58,7 +58,8 @@ __all__ = [
 
 History = float | Callable[[float], float]
 
-_DIVISOR_LIMIT = 1024
+# Relative slack within which a span counts as a whole number of steps.
+_SLACK = 1e-9
 
 # Steps advanced between far-field updates, and the convolution length
 # above which the far field is added by FFT rather than directly.  Both are
@@ -119,12 +120,15 @@ class SystemRhs:
 
 @dataclass(frozen=True)
 class CommensurateGrid:
-    """Uniform time grid on which both delays are whole numbers of steps."""
+    """Uniform grid of step ``h``; delay i is ``ki >= 1`` steps plus an
+    offset ``thetai`` in [0, 1), read by interpolation when nonzero."""
 
     h: float
     n_steps: int
     k1: int
     k2: int
+    theta1: float = 0.0
+    theta2: float = 0.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.h, float) and math.isfinite(self.h) and self.h > 0.0):
@@ -132,11 +136,13 @@ class CommensurateGrid:
         for name, value in (("n_steps", self.n_steps), ("k1", self.k1), ("k2", self.k2)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (0.0 <= self.theta1 < 1.0 and 0.0 <= self.theta2 < 1.0):
+            raise ValueError(f"offsets must lie in [0, 1), got {self.theta1!r}, {self.theta2!r}")
 
     @property
     def history_steps(self) -> int:
-        """Number of grid points the history must cover, max(k1, k2)."""
-        return max(self.k1, self.k2)
+        """Grid points the history covers: each delay's ``ki``, plus one if off grid."""
+        return max(self.k1 + (self.theta1 > 0.0), self.k2 + (self.theta2 > 0.0))
 
     @property
     def t_end(self) -> float:
@@ -149,7 +155,8 @@ class Trajectory:
 
     ``values[j]`` is the state at time ``(j - history_steps) * h`` for
     ``j = 0..history_steps + n_steps``; the first ``history_steps + 1``
-    entries reproduce the history on [-tau_max, 0].  ``truncated_at`` is
+    entries are the history on [-history_steps * h, 0], which an off-grid
+    delay starts up to one step before -tau_max.  ``truncated_at`` is
     None for a complete run, otherwise the step index (in time units,
     ``truncated_at * h``) at which the state first left the finite float
     range; entries from that index on are NaN.
@@ -169,7 +176,7 @@ class Trajectory:
         return self.truncated_at is not None
 
     def times(self) -> np.ndarray:
-        """Grid times aligned with ``values``, from -tau_max to t_end."""
+        """Grid times aligned with ``values``, from -history_steps * h to t_end."""
         return (np.arange(len(self.values)) - self.history_steps) * self.h
 
 
@@ -177,51 +184,51 @@ def build_grid(
     delays: DelayPair | tuple[float, float],
     t_end: float,
     h_request: float,
-    tolerance: float = 1e-9,
 ) -> CommensurateGrid:
-    """Choose the largest admissible step no larger than the requested one.
+    """Write both delays and the horizon in steps of the requested size.
 
-    Steps of the form ``h_request / m`` are tried for ``m = 1..1024``; the
-    first (largest) one for which both delays and the horizon round to whole
-    numbers of steps within the relative tolerance is selected.  Each delay
-    must span at least one step, which is what makes the stepper explicit.
+    A delay within 1e-9 relative of ``k`` whole steps is ``k`` steps with
+    offset 0.0; any other delay is ``k = floor(tau / h)`` steps plus the
+    offset ``tau / h - k`` in (0, 1), read by linear interpolation.  The
+    horizon takes the fewest steps that reach ``t_end`` with the same slack.
+    The step is never changed.
 
-    Raises
-    ------
-    IncommensurableDelaysError
-        If no admissible step exists, e.g. when the delay ratio is
-        irrational or beyond the divisor search range.
+    Raises ValueError if a delay is shorter than the step: each delay must
+    span at least one step, which is what makes the stepper explicit.
     """
     d = _as_delays(delays)
     t_end = float(t_end)
-    h_request = float(h_request)
-    tolerance = float(tolerance)
-    if d.tau1 <= 0.0 or d.tau2 <= 0.0:
-        raise ValueError("both delays must be positive to build a grid")
+    h = float(h_request)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {t_end!r}")
-    if not (math.isfinite(h_request) and h_request > 0.0):
-        raise ValueError(f"requested step must be positive and finite, got {h_request!r}")
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance!r}")
-    for m in range(1, _DIVISOR_LIMIT + 1):
-        h = h_request / m
-        k1 = round(d.tau1 / h)
-        k2 = round(d.tau2 / h)
-        n = round(t_end / h)
-        if k1 < 1 or k2 < 1 or n < 1:
-            continue
-        if (
-            abs(k1 * h - d.tau1) <= tolerance * d.tau1
-            and abs(k2 * h - d.tau2) <= tolerance * d.tau2
-            and abs(n * h - t_end) <= tolerance * t_end
-        ):
-            return CommensurateGrid(h=h, n_steps=n, k1=k1, k2=k2)
-    raise IncommensurableDelaysError(
-        f"no step of the form {h_request:g}/m with m <= {_DIVISOR_LIMIT} places "
-        f"delays ({d.tau1:g}, {d.tau2:g}) and horizon {t_end:g} on a common grid "
-        f"within relative tolerance {tolerance:g}"
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"requested step must be positive and finite, got {h!r}")
+    (k1, theta1), (k2, theta2), (n, rest) = (_steps(s, h) for s in (d.tau1, d.tau2, t_end))
+    if min(k1, k2) < 1:
+        raise ValueError(f"delay {min(d.tau1, d.tau2):g} is shorter than the step h = {h:g}")
+    return CommensurateGrid(
+        h=h, n_steps=n + (rest > 0.0), k1=k1, k2=k2, theta1=theta1, theta2=theta2
     )
+
+
+def _steps(span: float, h: float) -> tuple[int, float]:
+    # span = (k + theta) * h with theta in [0, 1), and theta exactly 0.0
+    # when span is within _SLACK relative of k whole steps.
+    k = round(span / h)
+    if abs(k * h - span) <= _SLACK * span:
+        return k, 0.0
+    whole, theta = divmod(span / h, 1.0)
+    return int(whole), theta
+
+
+def _delayed(x: np.ndarray, i: int, theta: float, n: int | None = None):
+    # The state theta steps before x[i] (a float), or before x[i : i + n]
+    # (an array); with theta == 0 the samples themselves.
+    if n is None:
+        now = x.item(i)
+        return now if theta == 0.0 else now + theta * (x.item(i - 1) - now)
+    now = x[i : i + n]
+    return now if theta == 0.0 else now + theta * (x[i - 1 : i + n - 1] - now)
 
 
 def _history_callable(history: History) -> Callable[[float], float]:
@@ -240,8 +247,9 @@ def simulate(
     """Integrate the two-delay problem over the given grid.
 
     The right-hand side is evaluated exactly once per grid point and the
-    evaluations are memoized.  ``rhs.g`` must be elementwise: both delays
-    are at least ``kmin = min(k1, k2)`` steps, so the next ``kmin`` states
+    evaluations are memoized; a delay off the grid interpolates the state
+    it reads.  ``rhs.g`` must be elementwise: both delays are at least
+    ``kmin = min(k1, k2)`` whole steps, so the next ``kmin`` states
     depend only on states already computed, and ``g`` is called once per
     chunk of up to ``kmin`` grid points with two float64 arrays.  A ``g``
     that rejects arrays (one written with :func:`math.sin`, say) raises
@@ -253,7 +261,8 @@ def simulate(
     below ``_MIN_CHUNK`` the steps are taken one at a time instead, with
     ``g`` called on floats.
 
-    A history callable is sampled on [-tau_max, 0] and must be finite there.
+    A history callable is sampled on [-history_steps * h, 0] (up to one step
+    before -tau_max for an off-grid delay) and must be finite there.
     If the state leaves the finite float range the run stops and the partial
     trajectory is returned with ``truncated_at`` set; blow-up is data, not
     an exception.
@@ -267,7 +276,7 @@ def simulate(
     grid : CommensurateGrid
         Output of :func:`build_grid`.
     history : float or callable
-        Constant history value, or a function of t on [-tau_max, 0].
+        Constant history value, or a function of t.
 
     Returns
     -------
@@ -280,6 +289,7 @@ def simulate(
     """
     al = order_value(alpha)
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
+    th1, th2 = grid.theta1, grid.theta2
     k = grid.history_steps
     kmin = min(k1, k2)
     h = grid.h
@@ -334,7 +344,7 @@ def simulate(
             j = lo + m
             if j > evaluated:
                 try:
-                    fj = float(g(x.item(k + j - k1), x.item(k + j - k2)))
+                    fj = float(g(_delayed(x, k + j - k1, th1), _delayed(x, k + j - k2, th2)))
                 except OverflowError:
                     # Python floats raise from ** and math functions where
                     # IEEE arithmetic gives inf; a diverging state is a
@@ -362,7 +372,7 @@ def simulate(
             e = min(s + kmin, hi)
             a = max(s, known + 1)
             if a < e:
-                f[a:e] = g(x[k + a - k1 : k + e - k1], x[k + a - k2 : k + e - k2])
+                f[a:e] = g(_delayed(x, k + a - k1, th1, e - a), _delayed(x, k + a - k2, th2, e - a))
             y = toeplitz[s - lo : e - lo, : e - lo].dot(f[lo:e])
             y += acc[s:e]
             y *= c
@@ -403,7 +413,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             f[: known + 1] = g(
-                x[k - k1 : k - k1 + known + 1], x[k - k2 : k - k2 + known + 1]
+                _delayed(x, k - k1, th1, known + 1), _delayed(x, k - k2, th2, known + 1)
             )
         except (TypeError, ValueError) as exc:
             raise TypeError(
@@ -439,14 +449,13 @@ def phase_columns(traj: Trajectory, grid: CommensurateGrid) -> np.ndarray:
         raise ValueError("grid and trajectory disagree on the history length")
     if abs(grid.h - traj.h) > 1e-12 * grid.h:
         raise ValueError("grid and trajectory disagree on the step size")
-    last = traj.n_steps if traj.truncated_at is None else traj.truncated_at - 1
-    idx = np.arange(last + 1)
+    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
     k = traj.history_steps
     return np.column_stack(
         [
-            idx * traj.h,
-            traj.values[k + idx],
-            traj.values[k + idx - grid.k1],
-            traj.values[k + idx - grid.k2],
+            np.arange(rows) * traj.h,
+            traj.values[k : k + rows],
+            _delayed(traj.values, k - grid.k1, grid.theta1, rows),
+            _delayed(traj.values, k - grid.k2, grid.theta2, rows),
         ]
     )

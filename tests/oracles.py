@@ -34,11 +34,15 @@ sample, and ``paired_companion`` their tau2 companions.  ``reach`` is the
 largest winding number whose tau1 branch can meet a line, from the
 closed-form band.  ``array_illinois`` is also the reference for the
 Python-float refiner :func:`fracdde.stability._illinois`.
+
+``random_line_queries`` draws the fixed random set of line queries on which
+the line search and the classify verdicts are measured.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
@@ -221,8 +225,9 @@ def direct_sum_stepper(
     """Product-trapezoidal stepping with the memory sum taken directly.
 
     Step ``n`` costs one dot product of length ``n`` against the interior
-    weight table, so the run is O(N^2).  Arguments, result and truncation
-    contract are those of :func:`fracdde.simulate`.
+    weight table, so the run is O(N^2).  A delay of ``ki + thetai`` steps
+    reads ``x[j - ki] + thetai * (x[j - ki - 1] - x[j - ki])``.  Arguments,
+    result and truncation contract are those of :func:`fracdde.simulate`.
     """
     al = order_value(alpha)
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
@@ -240,12 +245,18 @@ def direct_sum_stepper(
     corner = corner_weight_table(al, n_total)
     c = h ** al / math.gamma(al + 2.0)
 
+    def delayed(i: int, theta: float) -> float:
+        now = float(x[i])
+        return now + theta * (float(x[i - 1]) - now) if theta else now
+
     def rhs_at(j: int) -> float:
         # One scalar call per grid point, on built-in floats.  Their ** and
         # math functions raise OverflowError where IEEE arithmetic gives
         # inf; a diverging state is a truncation, not an exception.
+        x1 = delayed(k + j - k1, grid.theta1)
+        x2 = delayed(k + j - k2, grid.theta2)
         try:
-            return float(rhs.g(float(x[k + j - k1]), float(x[k + j - k2])))
+            return float(rhs.g(x1, x2))
         except OverflowError:
             return math.inf
 
@@ -629,3 +640,22 @@ def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
         width = np.where(halved, hi - lo, width)
         age = np.where(halved, 0, age + 1)
     return 0.5 * (lo + hi)
+
+
+def random_line_queries() -> list[tuple[float, float, float, float, float]]:
+    """The random set: 312 line queries ``(alpha, a, b, tau1, tau2)``.
+
+    ``random.Random(7)`` draws each candidate's alpha on [0.3, 1], then a
+    and b on [-5, 5], then tau1 and tau2 on [0, 4]; a candidate is kept only
+    if |a|, |b| >= 0.05 and a + b < -1e-3 (stable at zero delays), until 312
+    are kept.
+    """
+    rng = random.Random(7)
+    queries = []
+    while len(queries) < 312:
+        alpha = rng.uniform(0.3, 1.0)
+        a, b = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        tau1, tau2 = rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)
+        if min(abs(a), abs(b)) >= 0.05 and a + b < -1e-3:
+            queries.append((alpha, a, b, tau1, tau2))
+    return queries

@@ -13,7 +13,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = {
     "__version__",
     "DegenerateCoefficientsError",
-    "IncommensurableDelaysError",
     "FractionalOrder",
     "corner_weight_table",
     "interior_weight_table",
@@ -42,7 +41,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 27
+    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 26
     assert set(fracdde.__all__) == PUBLIC
 
 

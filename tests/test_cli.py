@@ -73,12 +73,15 @@ class TestSimulateCommand:
             pytest.param(0.03, 45.0, "1.5", id="0.03-45.0"),
             pytest.param(0.4, 0.5, "1.5", id="0.4-0.5"),
             pytest.param(0.4, 0.5, "-0", id="0.4-0.5-history-0"),
+            pytest.param(0.4, 0.565685424949238, "1.5", id="0.4-0.565685424949238"),
+            pytest.param(45.005, 0.0705, "1.5", id="45.005-0.0705"),
         ],
     )
     def test_csv_bytes_match_per_row_formatting(self, tmp_path, tau1, tau2, history):
         # Rows are written 4096 at a time, each state formatted once per
         # chunk; a delay of 4500 or 5000 steps puts a delayed column in a
-        # window of its own.  The bytes must equal one "%.17g" row at a time.
+        # window of its own.  A delay off the grid (the last two) has its
+        # column interpolated.  The bytes must equal one "%.17g" row at a time.
         out = tmp_path / "lin.csv"
         argv = [
             "simulate",
@@ -150,20 +153,22 @@ class TestSimulateCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_incommensurable_delays_exit_code(self, tmp_path, capsys):
+    def test_delay_shorter_than_the_step_exit_code(self, tmp_path, capsys):
         code = main(
             [
                 "simulate",
                 "--model", "ucar",
                 "--alpha", "0.9",
-                "--tau1", "1.0", "--tau2", str(math.sqrt(2)),
+                "--tau1", "0.005", "--tau2", "0.5",
                 "--T", "5", "--h", "0.01",
                 "--history", "0.8",
                 "--out", str(tmp_path / "x.csv"),
             ]
         )
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "fracdde: error: delay 0.005 is shorter than the step h = 0.01\n"
+        )
 
     def test_truncation_exit_code_and_partial_output(self, tmp_path, capsys):
         out = tmp_path / "blowup.csv"

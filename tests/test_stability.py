@@ -35,6 +35,7 @@ from oracles import (
     locus_rows,
     object_curve_points,
     parametric_delays,
+    random_line_queries,
     reach,
     rescaled,
     scalar_equilibria,
@@ -433,6 +434,19 @@ class TestCriticalCurve:
 
 
 class TestCriticalTau2ForTau1:
+    def test_random_set_is_pinned(self):
+        # The set on which line-search and verdict changes are measured:
+        # its draw order is fixed by the first query, and 19 of its 312
+        # lines meet no crossing.
+        queries = random_line_queries()
+        assert len(queries) == 312
+        assert queries[0] == (
+            0.5266829353832136, -3.4915082607549808, 1.5093447303985377,
+            0.28974514667017104, 2.143528017226757,
+        )
+        missed = [q for q in queries if critical_tau2_for_tau1(q[0], q[1:3], q[3]) is None]
+        assert len(missed) == 19
+
     def test_axis_value_matches_analytic(self):
         # At tau1 = 0 the crossing sits where the first arccos argument
         # vanishes: v = sqrt(b*b - a*a), tau2 from the second argument.
