@@ -24,10 +24,9 @@ Stat. Comput. 6 (1985) 532-541): the near part, the samples of the current
 block of ``_BLOCK`` steps, is one product with the block's lower-triangular
 weight matrix per chunk (a short dot product per step in the one-point
 loop); the far part reaches each block already summed.  One loop runs the
-blocks in order; after block ``done`` (counting from 1), one convolution,
-direct when short and by FFT when long, adds its last ``d = done & -done``
-blocks to the far part of the next ``d``.  A run of N steps costs
-O(N log^2 N).
+blocks in order; after block ``done`` (counting from 1), one FFT
+convolution adds its last ``d = done & -done`` blocks to the far part of
+the next ``d``.  A run of N steps costs O(N log^2 N).
 """
 
 from __future__ import annotations
@@ -61,11 +60,10 @@ History = float | Callable[[float], float]
 # Relative slack within which a span counts as a whole number of steps.
 _SLACK = 1e-9
 
-# Steps advanced between far-field updates, and the convolution length
-# above which the far field is added by FFT rather than directly.  Both are
-# powers of two, and so is every convolution length.
-_BLOCK = 32
-_FFT_THRESHOLD = 256
+# Steps advanced between far-field updates: a power of two, and so is every
+# FFT length.  Long enough that the shortest transform pays for its call
+# overhead, short enough that the block's weight matrix stays small.
+_BLOCK = 128
 # Shortest delay, in steps, advanced in vectorized chunks; below it a chunk
 # costs more in numpy call overhead than one scalar step per point.
 _MIN_CHUNK = 8
@@ -221,12 +219,9 @@ def _steps(span: float, h: float) -> tuple[int, float]:
     return int(whole), theta
 
 
-def _delayed(x: np.ndarray, i: int, theta: float, n: int | None = None):
-    # The state theta steps before x[i] (a float), or before x[i : i + n]
-    # (an array); with theta == 0 the samples themselves.
-    if n is None:
-        now = x.item(i)
-        return now if theta == 0.0 else now + theta * (x.item(i - 1) - now)
+def _delayed(x: np.ndarray, i: int, theta: float, n: int) -> np.ndarray:
+    # The states theta steps before x[i : i + n]; with theta == 0 the
+    # samples themselves.
     now = x[i : i + n]
     return now if theta == 0.0 else now + theta * (x[i - 1 : i + n - 1] - now)
 
@@ -254,8 +249,8 @@ def simulate(
     chunk of up to ``kmin`` grid points with two float64 arrays.  A ``g``
     that rejects arrays (one written with :func:`math.sin`, say) raises
     TypeError on its first call.  Step ``j`` adds the samples of its own
-    block of ``_BLOCK`` steps, one small matrix product per chunk, to a
-    far-field sum over all older samples; after block ``done`` one
+    block of ``_BLOCK`` (128) steps, one small matrix product per chunk, to
+    a far-field sum over all older samples; after block ``done`` one FFT
     convolution adds its last ``done & -done`` blocks to that sum for as
     many blocks ahead, so the whole run is O(N log^2 N).  When ``kmin`` is
     below ``_MIN_CHUNK`` the steps are taken one at a time instead, with
@@ -325,43 +320,46 @@ def simulate(
     # weight FFTs by length.
     acc = np.empty(n_total + 1, dtype=float)
     spectra: dict[int, np.ndarray] = {}
-    # The per-step body keeps its block's f in fb; heads[m] = fb[:m] and
-    # tails[m] = toeplitz[m, :m] = (interior[m], ..., interior[1]) are fixed
-    # views, so its dot products take no slices.
-    fb = np.empty(len(w), dtype=float)
-    heads = [fb[:m] for m in range(len(w))]
-    tails = [toeplitz[m, :m] for m in range(len(w))]
 
     def step_each(lo: int, hi: int, evaluated: int = known) -> int | None:
         # One step at a time, calling g on floats past f[evaluated].
         # Python floats from here on: the same IEEE arithmetic as numpy
-        # scalars, without their per-operation overhead.
-        ready = min(hi, evaluated + 1) - lo
-        if ready > 0:
-            fb[:ready] = f[lo : lo + ready]
+        # scalars, without their per-operation overhead.  reads_i starts at
+        # state lo - ki - 1 and grows by each new state, so step j reads
+        # state j - ki at reads_i[j - lo + 1]; a delay of a block or more
+        # finds every state it reads there from the start.
+        reads1 = x[k + lo - k1 - 1 : k + min(lo, hi - k1)].tolist()
+        reads2 = x[k + lo - k2 - 1 : k + min(lo, hi - k2)].tolist()
         acc_terms = acc[lo:hi].tolist()
         for m in range(hi - lo):
             j = lo + m
             if j > evaluated:
+                x1 = reads1[m + 1]
+                if th1:
+                    x1 += th1 * (reads1[m] - x1)
+                x2 = reads2[m + 1]
+                if th2:
+                    x2 += th2 * (reads2[m] - x2)
                 try:
-                    fj = float(g(_delayed(x, k + j - k1, th1), _delayed(x, k + j - k2, th2)))
+                    fj = float(g(x1, x2))
                 except OverflowError:
                     # Python floats raise from ** and math functions where
                     # IEEE arithmetic gives inf; a diverging state is a
                     # truncation, not an exception.
                     fj = math.inf
-                fb[m] = fj
+                f[j] = fj
             else:
-                fj = fb.item(m)
+                fj = f.item(j)
             s = acc_terms[m] + fj
             if m:
-                s += float(tails[m].dot(heads[m]))
+                s += float(toeplitz[m, :m].dot(f[lo:j]))
             value = phi0 + c * s
             if not math.isfinite(value):
                 x[k + j :] = np.nan
                 return j
             x[k + j] = value
-        f[lo:hi] = fb[: hi - lo]
+            reads1.append(value)
+            reads2.append(value)
         return None
 
     def step_chunks(lo: int, hi: int) -> int | None:
@@ -395,9 +393,6 @@ def simulate(
         peak = float(np.max(np.abs(seg)))
         if peak == 0.0:
             # A run sitting on an equilibrium: add exactly nothing.
-            return
-        if size <= _FFT_THRESHOLD:
-            acc[mid:hi] += np.convolve(interior[1 : hi - lo], seg, mode="valid")
             return
         w_hat = spectra.get(size)
         if w_hat is None:

@@ -256,6 +256,24 @@ class TestSimulate:
             simulate(SystemRhs(g=g), 0.9, grid, 0.5)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("theta1, theta2", [(0.0, 0.0), (0.3, 0.7)])
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (4, 40), (7, 9), (8, 8), (40, 33), (130, 129)])
+    def test_rhs_is_evaluated_once_per_grid_point(self, k1, k2, theta1, theta2):
+        # Both bodies, on the grid and off it: g sees n_steps + 1 points in
+        # all, whether called on floats or on arrays.
+        points = []
+
+        def g(x1, x2):
+            points.append(np.size(x1))
+            return -0.5 * x1 - 0.25 * x2
+
+        grid = CommensurateGrid(
+            h=0.01, n_steps=1000, k1=k1, k2=k2, theta1=theta1, theta2=theta2
+        )
+        traj = simulate(SystemRhs(g=g), 0.8, grid, 1.0)
+        assert not traj.is_truncated
+        assert sum(points) == grid.n_steps + 1
+
     def test_leaves_no_reference_cycle(self):
         # The work arrays are freed when simulate returns, not at some later
         # garbage collection; a run deep enough to use the FFT levels.
@@ -298,12 +316,17 @@ def _max_relative_deviation(got, expected):
 class TestFastMemorySum:
     """simulate against the O(N^2) direct-sum stepper it replaces."""
 
-    # Step counts around the base block (32) and the FFT threshold (256),
-    # plus two runs deep into the FFT levels.  The delays put kmin = min(k1,
-    # k2), the chunk length, below and above the one-point cutoff (8) and
-    # around the block size; each pair runs on the grid and 0.3 and 0.7 of
-    # a step further back (id "k1.3-k2.7"), read by interpolation.
-    @pytest.mark.parametrize("n_steps", [31, 32, 33, 64, 65, 255, 256, 257, 1000, 5000])
+    # Step counts inside the first block of 128 steps and around the ends of
+    # blocks 1, 2 and 4, where the far-field updates of FFT length 256, 512
+    # and 1024 first act, plus two runs deep into the FFT levels.  The
+    # delays put kmin = min(k1, k2), the chunk length, below and above the
+    # one-point cutoff (8) and around the block size; (3, 300) is a
+    # one-point run whose far delay spans more than two blocks.  Each pair
+    # runs on the grid and 0.3 and 0.7 of a step further back (id
+    # "k1.3-k2.7"), read by interpolation.
+    @pytest.mark.parametrize(
+        "n_steps", [31, 32, 33, 64, 65, 127, 128, 129, 255, 256, 257, 513, 1000, 5000]
+    )
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
     @pytest.mark.parametrize(
         "k1, k2, theta1, theta2",
@@ -321,6 +344,8 @@ class TestFastMemorySum:
                 (32, 32),
                 (33, 50),
                 (160, 140),
+                (128, 128),
+                (3, 300),
             ]
         ],
     )
@@ -364,7 +389,7 @@ class TestFastMemorySum:
             # Grows slowly enough to cross many FFT levels before overflowing.
             (linear_rhs(2.5, 1.5), 0.8, 1, 3, 20000, 1.0),
             # g overflows to inf inside a chunk, not at its first step: step
-            # 90 is step 7 of the chunk of 9 at 83, and step 282 is step 25
+            # 90 is step 9 of the chunk of 9 at 82, and step 282 is step 26
             # of the chunk of 33 at 257.
             (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 0.8, 12, 9, 3000, 1.5),
             (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 1.0, 40, 33, 3000, 1.5),
