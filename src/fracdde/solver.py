@@ -191,8 +191,9 @@ def build_grid(
     horizon takes the fewest steps that reach ``t_end`` with the same slack.
     The step is never changed.
 
-    Raises ValueError if a delay is shorter than the step: each delay must
-    span at least one step, which is what makes the stepper explicit.
+    Raises ValueError if a delay or the horizon spans more steps than a
+    float can count, or if a delay is shorter than the step: each delay
+    must span at least one step, which is what makes the stepper explicit.
     """
     d = _as_delays(delays)
     t_end = float(t_end)
@@ -201,7 +202,13 @@ def build_grid(
         raise ValueError(f"horizon must be positive and finite, got {t_end!r}")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"requested step must be positive and finite, got {h!r}")
-    (k1, theta1), (k2, theta2), (n, rest) = (_steps(s, h) for s in (d.tau1, d.tau2, t_end))
+    spans = (d.tau1, d.tau2, t_end)
+    if not all(math.isfinite(s / h) for s in spans):
+        raise ValueError(
+            f"delays ({d.tau1:g}, {d.tau2:g}) and horizon {t_end:g} "
+            f"span too many steps h = {h:g} to count"
+        )
+    (k1, theta1), (k2, theta2), (n, rest) = (_steps(s, h) for s in spans)
     if min(k1, k2) < 1:
         raise ValueError(f"delay {min(d.tau1, d.tau2):g} is shorter than the step h = {h:g}")
     return CommensurateGrid(

@@ -51,7 +51,6 @@ __all__ = [
 _CLAMP_SLACK = 1e-12
 
 _ZERO_SUM_TOL = 1e-12
-_EQUILIBRIUM_TOL = 1e-12
 _FD_BASE_STEP = 1e-6
 
 _DEFAULT_SAMPLES = 2000
@@ -127,13 +126,14 @@ def find_equilibria(
     bracket: tuple[float, float],
     resolution: int = 2001,
 ) -> list[float]:
-    """Locate roots of g(x, x) inside a bracket by scan plus bisection.
+    """Locate roots of g(x, x) inside a bracket by a scan and :func:`_illinois`.
 
     The bracket is sampled at ``resolution`` uniformly spaced points.  Every
     exact zero sample is a root.  All sign changes are refined together by
-    bisection, each until ``|g(x, x)| <= 1e-12`` or until its bracket
-    collapses onto adjacent floats.  A refined point where ``|g|`` exceeds
-    its value at both scan ends is a pole, not a root, and is dropped.
+    :func:`_illinois` until each bracket holds two adjacent floats or an
+    exact zero; there is no tolerance on ``|g|``, so the scale of ``g``
+    does not matter.  A refined point where ``|g|`` exceeds its value at
+    both scan ends is a pole, not a root, and is dropped.
     Roots closer together than the scan spacing can be missed; raise the
     resolution for wildly oscillatory right-hand sides.  ``g`` is called
     with floats only.  Returns the roots sorted increasingly, duplicates
@@ -149,7 +149,7 @@ def find_equilibria(
     xs = np.linspace(lo, hi, resolution)
     vals = fun(xs)
     i = np.flatnonzero(_sign_change(vals[:-1], vals[1:]))
-    refined = _bisect(fun, xs[i], xs[i + 1], vals[i], _EQUILIBRIUM_TOL, 200)
+    refined = _illinois(fun, xs[i], xs[i + 1], vals[i], vals[i + 1], 360)
     size = np.abs(fun(refined))
     pole = (size > np.abs(vals[i])) & (size > np.abs(vals[i + 1]))
     roots = sorted(np.concatenate([xs[vals == 0.0], refined[~pole]]).tolist())
@@ -169,29 +169,6 @@ def _sign_change(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and NaNs are never a sign change.
     """
     return ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
-
-
-def _bisect(
-    fun: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, target: float, max_iter: int
-) -> np.ndarray:
-    """Bisect the sign-change brackets ``[lo, hi]`` of ``fun`` all together.
-
-    ``fun`` maps arrays to arrays and ``f_lo`` is its value at ``lo``.  A
-    midpoint with ``|fun| <= target`` collapses its bracket onto itself.
-    Returns the bracket midpoints after ``max_iter`` steps, or sooner, once
-    every midpoint rounds onto an end of its bracket.
-    """
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        f_mid = fun(mid)
-        hit = np.abs(f_mid) <= target
-        below = (f_lo < 0.0) == (f_mid < 0.0)
-        lo = np.where(below | hit, mid, lo)
-        hi = np.where(below & ~hit, hi, mid)
-        f_lo = np.where(below, f_mid, f_lo)
-    return 0.5 * (lo + hi)
 
 
 def _illinois(
@@ -219,8 +196,10 @@ def _illinois(
     after ``max_iter`` steps, or sooner, once every bracket is done.
     Returns the bracket midpoints.
 
+    It serves both root searches: the scan of :func:`find_equilibria` and
+    the tau1 line search of :func:`critical_tau2_for_tau1`.
     The bracket state lives in Python floats, which round as float64 arrays
-    do: a line search refines only a few brackets, and numpy's per-call
+    do: either search refines only a few brackets, and numpy's per-call
     overhead on arrays that short would cost more than the step's one
     evaluation of ``fun``.
     """

@@ -12,8 +12,11 @@ product per step, O(N^2) in total: the reference for the fast memory sum.
 tables that the stepper reads: the reference for the weight identities.
 
 ``scalar_equilibria`` scans and bisects one bracket at a time in Python
-floats: the reference for the batched bisection of
-:func:`fracdde.find_equilibria`.
+floats: the reference for :func:`fracdde.find_equilibria`, which refines
+all brackets together by the Illinois method.  Both end on adjacent floats.
+``_bisect`` bisects brackets all together in numpy arrays: the reference
+for the Illinois refiner :func:`fracdde.stability._illinois` and the
+refiner of ``bisect_line_search``.
 
 ``object_curve_points`` builds the crossing locus one :class:`CurvePoint`
 at a time, chooses the branch sign pairs by an absolute residual filter
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +68,6 @@ from fracdde.stability import (
     _arccos,
     _band,
     _band_edges,
-    _bisect,
     _branch_labels,
     _delay,
     _paired_sign,
@@ -289,11 +291,11 @@ def scalar_equilibria(
 ) -> list[float]:
     """Roots of g(x, x) by a per-sample scan and one bisection per sign change.
 
-    Each bracket is bisected on its own until ``|g| <= 1e-12``, for at most
-    200 steps, or until its midpoint rounds onto an end; then the sample
-    with the smallest ``|g|`` stands in.  Unlike :func:`fracdde.find_equilibria`
-    it keeps brackets that straddle a pole.  Roots are sorted and merged
-    within 1e-8 relative.
+    Each bracket is bisected on its own until its midpoint rounds onto an
+    end, so that it holds two adjacent floats, or until a midpoint is an
+    exact zero; there is no tolerance on ``|g|``.  Unlike
+    :func:`fracdde.find_equilibria` it keeps brackets that straddle a pole.
+    Roots are sorted and merged within 1e-8 relative.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     fun = lambda x: float(rhs.g(float(x), float(x)))
@@ -317,21 +319,40 @@ def scalar_equilibria(
 
 
 def _bisect_scalar(fun, lo: float, hi: float, f_lo: float) -> float:
-    best_x, best_f = lo, abs(f_lo)
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            return mid
         f_mid = fun(mid)
-        if abs(f_mid) < best_f:
-            best_x, best_f = mid, abs(f_mid)
-        if abs(f_mid) <= 1e-12:
+        if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) != (f_mid < 0.0):
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return best_x
+
+
+def _bisect(
+    fun: Callable[[np.ndarray], np.ndarray], lo, hi, f_lo, target: float, max_iter: int
+) -> np.ndarray:
+    """Bisect the sign-change brackets ``[lo, hi]`` of ``fun`` all together.
+
+    ``fun`` maps arrays to arrays and ``f_lo`` is its value at ``lo``.  A
+    midpoint with ``|fun| <= target`` collapses its bracket onto itself.
+    Returns the bracket midpoints after ``max_iter`` steps, or sooner, once
+    every midpoint rounds onto an end of its bracket.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        f_mid = fun(mid)
+        hit = np.abs(f_mid) <= target
+        below = (f_lo < 0.0) == (f_mid < 0.0)
+        lo = np.where(below | hit, mid, lo)
+        hi = np.where(below & ~hit, hi, mid)
+        f_lo = np.where(below, f_mid, f_lo)
+    return 0.5 * (lo + hi)
 
 
 class CurvePoint(NamedTuple):

@@ -170,6 +170,24 @@ class TestSimulateCommand:
             "fracdde: error: delay 0.005 is shorter than the step h = 0.01\n"
         )
 
+    def test_uncountable_steps_exit_code(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--model", "ucar",
+                "--alpha", "0.9",
+                "--tau1", "0.4", "--tau2", "0.5",
+                "--T", "1e300", "--h", "1e-300",
+                "--history", "0.8",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "fracdde: error: delays (0.4, 0.5) and horizon 1e+300 span too many steps "
+            "h = 1e-300 to count\n"
+        )
+
     def test_truncation_exit_code_and_partial_output(self, tmp_path, capsys):
         out = tmp_path / "blowup.csv"
         code = main(

@@ -107,6 +107,11 @@ class TestBuildGrid:
             build_grid(DelayPair(0.4, 0.5), -1.0, 0.01)
         with pytest.raises(ValueError):
             build_grid(DelayPair(0.4, 0.5), 10.0, 0.0)
+        # Spans whose step counts overflow to infinity.
+        with pytest.raises(ValueError):
+            build_grid(DelayPair(0.4, 0.5), 1e300, 1e-300)
+        with pytest.raises(ValueError):
+            build_grid(DelayPair(1e300, 0.5), 10.0, 1e-300)
 
     def test_history_steps_property(self):
         grid = build_grid(DelayPair(0.4, 0.5), 10.0, 0.01)

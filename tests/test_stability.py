@@ -28,6 +28,7 @@ from fracdde import (
 )
 from fracdde import stability
 from oracles import (
+    _bisect,
     array_illinois,
     assert_rescaled_locus,
     bisect_line_search,
@@ -94,10 +95,35 @@ class TestFindEquilibria:
         assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-10)
 
     def test_sinusoidal_equilibria_match_references(self):
-        roots = find_equilibria(ikeda_rhs(), (-10.0, 10.0))
-        assert len(roots) == len(IKEDA_EQUILIBRIA)
-        for got, expected in zip(roots, IKEDA_EQUILIBRIA):
-            assert got == pytest.approx(expected, abs=1e-9)
+        # The refiner ends on adjacent floats, where the frozen mpmath roots
+        # round to the same float.
+        assert find_equilibria(ikeda_rhs(), (-10.0, 10.0)) == IKEDA_EQUILIBRIA
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [ikeda_rhs(), ikeda_rhs(IkedaParams(-3.0, 12.0)), ucar_rhs()],
+        ids=["ikeda", "ikeda_c2_12", "ucar"],
+    )
+    def test_odd_rhs_gives_mirrored_roots(self, rhs):
+        # g(-x, -x) = -g(x, x) and the scan is symmetric, so each bracket
+        # refines to adjacent floats around the negated root of its mirror.
+        roots = find_equilibria(rhs, (-10.0, 10.0))
+        assert len(roots) % 2 == 1
+        assert roots == [-r for r in reversed(roots)]
+
+    def test_refining_costs_few_calls(self):
+        # 2001 scan samples, then at most 8 refining steps and one pole
+        # check for each of the 7 roots.
+        calls = 0
+        g = ikeda_rhs().g
+
+        def counted(x1, x2):
+            nonlocal calls
+            calls += 1
+            return g(x1, x2)
+
+        assert len(find_equilibria(SystemRhs(g=counted), (-10.0, 10.0))) == 7
+        assert calls <= 2001 + 8 * 7
 
     def test_roots_are_numerically_exact(self):
         rhs = ikeda_rhs()
@@ -128,24 +154,24 @@ class TestFindEquilibria:
             assert find_equilibria(rhs, (-10.0, 10.0)) == [3.3]
 
     def test_tiny_scale_root_is_kept(self):
-        # |g| <= 1e-12 over the whole bracket: the first midpoint ends the
-        # bisection although |g| there exceeds it at the lower scan end.
-        # Only a point that exceeds both ends is taken for a pole.  At 1e-170
-        # the product of two scan samples would underflow to zero; the sign
-        # comparison still sees the change.
+        # |g| <= 1e-12 over the whole bracket, and the refiner has no
+        # tolerance on |g|: the root is found as at any other scale.  At
+        # 1e-170 the product of two scan samples would underflow to zero; the
+        # sign comparison still sees the change.
         for scale in (1e-20, 1e-170):
             rhs = SystemRhs(g=lambda x1, x2: scale * (x1 - 0.1201))
-            assert find_equilibria(rhs, (-10.0, 10.0)) == pytest.approx([0.125], abs=1e-12)
+            assert find_equilibria(rhs, (-10.0, 10.0)) == [0.1201]
 
     def test_unreachable_tolerance_ends_on_a_float_sign_change(self):
-        # At this scale rounding in g is far above 1e-12, so the bisection
-        # runs until its bracket holds two adjacent floats; the root is one
-        # of them, and g changes sign between it and a neighbour.
+        # At this scale rounding in g is far above 1e-12, so no point reaches
+        # |g| <= 1e-12; the refiner runs until its bracket holds two adjacent
+        # floats, the root is one of them, and g changes sign between it and
+        # a neighbour.
         rhs = SystemRhs(g=lambda x1, x2: 1e9 * (0.3 * x1 + math.sin(2.7 * x2 + 0.4)))
         roots = find_equilibria(rhs, (-10.0, 10.0))
         assert len(roots) == 5
-        # The reference keeps the sample of least |g| rather than the final
-        # bracket end, which can differ by a few ulps.
+        # Where rounding makes g change sign more than once near a root, the
+        # reference's bisection can end on another sign change a few ulps away.
         assert roots == pytest.approx(scalar_equilibria(rhs, (-10.0, 10.0)), rel=16 * 2.0**-52)
         for r in roots:
             g = rhs.g(r, r)
@@ -167,10 +193,18 @@ class TestFindEquilibria:
         assert find_equilibria(rhs, bracket) == scalar_equilibria(rhs, bracket)
 
     def test_matches_scalar_reference_on_random_cubics(self, rng):
+        # Both refiners end on adjacent floats, but where rounding makes g
+        # change sign more than once near a root they can end on different
+        # sign changes a few ulps apart.
         for _ in range(20):
             c = rng.normal(size=4) * 10.0 ** rng.uniform(-2.0, 2.0)
             rhs = SystemRhs(g=lambda x1, x2, c=c: ((c[0] * x1 + c[1]) * x1 + c[2]) * x1 + c[3])
-            assert find_equilibria(rhs, (-5.0, 5.0)) == scalar_equilibria(rhs, (-5.0, 5.0))
+            roots = find_equilibria(rhs, (-5.0, 5.0))
+            assert roots == pytest.approx(scalar_equilibria(rhs, (-5.0, 5.0)), rel=4 * 2.0**-52)
+            for r in roots:
+                g = rhs.g(r, r)
+                below, above = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+                assert g == 0.0 or any((g < 0.0) != (rhs.g(n, n) < 0.0) for n in (below, above))
 
     def test_rejects_bad_bracket(self):
         with pytest.raises(ValueError):
@@ -695,7 +729,7 @@ class TestCriticalTau2ForTau1:
 
         got = refine(counted, lo, hi, f_lo, f_hi, 360)
         assert calls <= 8
-        assert got.tobytes() == stability._bisect(fun, lo, hi, f_lo, 0.0, 360).tobytes()
+        assert got.tobytes() == _bisect(fun, lo, hi, f_lo, 0.0, 360).tobytes()
         assert got[0] == pytest.approx(float.fromhex("0x1.16407e3da0990p+1"), rel=1e-15)
 
     def test_done_bracket_is_not_evaluated_again(self):
@@ -745,7 +779,7 @@ class TestCriticalTau2ForTau1:
         lo, hi = np.array([0.0]), np.array([1.0])
         f_lo, f_hi = fun(lo), fun(hi)
         got = float(stability._illinois(counting("illinois"), lo, hi, f_lo, f_hi, 360)[0])
-        stability._bisect(counting("bisect"), lo, hi, f_lo, 0.0, 360)
+        _bisect(counting("bisect"), lo, hi, f_lo, 0.0, 360)
         if fun(got) != 0.0:
             below = got if fun(got) < 0.0 else np.nextafter(got, -np.inf)
             assert fun(below) < 0.0 < fun(np.nextafter(below, np.inf))
