@@ -104,14 +104,6 @@ def _coef_from_args(args: argparse.Namespace) -> LinearCoefficients:
     return linearize(_rhs_from_args(args), args.x_star)
 
 
-def _v_range(args: argparse.Namespace) -> tuple[float, float] | None:
-    if args.v_min is None and args.v_max is None:
-        return None
-    if args.v_min is None or args.v_max is None:
-        raise ValueError("--v-min and --v-max must be given together")
-    return (args.v_min, args.v_max)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
     grid = build_grid(DelayPair(args.tau1, args.tau2), args.T, args.h)
@@ -172,10 +164,12 @@ def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_curves(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
+    if (args.v_min is None) != (args.v_max is None):
+        raise ValueError("--v-min and --v-max must be given together")
     columns = curve_columns(
         args.alpha,
         coef,
-        v_range=_v_range(args),
+        v_range=None if args.v_min is None else (args.v_min, args.v_max),
         samples=args.samples,
         max_branch=args.max_branch,
     )
@@ -198,13 +192,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
     delays = DelayPair(args.tau1, args.tau2)
-    verdict, boundary = _classify_with_boundary(
-        args.alpha,
-        coef,
-        delays,
-        tolerance=args.tolerance,
-        v_range=_v_range(args),
-    )
+    verdict, boundary = _classify_with_boundary(args.alpha, coef, delays, args.tolerance)
     print(
         json.dumps(
             {
@@ -255,11 +243,6 @@ def _add_model_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c2", type=float, help="ikeda feedback gain (default 24)")
 
 
-def _add_window(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--v-min", type=float, help="lower end of the frequency window")
-    parser.add_argument("--v-max", type=float, help="upper end of the frequency window")
-
-
 # Built once per process: parsing leaves the parser unchanged, and the
 # commands look up what they call as module globals at call time.
 @functools.cache
@@ -284,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur = sub.add_parser("curves", help="sample the stability boundary and write CSV")
     _add_coefficient_source(p_cur)
     p_cur.add_argument("--alpha", type=float, required=True)
-    _add_window(p_cur)
+    p_cur.add_argument("--v-min", type=float, help="lower end of the frequency window")
+    p_cur.add_argument("--v-max", type=float, help="upper end of the frequency window")
     p_cur.add_argument("--samples", type=int, default=2000, help="frequency samples (default 2000)")
     p_cur.add_argument(
         "--max-branch", type=int, default=8, help="largest winding number (default 8)"
@@ -300,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--tolerance", type=float, default=1e-6, help="boundary band half-width (default 1e-6)"
     )
-    _add_window(p_cls)
     p_cls.set_defaults(func=_cmd_classify)
 
     p_eq = sub.add_parser("equilibria", help="list model equilibria as JSON")
@@ -329,7 +312,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # the package errors subclass ValueError
+    # The package errors subclass ValueError; numpy raises MemoryError when
+    # an array is too large to allocate.
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"fracdde: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

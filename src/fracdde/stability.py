@@ -341,7 +341,7 @@ def default_v_window(
     if math.isinf(hi):
         raise ValueError(
             f"the default frequency window 4*(|a| + |b|)**(1/alpha) exceeds the float "
-            f"range for a={c.a}, b={c.b}, alpha={al}; give an explicit window"
+            f"range for a={c.a}, b={c.b}, alpha={al}; curves can be given an explicit window"
         )
     return (1e-6, hi)
 
@@ -535,7 +535,6 @@ def critical_tau2_for_tau1(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
     tau1: float,
-    v_range: tuple[float, float] | None = None,
 ) -> float | None:
     """Smallest tau2 at which the vertical line tau1 = const meets the locus.
 
@@ -543,8 +542,8 @@ def critical_tau2_for_tau1(
     pair (tau1, tau2) at which a characteristic root reaches the imaginary
     axis when tau2 grows from 0 with tau1 held fixed, i.e. the stability
     boundary along that line; None means the line meets no crossing in the
-    crossing band ``||a| - |b|| <= v**alpha <= |a| + |b|``, or in the part
-    of it inside ``v_range`` when a window is given.
+    crossing band ``||a| - |b|| <= v**alpha <= |a| + |b|``.  The search
+    always covers the whole band: there is no frequency window to narrow it.
 
     On the line, lambda = i*v is a root for some tau2 exactly where ``z =
     (i*v)**alpha - a*exp(-i*v*tau1)`` has modulus |b|, i.e. where ``g(v) =
@@ -562,9 +561,9 @@ def critical_tau2_for_tau1(
     ValueError
         If the coefficients are not stable at zero delays (the first
         crossing of a line from an already unstable origin is meaningless),
-        if no window is given and the band ends beyond the float range, or,
-        before allocating them, if the scan needs more than 2**18
-        frequencies, samples and split points together.
+        if the band ends beyond the float range, or, before allocating them,
+        if the scan needs more than 2**18 frequencies, samples and split
+        points together.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -577,15 +576,13 @@ def critical_tau2_for_tau1(
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
     lo, hi = _band_edges(al, c)
-    if v_range is not None:
-        w_lo, w_hi = _resolve_search(al, c, v_range)
-        lo, hi = max(lo, w_lo), min(hi, w_hi)
-    elif math.isinf(hi):
+    if math.isinf(hi):
         raise ValueError(
             f"the crossing band's upper end (|a| + |b|)**(1/alpha) exceeds the float range "
-            f"for a={c.a}, b={c.b}, alpha={al}; give an explicit window"
+            f"for a={c.a}, b={c.b}, alpha={al}"
         )
-    # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0 there.
+    # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0
+    # there.  A band that underflows to 0 holds no positive float at all.
     lo, hi = max(lo * (1.0 - _SCAN_SLACK), math.ulp(0.0)), hi * (1.0 + _SCAN_SLACK)
     if not lo < hi:
         return None
@@ -596,7 +593,7 @@ def critical_tau2_for_tau1(
         if not count <= _SCAN_BUDGET:
             raise ValueError(
                 f"the line tau1 = {q!r} needs about {count:.4g} frequencies across the "
-                f"crossing band, more than the {_SCAN_BUDGET} allowed; narrow the window"
+                f"crossing band, more than the {_SCAN_BUDGET} allowed"
             )
 
     count = _SCAN_MIN + _SCAN_PER_RADIAN * q * (hi - lo)
@@ -626,27 +623,28 @@ def classify(
     coef: LinearCoefficients | tuple[float, float],
     delays: DelayPair | tuple[float, float],
     tolerance: float = 1e-6,
-    v_range: tuple[float, float] | None = None,
 ) -> StabilityVerdict:
     """Classify an equilibrium of the linearized problem at given delays.
 
     At zero delays the verdict reduces to :func:`stable_at_zero_delay`.  An
     equilibrium already unstable without delays stays Unstable for positive
     delays (delays cannot stabilize a positive coefficient sum here), and a
-    delay-free boundary case stays OnBoundary.  Otherwise the point is
-    compared against the stability boundary along its tau1 line: Stable
-    below it by more than ``tolerance``, Unstable above it by more than
-    ``tolerance``, OnBoundary inside the band.  The boundary is
-    :func:`critical_tau2_for_tau1`, searched over the whole crossing band,
-    or over its part inside ``v_range`` when a window is given; the search
-    works its sampling density out from the query.  When the tau1 line
-    misses every crossing, the lowest tau2 of the :func:`curve_columns`
-    locus on ``v_range`` (default :func:`default_v_window`), the curve
-    floor, stands in as a conservative boundary.  If the window holds no
-    crossing locus at all the delays are classified Stable, since no root
-    can have crossed the imaginary axis.
+    delay-free boundary case stays OnBoundary; these verdicts hold for a
+    vanishing coefficient too.  Otherwise the point is compared against the
+    stability boundary along its tau1 line: Stable below it by more than
+    ``tolerance``, Unstable above it by more than ``tolerance``, OnBoundary
+    inside the band.  The boundary is :func:`critical_tau2_for_tau1`, which
+    searches the whole crossing band; there is no frequency window.  When
+    the tau1 line misses every crossing, the lowest tau2 of the
+    :func:`curve_columns` locus on its default window, the curve floor,
+    stands in as a conservative boundary.  If that window samples no point
+    of the locus the delays are classified Stable, since no root can have
+    crossed the imaginary axis.  A band beyond the float range, or a line
+    over the scan budget of :func:`critical_tau2_for_tau1`, raises
+    ValueError, and a vanishing coefficient raises
+    DegenerateCoefficientsError once the verdict needs the boundary.
     """
-    return _classify_with_boundary(alpha, coef, delays, tolerance, v_range)[0]
+    return _classify_with_boundary(alpha, coef, delays, tolerance)[0]
 
 
 def _classify_with_boundary(
@@ -654,15 +652,14 @@ def _classify_with_boundary(
     coef: LinearCoefficients | tuple[float, float],
     delays: DelayPair | tuple[float, float],
     tolerance: float,
-    v_range: tuple[float, float] | None,
 ) -> tuple[StabilityVerdict, float | None]:
     """The verdict of :func:`classify` and the boundary tau2 behind it.
 
     The boundary is None when none applies: at zero delays, when the
-    coefficients are not stable at zero delays, or when the frequency
-    window holds no crossing locus.
+    coefficients are not stable at zero delays, or when the default window
+    samples no point of the crossing locus.
     """
-    c = _require_nondegenerate(coef)
+    c = _as_coef(coef)
     d = _as_delays(delays)
     tolerance = float(tolerance)
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
@@ -674,9 +671,10 @@ def _classify_with_boundary(
         return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return StabilityVerdict.UNSTABLE, None
-    boundary = critical_tau2_for_tau1(alpha, c, d.tau1, v_range=v_range)
+    # The line search rejects a vanishing coefficient first.
+    boundary = critical_tau2_for_tau1(alpha, c, d.tau1)
     if boundary is None:
-        floor = curve_columns(alpha, c, v_range).tau2
+        floor = curve_columns(alpha, c).tau2
         boundary = float(floor.min()) if floor.size else None
     if boundary is None or d.tau2 < boundary - tolerance:
         return StabilityVerdict.STABLE, boundary

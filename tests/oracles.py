@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from fracdde import LinearCoefficients, curve_columns
+from fracdde import LinearCoefficients, curve_columns, default_v_window
 from fracdde.numerics import (
     FractionalOrder,
     corner_weight_table,
@@ -492,7 +492,6 @@ def bisect_line_search(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
     tau1: float,
-    v_range: tuple[float, float] | None = None,
     samples: int = 2000,
     max_branch: int = 8,
 ) -> float | None:
@@ -508,7 +507,7 @@ def bisect_line_search(
     q = float(tau1)
     if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
         raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi = _resolve_search(al, c, v_range)
+    lo, hi = default_v_window(al, c)
 
     edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
     vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])

@@ -188,6 +188,26 @@ class TestSimulateCommand:
             "h = 1e-300 to count\n"
         )
 
+    def test_unallocatable_horizon_exit_code(self, tmp_path, capsys):
+        # 1e15 steps ask numpy for 7.11 PiB at once, which fails before any
+        # memory is touched; the error is a usage error, not a traceback.
+        out = tmp_path / "x.csv"
+        code = main(
+            [
+                "simulate",
+                "--model", "ucar",
+                "--alpha", "0.9",
+                "--tau1", "0.4", "--tau2", "0.5",
+                "--T", "1e13", "--h", "0.01",
+                "--history", "0.8",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fracdde: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_truncation_exit_code_and_partial_output(self, tmp_path, capsys):
         out = tmp_path / "blowup.csv"
         code = main(
@@ -377,9 +397,8 @@ class TestCurvesCommand:
 
 
 # (|a| + |b|)**(1/alpha) overflows.  The first window lies below the band;
-# in the second the band starts at 1e290, and the line tau1 = 1e-290 meets
-# it.  There about tau1*1e290 windings reach a line, far over the line
-# search's table budget at tau1 = 0.1.
+# in the second the band starts at 1e290.  curves samples either window;
+# classify searches the whole band and has no window.
 HUGE_BAND = [
     (["--a", "1e200", "--b=-3e200", "--alpha", "0.5"], ["--v-min", "1", "--v-max", "10"]),
     (["--a", "3.4e30", "--b=-3.5e30", "--alpha", "0.1"], ["--v-min", "1e289", "--v-max", "1e291"]),
@@ -425,18 +444,12 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("coef, window", HUGE_BAND)
     def test_explicit_window_classify(self, capsys, coef, window):
-        assert main(["classify", *coef, *window, "--tau1", "1e-290", "--tau2", "0.1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        (alpha, _, _), (s, scaled, scaled_window) = huge_band_problem(coef, window)
-        verdict, ref = stability._classify_with_boundary(
-            alpha, scaled, (1e-290 * s, 0.1 * s), 1e-6 * s, scaled_window
-        )
-        assert doc["verdict"] == verdict.value
-        if ref is None:
-            assert doc["critical_tau2"] is None
-        else:
-            assert doc["critical_tau2"] * s == pytest.approx(ref, rel=1e-12)
-        assert doc["verdict"] == ("Unstable" if alpha == 0.1 else "Stable")
+        # classify takes no window, so the one that curves samples is
+        # refused; without it the band is beyond the float range (see
+        # test_default_window_is_a_usage_error).
+        argv = ["classify", *coef, *window, "--tau1", "1e-290", "--tau2", "0.1"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: " + " ".join(window) in capsys.readouterr().err
 
 
 class TestClassifyCommand:
@@ -554,18 +567,44 @@ class TestClassifyCommand:
         assert doc["critical_tau2"] == pytest.approx(19677288.86819256, rel=1e-13)
 
     def test_curve_floor_fallback(self, tmp_path, capsys):
-        # The tau1 = 0.5 line misses every branch in this window, so the
-        # boundary is the lowest tau2 of the curves CSV for the same window.
-        window = ["--a", "1", "--b", "-3", "--alpha", "1", "--v-min", "3.9", "--v-max", "4.0"]
+        # The tau1 = 0.15 line misses every branch of the band, so the
+        # boundary is the lowest tau2 of the curves CSV on its default
+        # window.
+        coef = ["--a=-4.42", "--b", "0.0744", "--alpha", "0.556"]
         out = tmp_path / "curve.csv"
-        assert main(["curves", *window, "--out", str(out)]) == 0
+        assert main(["curves", *coef, "--out", str(out)]) == 0
         header, *lines = out.read_text().splitlines()
         assert header.split(",")[2] == "tau2"
         floor = min(float(line.split(",", 3)[2]) for line in lines)
-        code, doc = self.run(["classify", *window, "--tau1", "0.5", "--tau2", "0.9"], capsys)
+        code, doc = self.run(["classify", *coef, "--tau1", "0.15", "--tau2", "1"], capsys)
         assert code == 0
         assert doc["verdict"] == "Unstable"
-        assert doc["critical_tau2"] == floor
+        assert doc["critical_tau2"] == floor == 0.002137549932831143
+
+    def test_window_options_are_rejected(self, capsys):
+        # classify searches the whole crossing band: it takes no window.
+        argv = ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9", "--tau1", "0.4",
+                "--tau2", "0.5", "--v-min", "1", "--v-max", "2"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --v-min 1 --v-max 2" in err
+
+    @pytest.mark.parametrize(
+        "delays, verdict", [(("0.4", "0.5"), "Unstable"), (("0", "0"), "UnstableAtZeroDelays")]
+    )
+    def test_vanishing_coefficient_unstable_at_zero(self, capsys, delays, verdict):
+        # ucar at x* = 0 linearizes to (1, -0.0): a + b = 1 > 0 settles the
+        # verdict before the crossing curves, which need both coefficients.
+        code, doc = self.run(
+            ["classify", "--model", "ucar", "--x-star", "0", "--alpha", "0.9",
+             "--tau1", delays[0], "--tau2", delays[1]],
+            capsys,
+        )
+        assert code == 0
+        assert doc["verdict"] == verdict
+        assert doc["critical_tau2"] is None
+        assert (doc["a"], doc["b"]) == (1.0, 0.0)
 
 
 class TestEquilibriaCommand:
