@@ -11,8 +11,9 @@ As the delays grow, stability can only be lost through a purely imaginary
 characteristic root lambda = i*v with v > 0.  Splitting that condition into
 real and imaginary parts and eliminating the trigonometric unknowns yields,
 for each crossing frequency v, arccos expressions for the two delays; these
-trace parametric curves in the (tau1, tau2) plane whose lowest branch bounds
-the region, attached to the origin, where stability persists.  The signs of
+trace parametric curves in the (tau1, tau2) plane.  Stability can be lost
+and regained across them, so :func:`classify` counts the roots that cross
+on a path from the origin to the point instead.  The signs of
 the two arccos branches are tied to each other by the coefficient signs
 (:func:`_paired_sign`), so every pairing formed is a crossing, whatever the
 scale of the coefficients.
@@ -540,21 +541,12 @@ def critical_tau2_for_tau1(
 
     For coefficients that are stable at zero delays, this is the first delay
     pair (tau1, tau2) at which a characteristic root reaches the imaginary
-    axis when tau2 grows from 0 with tau1 held fixed, i.e. the stability
-    boundary along that line; None means the line meets no crossing in the
-    crossing band ``||a| - |b|| <= v**alpha <= |a| + |b|``.  The search
+    axis when tau2 grows from 0 with tau1 held fixed; None means the line
+    meets no crossing in the crossing band ``||a| - |b|| <= v**alpha <= |a|
+    + |b|``.  It is the first crossing only: where a root crosses back, a
+    point above it can be stable again (:func:`classify` counts every
+    crossing of :func:`_line_crossings`, whose scan this is).  The search
     always covers the whole band: there is no frequency window to narrow it.
-
-    On the line, lambda = i*v is a root for some tau2 exactly where ``z =
-    (i*v)**alpha - a*exp(-i*v*tau1)`` has modulus |b|, i.e. where ``g(v) =
-    a1(v) - cos(tau1*v + alpha*pi/2)`` vanishes, a1 the tau1 arccos argument
-    (:func:`_argument`).  g is sampled across the band at 256 frequencies
-    plus 2 per radian that tau1*v sweeps there.  An interval without a sign
-    change that :func:`_may_hide_root` cannot show root-free is split in
-    two, down to adjacent floats, so two crossings between neighbouring
-    samples are found too.  :func:`_illinois` refines every sign change.  At
-    a root v, ``b*exp(-i*v*tau2) = z``: ``((-arg(z/b)) mod 2*pi)/v`` is the
-    smallest nonnegative tau2, and every 2*pi/v above it is one more.
 
     Raises
     ------
@@ -575,17 +567,43 @@ def critical_tau2_for_tau1(
             "the crossing search requires coefficients stable at zero delays "
             f"(a + b < 0), got a={c.a}, b={c.b}"
         )
-    lo, hi = _band_edges(al, c)
-    if math.isinf(hi):
+    tau2 = _line_crossings(al, c, q)[2]
+    return float(tau2.min()) if tau2.size else None
+
+
+def _finite_band(al: float, c: LinearCoefficients) -> list[float]:
+    """:func:`_band_edges`, raising ValueError when the upper one is beyond the float range."""
+    edges = _band_edges(al, c)
+    if math.isinf(edges[1]):
         raise ValueError(
             f"the crossing band's upper end (|a| + |b|)**(1/alpha) exceeds the float range "
             f"for a={c.a}, b={c.b}, alpha={al}"
         )
+    return edges
+
+
+def _line_crossings(al: float, c: LinearCoefficients, q: float):
+    """Every crossing on the line tau1 = q, as arrays ``(v, w, tau2)``.
+
+    On the line, lambda = i*v is a root for some tau2 exactly where ``w =
+    (i*v)**alpha - a*exp(-i*v*q)`` has modulus |b|, i.e. where ``g(v) =
+    a1(v) - cos(q*v + alpha*pi/2)`` vanishes, a1 the tau1 arccos argument
+    (:func:`_argument`).  g is sampled across the band at 256 frequencies
+    plus 2 per radian that q*v sweeps there.  An interval without a sign
+    change that :func:`_may_hide_root` cannot show root-free is split in
+    two, down to adjacent floats, so two crossings between neighbouring
+    samples are found too.  :func:`_illinois` refines every sign change.  At
+    a root v, ``b*exp(-i*v*tau2) = w``: ``tau2 = ((-arg(w/b)) mod 2*pi)/v``
+    is the smallest nonnegative delay, and every 2*pi/v above it is one
+    more.  Raises as :func:`critical_tau2_for_tau1` does on the band and the
+    scan budget.
+    """
+    lo, hi = _finite_band(al, c)
     # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0
     # there.  A band that underflows to 0 holds no positive float at all.
     lo, hi = max(lo * (1.0 - _SCAN_SLACK), math.ulp(0.0)), hi * (1.0 + _SCAN_SLACK)
     if not lo < hi:
-        return None
+        return (np.empty(0),) * 3
     half = 0.5 * math.pi * al
     g = lambda v: _argument(c.a, c.b, v**al, v ** (2.0 * al)) - np.cos(q * v + half)
 
@@ -612,10 +630,76 @@ def critical_tau2_for_tau1(
     # The midpoint fallback halves every bracket at least every fourth
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
     v = np.concatenate([v[y == 0.0], _illinois(g, v[i], v[i + 1], y[i], y[i + 1], 360)])
-    if not v.size:
-        return None
-    z = (1j * v) ** al - c.a * np.exp(-1j * q * v)
-    return float((np.mod(-np.angle(z / c.b), _TWO_PI) / v).min())
+    w = (1j * v) ** al - c.a * np.exp(-1j * q * v)
+    return v, w, np.mod(-np.angle(w / c.b), _TWO_PI) / v
+
+
+def _single_delay_crossings(al: float, k: float, c0: float) -> list[tuple[float, float, float]]:
+    """Crossings of ``lambda**alpha - c0 - k*exp(-lambda*tau)`` as tau grows
+    from 0, as :func:`_tally` takes them, on Python floats.
+
+    lambda = i*v is a root for some tau exactly where ``w = (i*v)**alpha -
+    c0`` has modulus |k|, i.e. where u = v**alpha solves ``u*u -
+    2*c0*cos(alpha*pi/2)*u + c0*c0 - k*k = 0``: at most two frequencies.
+    """
+    if k == 0.0:
+        return []
+    half = 0.5 * math.pi * al
+    p, s = c0 * math.cos(half), abs(c0 * math.sin(half))
+    if abs(k) < s:
+        return []
+    # The root of the larger modulus without cancellation, the other from
+    # the product of the roots, c0*c0 - k*k.
+    big = p + math.copysign(math.sqrt((abs(k) - s) * (abs(k) + s)), p)
+    crossings = []
+    for u in (big, (c0 - k) / big * (c0 + k)):
+        if u > 0.0:
+            v = u ** (1.0 / al)
+            w = (1j * v) ** al - c0
+            crossings.append((((-cmath.phase(w / k)) % _TWO_PI) / v, v, _side(al, v, w, 0.0)))
+    return crossings
+
+
+def _side(al: float, v: float, w: complex, rest: complex) -> float:
+    """``Im(w*conj(p))`` with ``p = alpha*(i*v)**(alpha - 1) + rest``: its
+    sign is that of Re(d lambda/d tau) where lambda = i*v crosses.
+
+    ``w = k*exp(-i*v*tau)`` is the term of the delay tau that moves, and p
+    the lambda-derivative of the rest of the characteristic function F,
+    ``rest`` that of its other delay term.  From ``F_lambda = p + tau*w``
+    and ``F_tau = i*v*w``, ``Re(d lambda/d tau) = Re(-F_tau/F_lambda)`` has
+    the sign of ``Re(-i*v*w*conj(p))``, v times the side, since the tau*w
+    term adds ``Re(-i*v*tau*|w|**2) = 0``: the side is the same at every
+    delay where the crossing recurs.
+    """
+    return (w * (al * (1j * v) ** (al - 1.0) + rest).conjugate()).imag
+
+
+def _tally(crossings, tau: float, tolerance: float | None) -> int | None:
+    """Right-half-plane roots gained on a leg whose delay grows from 0 to tau.
+
+    Each of ``crossings`` is ``(tau0, v, side)``: lambda = i*v is a root at
+    ``tau0 + 2*pi*m/v`` for every m >= 0, and each of those delays below tau
+    adds the root and its conjugate, 2 where :func:`_side` is positive and
+    -2 where it is negative.  Returns None when one of the delays lies
+    within ``tolerance`` of tau (never for a None tolerance).  Raises
+    ValueError on a tangential crossing below tau, side 0, where the count
+    is undefined.
+    """
+    count = 0
+    for tau0, v, side in crossings:
+        period = _TWO_PI / v
+        laps = (tau - tau0) / period
+        if tolerance is not None and abs(tau0 + max(0, round(laps)) * period - tau) <= tolerance:
+            return None
+        if laps > 0.0:
+            if side == 0.0:
+                raise ValueError(
+                    f"the root i*{v!r} touches the imaginary axis without crossing it; "
+                    "the count of right-half-plane roots is undefined there"
+                )
+            count += math.ceil(laps) * (2 if side > 0.0 else -2)
+    return count
 
 
 def classify(
@@ -628,21 +712,22 @@ def classify(
 
     At zero delays the verdict reduces to :func:`stable_at_zero_delay`.  An
     equilibrium already unstable without delays stays Unstable for positive
-    delays (delays cannot stabilize a positive coefficient sum here), and a
-    delay-free boundary case stays OnBoundary; these verdicts hold for a
-    vanishing coefficient too.  Otherwise the point is compared against the
-    stability boundary along its tau1 line: Stable below it by more than
-    ``tolerance``, Unstable above it by more than ``tolerance``, OnBoundary
-    inside the band.  The boundary is :func:`critical_tau2_for_tau1`, which
-    searches the whole crossing band; there is no frequency window.  When
-    the tau1 line misses every crossing, the lowest tau2 of the
-    :func:`curve_columns` locus on its default window, the curve floor,
-    stands in as a conservative boundary.  If that window samples no point
-    of the locus the delays are classified Stable, since no root can have
-    crossed the imaginary axis.  A band beyond the float range, or a line
-    over the scan budget of :func:`critical_tau2_for_tau1`, raises
-    ValueError, and a vanishing coefficient raises
-    DegenerateCoefficientsError once the verdict needs the boundary.
+    delays (a positive real root persists), and a delay-free boundary case
+    stays OnBoundary.  Otherwise the verdict is the number of
+    right-half-plane characteristic roots, 0 at the origin, counted along
+    the path (0, 0) -> (tau1, 0) -> (tau1, tau2) (Gu, Niculescu & Chen,
+    J. Math. Anal. Appl. 311 (2005) 231-253): each imaginary-axis crossing
+    on the path adds 2 or -2 by the side to which it crosses.  The leg
+    tau2 = 0 has at most two crossing frequencies, in closed form
+    (:func:`_single_delay_crossings`); the leg on the tau1 line takes every
+    crossing of the line search behind :func:`critical_tau2_for_tau1`.  A
+    crossing on the tau1 line within ``tolerance`` of tau2 makes the point
+    OnBoundary; otherwise it is Stable iff the count is 0.  A vanishing
+    coefficient leaves one delay, whose leg is closed form too.
+
+    Raises ValueError for a band beyond the float range, a line over the
+    scan budget of :func:`critical_tau2_for_tau1`, or a tangential crossing
+    on the path, where the count is undefined.
     """
     return _classify_with_boundary(alpha, coef, delays, tolerance)[0]
 
@@ -653,12 +738,15 @@ def _classify_with_boundary(
     delays: DelayPair | tuple[float, float],
     tolerance: float,
 ) -> tuple[StabilityVerdict, float | None]:
-    """The verdict of :func:`classify` and the boundary tau2 behind it.
+    """The verdict of :func:`classify` and ``critical_tau2``, the first
+    crossing on the tau1 line.
 
-    The boundary is None when none applies: at zero delays, when the
-    coefficients are not stable at zero delays, or when the default window
-    samples no point of the crossing locus.
+    ``critical_tau2`` is None at zero delays, when the coefficients are not
+    stable at zero delays, and when the tau1 line meets no crossing.  At a
+    stability switch a point above it can be Stable.  The one line scan
+    serves both.
     """
+    al = order_value(alpha)
     c = _as_coef(coef)
     d = _as_delays(delays)
     tolerance = float(tolerance)
@@ -671,13 +759,27 @@ def _classify_with_boundary(
         return StabilityVerdict.ON_BOUNDARY, None
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return StabilityVerdict.UNSTABLE, None
-    # The line search rejects a vanishing coefficient first.
-    boundary = critical_tau2_for_tau1(alpha, c, d.tau1)
-    if boundary is None:
-        floor = curve_columns(alpha, c).tau2
-        boundary = float(floor.min()) if floor.size else None
-    if boundary is None or d.tau2 < boundary - tolerance:
-        return StabilityVerdict.STABLE, boundary
-    if d.tau2 > boundary + tolerance:
-        return StabilityVerdict.UNSTABLE, boundary
-    return StabilityVerdict.ON_BOUNDARY, boundary
+    _finite_band(al, c)
+    leg1 = _single_delay_crossings(al, c.a, c.b)
+    last, boundary = d.tau2, None
+    if c.b == 0.0:
+        # tau2 drops out: the tau1 leg reaches the point, and the tau1 line
+        # meets no crossing.
+        leg1, leg2, last = [], leg1, d.tau1
+    elif c.a == 0.0:
+        leg2 = _single_delay_crossings(al, c.b, 0.0)
+        boundary = min((tau0 for tau0, _, _ in leg2), default=None)
+    else:
+        v, w, tau0 = (x.tolist() for x in _line_crossings(al, c, d.tau1))
+        boundary, q = min(tau0, default=None), d.tau1
+        # Sides only for the crossings that can lie below the point.
+        leg2 = [
+            (t, x, _side(al, x, z, c.a * q * cmath.exp(-1j * x * q)))
+            for t, x, z in zip(tau0, v, w)
+            if t <= d.tau2 + tolerance
+        ]
+    count = _tally(leg2, last, tolerance)
+    if count is None:
+        return StabilityVerdict.ON_BOUNDARY, boundary
+    count += _tally(leg1, d.tau1, None)
+    return (StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE), boundary

@@ -40,6 +40,13 @@ Python-float refiner :func:`fracdde.stability._illinois`.
 
 ``random_line_queries`` draws the fixed random set of line queries on which
 the line search and the classify verdicts are measured.
+
+``rhp_root_count`` counts the right-half-plane characteristic roots by the
+argument principle, from the characteristic function alone: the truth for
+the verdicts of :func:`fracdde.classify`, which counts crossings instead.
+On the diagonal tau1 = tau2 = tau the problem has one delay with
+coefficient a + b, and ``diagonal_critical_delay`` is its stable range in
+closed form; ``diagonal_queries`` draws the fixed diagonal set.
 """
 
 from __future__ import annotations
@@ -678,4 +685,86 @@ def random_line_queries() -> list[tuple[float, float, float, float, float]]:
         tau1, tau2 = rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)
         if min(abs(a), abs(b)) >= 0.05 and a + b < -1e-3:
             queries.append((alpha, a, b, tau1, tau2))
+    return queries
+
+
+_PHASE_STEP = math.pi / 4
+_MAX_REFINE = 40
+
+
+def rhp_root_count(alpha: float, a: float, b: float, tau1: float, tau2: float) -> int:
+    """Right-half-plane roots of lambda**alpha - a e^{-lambda tau1} - b e^{-lambda tau2}.
+
+    Argument principle on the boundary of the right half-disc of radius R,
+    traversed counterclockwise: the arc from -iR through R to iR, then the
+    imaginary axis back down.  For Re(lambda) >= 0 the delay terms are at most
+    |a| + |b| in modulus, so no root lies beyond R = 2 (|a|+|b|)**(1/alpha) + 1.
+    The contour is refined until no phase step exceeds pi/4, so the winding
+    number cannot alias.  Raises if a root sits on the contour.
+    """
+    radius = 2.0 * (abs(a) + abs(b)) ** (1.0 / alpha) + 1.0
+    half = math.pi / 2
+    # Parameter s runs over [-pi/2, pi/2] along the arc, then over
+    # [pi/2, pi/2 + 2R] down the imaginary axis.
+    span = half + 2.0 * radius
+    oscillations = radius * max(tau1, tau2, 1.0)
+    s = np.linspace(-half, span, int(max(512, 16 * oscillations)))
+
+    def contour(s):
+        on_arc = s <= half
+        lam = np.empty(s.shape, dtype=complex)
+        lam[on_arc] = radius * np.exp(1j * s[on_arc])
+        lam[~on_arc] = 1j * (radius - (s[~on_arc] - half))
+        return lam
+
+    def characteristic(lam):
+        return lam**alpha - a * np.exp(-lam * tau1) - b * np.exp(-lam * tau2)
+
+    values = characteristic(contour(s))
+    for _ in range(_MAX_REFINE):
+        if np.min(np.abs(values)) == 0.0:
+            raise ArithmeticError("characteristic root on the contour")
+        steps = np.angle(values[1:] / values[:-1])
+        coarse = np.abs(steps) > _PHASE_STEP
+        if not coarse.any():
+            return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
+        mids = 0.5 * (s[:-1][coarse] + s[1:][coarse])
+        s = np.sort(np.concatenate([s, mids]))
+        values = characteristic(contour(s))
+    raise ArithmeticError("contour refinement did not converge; a root is near the contour")
+
+
+def diagonal_critical_delay(alpha: float, a: float, b: float) -> float:
+    """tau* = pi*(1 - alpha/2) / |a + b|**(1/alpha), for a + b < 0.
+
+    On tau1 = tau2 = tau the characteristic function is lambda**alpha - (a +
+    b)*exp(-lambda*tau).  Its roots reach the imaginary axis only at v =
+    |a + b|**(1/alpha), first at tau*, where they cross to the right; so
+    the point is stable exactly for tau < tau*.
+    """
+    return math.pi * (1.0 - 0.5 * alpha) / abs(a + b) ** (1.0 / alpha)
+
+
+def diagonal_queries() -> list[tuple[float, float, float, float]]:
+    """The diagonal set: 278 queries ``(alpha, a, b, tau)`` at tau1 = tau2 = tau.
+
+    ``random.Random(11)`` draws alpha on [0.3, 1], then a and b on [-5, 5];
+    a draw with |a| or |b| below 0.05, or with a + b >= -0.05, is redrawn.
+    Of 300 such draws, those with tau* = :func:`diagonal_critical_delay`
+    above 10 are skipped; otherwise tau is drawn on [0, 3*tau*], and the
+    draw is skipped if |tau - tau*| < 1e-4.  99 of the 278 kept have tau <
+    tau*.
+    """
+    rng = random.Random(11)
+    queries = []
+    for _ in range(300):
+        alpha, a, b = rng.uniform(0.3, 1.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        while min(abs(a), abs(b)) < 0.05 or a + b >= -0.05:
+            alpha, a, b = rng.uniform(0.3, 1.0), rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        star = diagonal_critical_delay(alpha, a, b)
+        if star > 10.0:
+            continue
+        tau = rng.uniform(0.0, 3.0 * star)
+        if abs(tau - star) >= 1e-4:
+            queries.append((alpha, a, b, tau))
     return queries

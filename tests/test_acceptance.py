@@ -238,6 +238,25 @@ def test_c9_classify_agrees_with_long_run_dynamics():
         assert classify(0.9, coef, (0.0, 0.0)) is expected
 
 
+
+@pytest.mark.parametrize(
+    "tau2, verdict",
+    [(0.5, "Unstable"), (0.6, "Stable"), (0.7, "Stable"), (0.8, "Stable"), (1.0, "Unstable")],
+)
+def test_c10_stability_switch_on_the_tau1_line(tau2, verdict):
+    # The paper's switch: on tau1 = 1 the ucar equilibrium x* = 1 loses
+    # stability below tau2 = 0.5, regains it by 0.6 and loses it again
+    # before 1.0.  A stable run's last quarter is flat to 2e-5 here, an
+    # unstable one keeps oscillating by 0.24 or more.
+    coef = linearize(ucar_rhs(), 1.0)
+    assert classify(0.9, coef, (1.0, tau2)).value == verdict
+    grid = build_grid(DelayPair(1.0, tau2), 400.0, 0.01)
+    traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
+    assert not traj.is_truncated
+    tail = traj.values[grid.history_steps :][-(grid.n_steps // 4) :]
+    swing = float(np.ptp(tail))
+    assert swing < 1e-3 if verdict == "Stable" else swing > 0.1
+
 def test_acceptance_cli_surface(tmp_path):
     # The same scenarios drive through the command line: a trajectory CSV, a
     # boundary CSV, and a classify verdict, exercising install-level wiring.

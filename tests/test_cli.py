@@ -472,22 +472,28 @@ class TestClassifyCommand:
         assert doc["critical_tau2"] > 0.5
 
     def test_boundary_computed_once(self, capsys, monkeypatch):
+        # One line scan per query gives both the boundary and the crossings
+        # that the count adds up; at tau2 = 0.7 one pair has crossed to the
+        # right and back.
         calls = []
-        line_search = stability.critical_tau2_for_tau1
+        line_crossings = stability._line_crossings
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return line_search(*args, **kwargs)
+            return line_crossings(*args, **kwargs)
 
-        monkeypatch.setattr(stability, "critical_tau2_for_tau1", counting)
-        code, doc = self.run(
-            ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9",
-             "--tau1", "0.4", "--tau2", "0.5"],
-            capsys,
-        )
-        assert code == 0
-        assert doc["critical_tau2"] > 0.5
-        assert len(calls) == 1
+        monkeypatch.setattr(stability, "_line_crossings", counting)
+        for tau1, tau2 in (("0.4", "0.5"), ("1", "0.7")):
+            code, doc = self.run(
+                ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9",
+                 "--tau1", tau1, "--tau2", tau2],
+                capsys,
+            )
+            assert code == 0
+            assert doc["verdict"] == "Stable"
+            assert len(calls) == 1
+            calls.clear()
+        assert doc["critical_tau2"] < 0.5
 
     def test_unstable_point(self, capsys):
         code, doc = self.run(
@@ -566,20 +572,44 @@ class TestClassifyCommand:
         assert doc["verdict"] == "Stable"
         assert doc["critical_tau2"] == pytest.approx(19677288.86819256, rel=1e-13)
 
-    def test_curve_floor_fallback(self, tmp_path, capsys):
-        # The tau1 = 0.15 line misses every branch of the band, so the
-        # boundary is the lowest tau2 of the curves CSV on its default
-        # window.
+    def test_missed_line_has_no_boundary(self, tmp_path, capsys):
+        # The tau1 = 0.15 line misses every branch of the band, although the
+        # curves CSV holds points below tau2 = 1: no root crosses on the way
+        # to (0.15, 1), and no boundary lies above the line.
         coef = ["--a=-4.42", "--b", "0.0744", "--alpha", "0.556"]
         out = tmp_path / "curve.csv"
         assert main(["curves", *coef, "--out", str(out)]) == 0
         header, *lines = out.read_text().splitlines()
         assert header.split(",")[2] == "tau2"
-        floor = min(float(line.split(",", 3)[2]) for line in lines)
+        assert min(float(line.split(",", 3)[2]) for line in lines) < 1.0
         code, doc = self.run(["classify", *coef, "--tau1", "0.15", "--tau2", "1"], capsys)
         assert code == 0
-        assert doc["verdict"] == "Unstable"
-        assert doc["critical_tau2"] == floor == 0.002137549932831143
+        assert doc["verdict"] == "Stable"
+        assert doc["critical_tau2"] is None
+
+    @pytest.mark.parametrize(
+        "argv, verdict, boundary",
+        [
+            # Below the default window's fixed lower end 1e-6, and missed by
+            # the line: the count needs no window.
+            (["--a=-0.015625", "--b", "0.00390625", "--alpha", "0.25",
+              "--tau1", "0.1", "--tau2", "1"], "Stable", None),
+            # The stability switch on tau1 = 1: stable again above the
+            # first crossing on the line.
+            (["--model", "ucar", "--x-star", "1", "--alpha", "0.9",
+              "--tau1", "1", "--tau2", "0.7"], "Stable", 0.39379713966451213),
+            # b = 0 leaves one delay, tau* = pi*(1 - 0.45) = 1.728.
+            (["--a", "-1", "--b", "0", "--alpha", "0.9", "--tau1", "2", "--tau2", "0.5"],
+             "Unstable", None),
+            (["--a", "-1", "--b", "0", "--alpha", "0.9", "--tau1", "1.5", "--tau2", "0.5"],
+             "Stable", None),
+        ],
+    )
+    def test_verdict_is_the_root_count(self, capsys, argv, verdict, boundary):
+        code, doc = self.run(["classify", *argv], capsys)
+        assert code == 0
+        assert doc["verdict"] == verdict
+        assert doc["critical_tau2"] == boundary
 
     def test_window_options_are_rejected(self, capsys):
         # classify searches the whole crossing band: it takes no window.
@@ -595,7 +625,7 @@ class TestClassifyCommand:
     )
     def test_vanishing_coefficient_unstable_at_zero(self, capsys, delays, verdict):
         # ucar at x* = 0 linearizes to (1, -0.0): a + b = 1 > 0 settles the
-        # verdict before the crossing curves, which need both coefficients.
+        # verdict before any crossing is counted.
         code, doc = self.run(
             ["classify", "--model", "ucar", "--x-star", "0", "--alpha", "0.9",
              "--tau1", delays[0], "--tau2", delays[1]],

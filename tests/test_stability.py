@@ -33,12 +33,15 @@ from oracles import (
     assert_rescaled_locus,
     bisect_line_search,
     curve_points,
+    diagonal_critical_delay,
+    diagonal_queries,
     locus_rows,
     object_curve_points,
     parametric_delays,
     random_line_queries,
     reach,
     rescaled,
+    rhp_root_count,
     scalar_equilibria,
     table_line_search,
     tau1_branches,
@@ -54,11 +57,10 @@ FIELDS = ("v", "tau1", "tau2", "sign1", "m1", "sign2", "m2", "residual")
 # argument is +-1, on a band edge.
 TAU2_TOL = 1e-13
 FOLD_TOL = 1e-8
-# A line that misses every crossing: alpha, (a, b) and tau1.  Its curve
-# floor, the lowest tau2 of the locus on the default window, is
-# 0.002137549932831143.
+# A line that misses every crossing: alpha, (a, b) and tau1.  The lowest
+# tau2 of the locus on the default window is 0.002137549932831143, but no
+# root crosses on the path to a point of the line: the count there is 0.
 MISSED_LINE = (0.556, (-4.42, 0.0744), 0.15)
-MISSED_FLOOR = 0.002137549932831143
 
 
 def same_crossing(got, ref, tol=TAU2_TOL):
@@ -1071,17 +1073,17 @@ class TestDelayPlaneBoundary:
         direct = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
         assert self.boundary(0.0) == direct
 
-    def test_falls_back_to_curve_floor(self):
-        # This line misses every branch of the band, but curve points exist;
-        # their lowest tau2 on the default window stands in as the boundary.
+    def test_null_when_the_line_misses_every_crossing(self):
+        # This line misses every branch of the band, though the locus has
+        # points below tau2 = 1 elsewhere: no boundary lies above the line.
         alpha, coef, q = MISSED_LINE
         assert critical_tau2_for_tau1(alpha, coef, q) is None
-        boundary = self.boundary(q, alpha=alpha, coef=coef)
-        assert boundary == curve_columns(alpha, coef).tau2.min() == MISSED_FLOOR
+        assert self.boundary(q, alpha=alpha, coef=coef) is None
+        assert curve_columns(alpha, coef).tau2.min() < 1.0
 
     def test_line_search_past_eight_windings_on_default_window(self):
         # Windings up to 19 reach tau1 = 30, so the line meets the locus
-        # itself, just above the curve floor, and the floor is not used.
+        # just above the lowest tau2 of the locus on the default window.
         boundary = self.boundary(30.0)
         assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0)
         assert same_crossing(boundary, 0.36622093074825357)
@@ -1111,13 +1113,83 @@ class TestClassify:
         assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-8)) is StabilityVerdict.ON_BOUNDARY
         assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-8)) is StabilityVerdict.ON_BOUNDARY
 
-    def test_fallback_window_verdicts(self):
-        # Against the curve floor of a line that misses every crossing.
+    def test_missed_line_counts_no_root(self):
+        # No root crosses on the path to any point of a line that misses
+        # every crossing, although points of the locus lie below tau2 = 1.
         alpha, coef, q = MISSED_LINE
-        stable = classify(alpha, coef, (q, 0.5 * MISSED_FLOOR))
-        unstable = classify(alpha, coef, (q, 1.0))
-        assert stable is StabilityVerdict.STABLE
-        assert unstable is StabilityVerdict.UNSTABLE
+        for tau2 in (0.001, 1.0):
+            assert classify(alpha, coef, (q, tau2)) is StabilityVerdict.STABLE
+            assert rhp_root_count(alpha, *coef, q, tau2) == 0
+
+    def test_verdict_never_reads_the_locus(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("classify sampled the locus")
+
+        monkeypatch.setattr(stability, "curve_columns", unused)
+        monkeypatch.setattr(stability, "default_v_window", unused)
+        alpha, coef, q = MISSED_LINE
+        assert classify(alpha, coef, (q, 1.0)) is StabilityVerdict.STABLE
+        assert classify(0.9, UCAR_COEF, (1.0, 0.5)) is StabilityVerdict.UNSTABLE
+        assert classify(0.9, UCAR_COEF, (1.0, 0.7)) is StabilityVerdict.STABLE
+
+    # The ranges of the random set.  The reference count's contour grows
+    # with the delays, so they stay below 4.
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.3, 1.0),
+        a=st.floats(-5.0, 5.0),
+        b=st.floats(-5.0, 5.0),
+        tau1=st.floats(0.0, 4.0),
+        tau2=st.floats(0.0, 4.0),
+    )
+    def test_property_verdict_is_the_root_count(self, alpha, a, b, tau1, tau2):
+        assume(a + b < -1e-3 and tau1 + tau2 > 0.0)
+        verdict = classify(alpha, (a, b), (tau1, tau2))
+        assume(verdict is not StabilityVerdict.ON_BOUNDARY)
+        count = rhp_root_count(alpha, a, b, tau1, tau2)
+        assert (verdict is StabilityVerdict.STABLE) == (count == 0), count
+
+    def test_random_set_counts_the_same_along_either_path(self):
+        # Exchanging the roles of the delays counts along the other path,
+        # (0, 0) -> (0, tau2) -> (tau1, tau2), from other crossings.
+        for alpha, a, b, tau1, tau2 in random_line_queries():
+            verdict = classify(alpha, (a, b), (tau1, tau2))
+            assert classify(alpha, (b, a), (tau2, tau1)) is verdict
+
+    def test_diagonal_set_is_stable_below_the_closed_form(self):
+        queries = diagonal_queries()
+        assert len(queries) == 278
+        for alpha, a, b, tau in queries:
+            stable = tau < diagonal_critical_delay(alpha, a, b)
+            assert (classify(alpha, (a, b), (tau, tau)) is StabilityVerdict.STABLE) == stable
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        alpha=st.floats(0.1, 1.0),
+        k=st.floats(0.05, 5.0),
+        tau=st.floats(0.0, 10.0),
+        other=st.floats(0.0, 10.0),
+        mirror=st.booleans(),
+    )
+    def test_property_single_delay_is_stable_below_the_closed_form(
+        self, alpha, k, tau, other, mirror
+    ):
+        # With b = 0 only tau1 matters; with a = 0 only tau2.
+        star = diagonal_critical_delay(alpha, -k, 0.0)
+        assume(abs(tau - star) > 1e-6 and tau + other > 0.0)
+        coef, delays = ((0.0, -k), (other, tau)) if mirror else ((-k, 0.0), (tau, other))
+        stable = classify(alpha, coef, delays) is StabilityVerdict.STABLE
+        assert stable == (tau < star)
+
+    def test_tangential_crossing_is_refused(self):
+        # A root that touches the axis without crossing leaves the count
+        # undefined above that delay; below it the count still stands.
+        with pytest.raises(ValueError, match="undefined"):
+            stability._tally([(0.5, 2.0, 0.0)], 1.0, 1e-6)
+        assert stability._tally([(0.5, 2.0, 0.0)], 0.4, 1e-6) == 0
+        # Each recurrence 0.5 + pi*m below 7 adds 2; 0.5 + 2*pi is in the band.
+        assert stability._tally([(0.5, 2.0, 1.0)], 7.0, 1e-6) == 6
+        assert stability._tally([(0.5, 2.0, -1.0)], 0.5 + 2.0 * math.pi, 1e-6) is None
 
     def test_verdict_stable_under_sampling_density(self, monkeypatch):
         cases = [
@@ -1132,15 +1204,30 @@ class TestClassify:
             assert classify(alpha, coef, delays) is verdict, f"{alpha}, {delays}"
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateCoefficientsError):
-            classify(0.9, (-1.0, 0.0), (0.1, 0.1))
+        # The locus and the line search need both coefficients; classify
+        # counts the one delay left in closed form, tau* = pi*(1 - 0.45).
+        for call in (
+            lambda: critical_tau2_for_tau1(0.9, (-1.0, 0.0), 0.1),
+            lambda: critical_tau2_for_tau1(0.9, (0.0, -1.0), 0.1),
+            lambda: curve_columns(0.9, (-1.0, 0.0)),
+        ):
+            with pytest.raises(DegenerateCoefficientsError):
+                call()
+        assert classify(0.9, (-1.0, 0.0), (2.0, 0.5)) is StabilityVerdict.UNSTABLE
+        assert classify(0.9, (-1.0, 0.0), (1.5, 0.5)) is StabilityVerdict.STABLE
+        assert rhp_root_count(0.9, -1.0, 0.0, 2.0, 0.5) == 2
+        assert rhp_root_count(0.9, -1.0, 0.0, 1.5, 0.5) == 0
+        # With a = 0 the tau1 line is the single delay's own axis.
+        verdict, boundary = stability._classify_with_boundary(0.9, (0.0, -1.0), (0.5, 2.0), 1e-6)
+        assert verdict is StabilityVerdict.UNSTABLE
+        assert boundary == pytest.approx(math.pi * 0.55, rel=1e-15)
+        assert stability._classify_with_boundary(0.9, (-1.0, 0.0), (2.0, 0.5), 1e-6)[1] is None
 
     def test_zero_delay_verdict_comes_before_the_degenerate_check(self):
         # ucar linearized at its equilibrium x* = 0: (a, b) = (1, -0.0), so
         # a + b = 1 > 0 and the point is unstable whatever the delays, as
         # the one positive real root of lambda**alpha = exp(-lambda*tau1)
-        # shows.  A vanishing coefficient stable at zero delays still needs
-        # the crossing curves.
+        # shows.
         coef = linearize(ucar_rhs(), 0.0)
         assert (coef.a, coef.b) == (1.0, 0.0)
         verdict, boundary = stability._classify_with_boundary(0.9, coef, (0.4, 0.5), 1e-6)
