@@ -24,7 +24,6 @@ from .solver import (
 from .stability import (
     LinearCoefficients,
     StabilityVerdict,
-    characteristic_residual,
     classify,
     critical_tau2_for_tau1,
     curve_columns,
@@ -54,7 +53,6 @@ __all__ = [
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "characteristic_residual",
     "default_v_window",
     "curve_columns",
     "critical_tau2_for_tau1",

@@ -203,7 +203,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "alpha": args.alpha,
                 "tau1": delays.tau1,
                 "tau2": delays.tau2,
-            }
+            },
+            allow_nan=False,
         )
     )
     return 0
@@ -313,8 +314,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     # The package errors subclass ValueError; numpy raises MemoryError when
-    # an array is too large to allocate.
-    except (ValueError, OSError, MemoryError) as exc:
+    # an array is too large to allocate.  Python float and complex arithmetic
+    # raise ArithmeticError where a value leaves the float range.
+    except (ValueError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"fracdde: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

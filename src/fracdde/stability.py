@@ -40,7 +40,6 @@ __all__ = [
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "characteristic_residual",
     "default_v_window",
     "curve_columns",
     "critical_tau2_for_tau1",
@@ -296,30 +295,6 @@ def stable_at_zero_delay(
     if s < 0.0:
         return StabilityVerdict.STABLE_AT_ZERO_DELAYS
     return StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
-
-
-def characteristic_residual(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    delays: DelayPair | tuple[float, float],
-    lam: complex,
-) -> complex:
-    """Defect of the characteristic equation at a candidate root.
-
-    Evaluates ``lam**alpha - a*exp(-lam*tau1) - b*exp(-lam*tau2)`` with the
-    principal branch of the complex power.  A genuine characteristic root
-    makes this zero; the magnitude of the return value measures how far a
-    candidate is from being one.
-    """
-    al = order_value(alpha)
-    c = _as_coef(coef)
-    d = _as_delays(delays)
-    lam = complex(lam)
-    return (
-        lam ** al
-        - c.a * cmath.exp(-lam * d.tau1)
-        - c.b * cmath.exp(-lam * d.tau2)
-    )
 
 
 def default_v_window(

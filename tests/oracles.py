@@ -14,50 +14,45 @@ tables that the stepper reads: the reference for the weight identities.
 ``scalar_equilibria`` scans and bisects one bracket at a time in Python
 floats: the reference for :func:`fracdde.find_equilibria`, which refines
 all brackets together by the Illinois method.  Both end on adjacent floats.
-``_bisect`` bisects brackets all together in numpy arrays: the reference
-for the Illinois refiner :func:`fracdde.stability._illinois` and the
-refiner of ``bisect_line_search``.
+``_bisect`` bisects brackets all together in numpy arrays, and
+``array_illinois`` is the Illinois method with its bracket state in numpy
+arrays: the references for the Python-float refiner
+:func:`fracdde.stability._illinois`.
 
 ``object_curve_points`` builds the crossing locus one :class:`CurvePoint`
 at a time, chooses the branch sign pairs by an absolute residual filter
 instead of the closed-form pairing, and sorts the points with a key
 function: the reference for the columnar :func:`fracdde.curve_columns`,
 whose rows :func:`curve_points` puts in the same order, at coefficients of
-order one.  ``parametric_delays`` gives the raw delay pair of one frequency
-on one branch, from the branch formulas of :func:`branches`.
-
-``table_line_search`` and ``bisect_line_search`` are the references for
-:func:`fracdde.critical_tau2_for_tau1`, which solves one real equation in
-the frequency instead.  Both tabulate tau1 on every arccos branch up to
-``max_branch`` at sampled frequencies, refine each sign change on its own
-branch and take the tau2 arccos companions on every winding; the first
-refines with the Illinois method, its bracket state in numpy arrays, the
-second by bisection.  ``tau1_branches`` is the tau1 table that both
-sample, and ``paired_companion`` their tau2 companions.  ``reach`` is the
-largest winding number whose tau1 branch can meet a line, from the
-closed-form band.  ``array_illinois`` is also the reference for the
-Python-float refiner :func:`fracdde.stability._illinois`.
+order one.  ``branches`` tabulates both delays on the arccos branches, and
+``parametric_delays`` gives the raw delay pair of one frequency on one
+branch from it.
 
 ``random_line_queries`` draws the fixed random set of line queries on which
 the line search and the classify verdicts are measured.
 
+The truths for the line search and :func:`fracdde.classify` come from the
+characteristic function alone and import nothing from the package.
+``characteristic_residual`` evaluates it at one point, so that a crossing
+the line search returns can be checked to be a root.
 ``rhp_root_count`` counts the right-half-plane characteristic roots by the
-argument principle, from the characteristic function alone: the truth for
-the verdicts of :func:`fracdde.classify`, which counts crossings instead.
-On the diagonal tau1 = tau2 = tau the problem has one delay with
-coefficient a + b, and ``diagonal_critical_delay`` is its stable range in
-closed form; ``diagonal_queries`` draws the fixed diagonal set.
+argument principle: the truth for the count of :func:`fracdde.classify`,
+which counts crossings instead.  On the diagonal tau1 = tau2 = tau the
+problem has one delay with coefficient a + b, and
+``diagonal_critical_delay`` is its stable range in closed form;
+``diagonal_queries`` draws the fixed diagonal set.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from fracdde import LinearCoefficients, curve_columns, default_v_window
+from fracdde import LinearCoefficients, curve_columns
 from fracdde.numerics import (
     FractionalOrder,
     corner_weight_table,
@@ -71,19 +66,14 @@ from fracdde.solver import (
     Trajectory,
 )
 from fracdde.stability import (
-    StabilityVerdict,
     _arccos,
     _band,
-    _band_edges,
     _branch_labels,
     _delay,
-    _paired_sign,
     _require_nondegenerate,
     _residual,
     _resolve_search,
-    _sign_change,
     _terms,
-    stable_at_zero_delay,
 )
 
 _ML_TERM_FLOOR = 1e-14
@@ -495,138 +485,19 @@ def object_curve_points(
     return points
 
 
-def bisect_line_search(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    tau1: float,
-    samples: int = 2000,
-    max_branch: int = 8,
-) -> float | None:
-    """Smallest valid tau2 on the line tau1 = const, refined by bisection.
-
-    The samples, brackets, exact-sample crossings and paired companions of
-    :func:`table_line_search`, with companions on every winding up to
-    ``max_branch`` (:func:`paired_companion`); every bracket is bisected
-    for at most 90 steps on its own branch, in numpy arrays.
-    """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    q = float(tau1)
-    if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
-        raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi = default_v_window(al, c)
-
-    edges = [abs(abs(c.a) - abs(c.b)) ** (1.0 / al), (abs(c.a) + abs(c.b)) ** (1.0 / al)]
-    vs = np.union1d(np.linspace(lo, hi, samples), [e for e in edges if lo < e < hi])
-    labels = _branch_labels(max_branch)
-    sign, m = np.array(labels, dtype=float).T
-    y = tau1_branches(al, c, vs, sign[:, None], m[:, None]) - q
-    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
-    line = lambda v: tau1_branches(al, c, v, sign[rows], m[rows]) - q
-    v_cross = _bisect(line, vs[cols], vs[cols + 1], y[rows, cols], 0.0, 90)
-    exact_rows, exact_cols = np.nonzero(y == 0.0)
-    v_star = np.concatenate([vs[exact_cols], v_cross])
-    row_star = np.concatenate([exact_rows, rows])
-    return paired_companion(al, c, v_star, sign[row_star], max_branch)
-
-
-def branch_delay(al: float, arg, outside, v, sign, m):
-    """Delay ``(sign*arccos(arg) - alpha*pi/2 + 2*pi*m) / v`` on branch (sign, m).
-
-    ``sign`` and ``m`` are float arrays that broadcast against ``v``: a
-    column per branch gives a table, one entry per frequency gives each
-    frequency its own branch.  The delay is NaN wherever ``outside``.
-    """
-    return _delay(0.5 * math.pi * al, _arccos(arg, outside), v, sign, m)
-
-
 def branches(al: float, c: LinearCoefficients, v: np.ndarray, labels):
     """Both delays on the arccos branches ``labels`` at the frequencies ``v``.
 
     Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in
     ``labels``, one column per entry of the 1-d array ``v``, and
-    ``va = v**alpha``; both delays are NaN outside the crossing band.
+    ``va = v**alpha``; a delay is ``(sign*arccos(arg) - alpha*pi/2 +
+    2*pi*m) / v``, and both are NaN outside the crossing band.
     """
     a1, a2, outside, va = _band(al, c, v)
     sign, m = np.array(labels, dtype=float).T[:, :, None]
-    return branch_delay(al, a1, outside, v, sign, m), branch_delay(al, a2, outside, v, sign, m), va
-
-
-def tau1_branches(al: float, c: LinearCoefficients, v, sign, m):
-    """tau1 on the branches (sign, m), broadcast against ``v`` as in
-    :func:`branch_delay`: the table of the line search."""
-    a1, _, outside, _ = _band(al, c, v)
-    return branch_delay(al, a1, outside, v, sign, m)
-
-
-def paired_companion(al: float, c: LinearCoefficients, v_star, sign1, max_branch: int):
-    """Smallest nonnegative tau2 at the crossings ``v_star``, or None.
-
-    ``sign1[i]`` is the tau1 arccos sign of crossing ``i``.  Every winding
-    up to ``max_branch`` of the paired tau2 sign counts, and of both signs
-    where the tau2 arccos is 0 or pi.
-    """
-    _, a2, outside, _ = _band(al, c, v_star)
-    th2 = _arccos(a2, outside)
-    sign, m = np.array(_branch_labels(max_branch), dtype=float).T[:, :, None]
-    tau2 = _delay(0.5 * math.pi * al, th2, v_star, sign, m)
-    paired = (sign == _paired_sign(c, sign1)) | (th2 == 0.0) | (th2 == math.pi)
-    ok = (tau2 >= 0.0) & paired
-    return float(tau2[ok].min()) if ok.any() else None
-
-
-def reach(alpha, coef, tau1: float, v_range: tuple[float, float] | None = None) -> int:
-    """Largest winding number m whose tau1 branch can meet the line tau1 = const.
-
-    With the arccos in [0, pi], ``tau1 = (sign*theta - alpha*pi/2 + 2*pi*m)/v``
-    needs ``2*pi*m <= tau1*v + pi*(1 + alpha/2)``, and v is at most the upper
-    band edge ``(|a| + |b|)**(1/alpha)`` and the window's upper end.
-    """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    v_top = min(_band_edges(al, c)[1], _resolve_search(al, c, v_range)[1])
-    return math.floor((tau1 * v_top + math.pi * (1.0 + 0.5 * al)) / (2.0 * math.pi))
-
-
-def table_line_search(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    tau1: float,
-    v_range: tuple[float, float] | None = None,
-    samples: int = 2000,
-    max_branch: int = 8,
-) -> float | None:
-    """Smallest valid tau2 on the line tau1 = const from the full branch table.
-
-    The window (default :func:`fracdde.default_v_window`) is sampled at
-    ``samples`` frequencies plus the band edges inside it.  The tau1 table
-    holds every branch (sign, m) up to ``max_branch``, which covers every
-    branch that can meet the line once ``max_branch`` is at least
-    :func:`reach`.  A sign change between adjacent samples is a crossing,
-    and so is a sample where a branch equals the line exactly; a branch
-    that meets the line twice between two samples is missed.
-    :func:`array_illinois` refines the brackets, and the companions take
-    every winding up to ``max_branch``.
-    """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    q = float(tau1)
-    if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
-        raise ValueError("the crossing search requires coefficients stable at zero delays")
-    lo, hi = _resolve_search(al, c, v_range)
-
-    edges = [e for e in _band_edges(al, c) if lo < e < hi]
-    vs = np.union1d(np.linspace(lo, hi, samples), edges)
-    sign, m = np.array(_branch_labels(max_branch), dtype=float).T
-    y = tau1_branches(al, c, vs, sign[:, None], m[:, None]) - q
-    rows, cols = np.nonzero(_sign_change(y[:, :-1], y[:, 1:]))
-    row_sign, row_m = sign[rows], m[rows]
-    line = lambda v: tau1_branches(al, c, v, row_sign, row_m) - q
-    v_cross = array_illinois(line, vs[cols], vs[cols + 1], y[rows, cols], y[rows, cols + 1], 360)
-    exact_rows, exact_cols = np.nonzero(y == 0.0)
-    v_star = np.concatenate([vs[exact_cols], v_cross])
-    row_star = np.concatenate([exact_rows, rows])
-    return paired_companion(al, c, v_star, sign[row_star], max_branch)
+    half = 0.5 * math.pi * al
+    tau1, tau2 = (_delay(half, _arccos(arg, outside), v, sign, m) for arg in (a1, a2))
+    return tau1, tau2, va
 
 
 def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
@@ -636,11 +507,10 @@ def array_illinois(fun, lo, hi, f_lo, f_hi, max_iter: int) -> np.ndarray:
     ``np.where`` across all brackets; a NaN or infinite falsi point, which
     is what a zero ``f_lo - f_hi`` gives here, steps to the midpoint, and
     one on an end steps to that end's neighbour.  A kept value that would
-    halve to zero stays as it is.  ``fun`` sees every bracket, since
-    :func:`table_line_search` binds its line function to the rows; a
-    bracket with no float inside reads as an exact zero at its step, its
-    midpoint, and collapses onto the midpoint it returned already.  The
-    package refiner does not evaluate such a bracket.
+    halve to zero stays as it is.  ``fun`` sees every bracket at every
+    step; a bracket with no float inside reads as an exact zero at its
+    step, its midpoint, and collapses onto the midpoint it returned
+    already.  The package refiner does not evaluate such a bracket.
     """
     width = hi - lo
     age = np.zeros(len(lo), dtype=int)
@@ -688,6 +558,19 @@ def random_line_queries() -> list[tuple[float, float, float, float, float]]:
     return queries
 
 
+def characteristic_residual(
+    alpha: float, a: float, b: float, tau1: float, tau2: float, lam: complex
+) -> complex:
+    """lambda**alpha - a*exp(-lambda*tau1) - b*exp(-lambda*tau2) at ``lam``.
+
+    The principal branch of the complex power, in Python's complex
+    arithmetic.  A characteristic root makes it zero, and its modulus
+    measures how far a candidate is from being one.
+    """
+    lam = complex(lam)
+    return lam**alpha - a * cmath.exp(-lam * tau1) - b * cmath.exp(-lam * tau2)
+
+
 _PHASE_STEP = math.pi / 4
 _MAX_REFINE = 40
 
@@ -729,8 +612,10 @@ def rhp_root_count(alpha: float, a: float, b: float, tau1: float, tau2: float) -
         if not coarse.any():
             return int(round(float(np.sum(steps)) / (2.0 * math.pi)))
         mids = 0.5 * (s[:-1][coarse] + s[1:][coarse])
-        s = np.sort(np.concatenate([s, mids]))
-        values = characteristic(contour(s))
+        # Evaluate only the new points; the function is elementwise.
+        order = np.argsort(np.concatenate([s, mids]), kind="stable")
+        s = np.concatenate([s, mids])[order]
+        values = np.concatenate([values, characteristic(contour(mids))])[order]
     raise ArithmeticError("contour refinement did not converge; a root is near the contour")
 
 

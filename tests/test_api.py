@@ -28,7 +28,6 @@ PUBLIC = {
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "characteristic_residual",
     "default_v_window",
     "curve_columns",
     "critical_tau2_for_tau1",
@@ -41,7 +40,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 26
+    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 25
     assert set(fracdde.__all__) == PUBLIC
 
 

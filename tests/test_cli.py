@@ -558,6 +558,31 @@ class TestClassifyCommand:
         assert err.startswith("fracdde: error: the line tau1 = 100000.0 needs about")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # At order 0.02 the crossing frequency u**(1/alpha) of a
+            # coefficient this small is subnormal, where a complex power
+            # overflows, or underflows to 0.
+            ["--a=-3e-7", "--b", "1e-7", "--tau1", "1"],
+            ["--a=-3e-7", "--b", "1e-7", "--tau1", "0"],
+            ["--a=-1e-7", "--b", "0", "--tau1", "1"],
+            ["--a", "0", "--b=-1e-7", "--tau1", "1"],
+            # The first crossing on the line is inf, which JSON cannot hold;
+            # numpy warns of the overflow on the way.
+            pytest.param(
+                ["--a", "1e-7", "--b=-3e-7", "--tau1", "1"],
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
+            ),
+        ],
+    )
+    def test_tiny_coefficients_are_a_usage_error(self, capsys, argv):
+        assert main(["classify", *argv, "--alpha", "0.02", "--tau2", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_band_below_the_default_window_floor(self, capsys):
         # The crossing band of these coefficients, about [1.9e-8, 1.5e-7],
         # lies below the default window's fixed lower end 1e-6, which the

@@ -15,7 +15,6 @@ from fracdde import (
     StabilityVerdict,
     SystemRhs,
     UcarParams,
-    characteristic_residual,
     classify,
     critical_tau2_for_tau1,
     curve_columns,
@@ -31,7 +30,8 @@ from oracles import (
     _bisect,
     array_illinois,
     assert_rescaled_locus,
-    bisect_line_search,
+    branches,
+    characteristic_residual,
     curve_points,
     diagonal_critical_delay,
     diagonal_queries,
@@ -39,34 +39,18 @@ from oracles import (
     object_curve_points,
     parametric_delays,
     random_line_queries,
-    reach,
     rescaled,
     rhp_root_count,
     scalar_equilibria,
-    table_line_search,
-    tau1_branches,
 )
 from reference_values import IKEDA_EQUILIBRIA
 
 UCAR_COEF = (1.0, -3.0)
 FIELDS = ("v", "tau1", "tau2", "sign1", "m1", "sign2", "m2", "residual")
-# How far the line search's tau2 may lie from the table and bisection
-# references of tests/oracles.py, relative to max(1, tau2).  At a crossing
-# away from the band edges the two agree to a few ulps.  The references take
-# tau2 from an arccos, which holds only to about sqrt(eps) where its
-# argument is +-1, on a band edge.
-TAU2_TOL = 1e-13
-FOLD_TOL = 1e-8
 # A line that misses every crossing: alpha, (a, b) and tau1.  The lowest
 # tau2 of the locus on the default window is 0.002137549932831143, but no
 # root crosses on the path to a point of the line: the count there is 0.
 MISSED_LINE = (0.556, (-4.42, 0.0744), 0.15)
-
-
-def same_crossing(got, ref, tol=TAU2_TOL):
-    return (got is None) == (ref is None) and (
-        ref is None or abs(got - ref) <= tol * max(1.0, abs(ref))
-    )
 
 
 def doubled_scan_density(monkeypatch):
@@ -74,25 +58,36 @@ def doubled_scan_density(monkeypatch):
     monkeypatch.setattr(stability, "_SCAN_PER_RADIAN", 2 * stability._SCAN_PER_RADIAN)
 
 
-def independent_residual(alpha, a, b, v, tau1, tau2):
-    # Written from scratch on purpose; keep it free of package code.
-    half = 0.5 * math.pi * alpha
-    r1 = v ** alpha * math.cos(half) - a * math.cos(v * tau1) - b * math.cos(v * tau2)
-    r2 = v ** alpha * math.sin(half) + a * math.sin(v * tau1) + b * math.sin(v * tau2)
-    return max(abs(r1), abs(r2))
+def assert_line_truths(alpha, a, b, q):
+    """Check the line search on the line tau1 = q against the characteristic
+    function alone, and return its crossings ``(v, w, tau2)``.
 
-
-def crossing_defect(alpha, a, b, tau1, tau2):
-    # Written from scratch on purpose; keep it free of package code.  The
-    # smallest modulus of the characteristic function on the imaginary axis
-    # over the crossing band, found by zooming a grid onto its minimum.
-    lo, hi = abs(abs(a) - abs(b)) ** (1.0 / alpha), (abs(a) + abs(b)) ** (1.0 / alpha)
-    for _ in range(8):
-        v = np.linspace(lo, hi, 20001)
-        f = np.abs((1j * v) ** alpha - a * np.exp(-1j * v * tau1) - b * np.exp(-1j * v * tau2))
-        k = int(np.argmin(f))
-        lo, hi = v[max(k - 1, 0)], v[min(k + 1, v.size - 1)]
-    return float(f[k])
+    Every crossing must be a root: |F(i*v)| <= 1e-12*(|a| + |b|) at (q,
+    tau2).  The package's count, the tally of the leg tau2 = 0 plus that of
+    the line, must equal the argument-principle count at the midpoints of
+    the first two gaps [0, t1] and [t1, t2] between the delays where a root
+    reaches the axis on the line (each crossing and its recurrences every
+    2*pi/v).  A gap narrower than 1e-9, where a touching pair sits on the
+    axis, is skipped; a line with no crossing is checked at tau2 = 1 and 3.
+    """
+    crossings = stability._line_crossings(alpha, LinearCoefficients(a, b), q)
+    v, w, tau0 = (x.tolist() for x in crossings)
+    for x, t in zip(v, tau0):
+        residual = abs(characteristic_residual(alpha, a, b, q, t, 1j * x))
+        assert residual <= 1e-12 * (abs(a) + abs(b)), (alpha, a, b, q, x, t, residual)
+    leg1 = stability._tally(stability._single_delay_crossings(alpha, a, b), q, None)
+    leg2 = [
+        (t, x, stability._side(alpha, x, z, a * q * cmath.exp(-1j * x * q)))
+        for x, z, t in zip(v, w, tau0)
+    ]
+    times = sorted(t + k * 2.0 * math.pi / x for x, t in zip(v, tau0) for k in (0, 1))
+    ends = [0.0] + times[:2]
+    gaps = zip(ends, ends[1:])
+    points = [0.5 * (lo + hi) for lo, hi in gaps if hi - lo >= 1e-9] if v else [1.0, 3.0]
+    for tau2 in points:
+        count = leg1 + stability._tally(leg2, tau2, None)
+        assert count == rhp_root_count(alpha, a, b, q, tau2), (alpha, a, b, q, tau2, count)
+    return crossings
 
 
 class TestFindEquilibria:
@@ -272,26 +267,13 @@ class TestStableAtZeroDelay:
 class TestCharacteristicResidual:
     def test_real_root_no_delays(self):
         # lambda = a + b solves the equation when both delays vanish.
-        assert characteristic_residual(1.0, (1.5, -2.5), (0.0, 0.0), -1.0) == 0
+        assert characteristic_residual(1.0, 1.5, -2.5, 0.0, 0.0, -1.0) == 0
 
     def test_known_imaginary_root(self):
         # At alpha=1, coefficients (1, -3), the point tau1=tau2=pi/4 has the
         # crossing frequency v=2: i*2 = e^{-2i pi/4}(1 - 3) has to balance.
-        res = characteristic_residual(1.0, UCAR_COEF, (math.pi / 4, math.pi / 4), 2j)
+        res = characteristic_residual(1.0, *UCAR_COEF, math.pi / 4, math.pi / 4, 2j)
         assert abs(res) <= 1e-12
-
-    def test_agrees_with_trigonometric_split(self, rng):
-        for _ in range(25):
-            alpha = float(rng.uniform(0.3, 1.0))
-            a, b = rng.uniform(-3.0, 3.0, 2)
-            t1, t2 = rng.uniform(0.0, 2.0, 2)
-            v = float(rng.uniform(0.1, 5.0))
-            half = 0.5 * math.pi * alpha
-            r1 = v ** alpha * math.cos(half) - a * math.cos(v * t1) - b * math.cos(v * t2)
-            r2 = v ** alpha * math.sin(half) + a * math.sin(v * t1) + b * math.sin(v * t2)
-            res = characteristic_residual(alpha, (a, b), (t1, t2), complex(0.0, v))
-            assert res.real == pytest.approx(r1, rel=1e-12, abs=1e-12)
-            assert res.imag == pytest.approx(r2, rel=1e-12, abs=1e-12)
 
 
 class TestParametricDelays:
@@ -371,11 +353,8 @@ class TestCriticalCurve:
                 assert p.tau1 >= 0.0 and p.tau2 >= 0.0
                 assert lo <= p.v <= hi
                 assert p.residual <= 1e-9
-                ind = independent_residual(alpha, a, b, p.v, p.tau1, p.tau2)
-                assert ind <= 2e-9
-                char = characteristic_residual(
-                    alpha, (a, b), (p.tau1, p.tau2), complex(0.0, p.v)
-                )
+                char = characteristic_residual(alpha, a, b, p.tau1, p.tau2, 1j * p.v)
+                assert max(abs(char.real), abs(char.imag)) <= 2e-9
                 assert abs(char) <= 3e-9
                 checked += 1
         assert checked > 100
@@ -539,7 +518,7 @@ class TestCriticalTau2ForTau1:
         got = critical_tau2_for_tau1(1.0, UCAR_COEF, q)
         assert got is not None
         assert got == pytest.approx(expected, abs=1e-9)
-        assert independent_residual(1.0, 1.0, -3.0, v, q, got) <= 1e-9
+        assert abs(characteristic_residual(1.0, 1.0, -3.0, q, got, 1j * v)) <= 1e-9
 
     def test_crossing_on_a_sample_is_exact(self, monkeypatch):
         # The line tau1 = q scans the band of (1, -3) at order 1, [2, 4] with
@@ -566,14 +545,14 @@ class TestCriticalTau2ForTau1:
         # this line touches a tau1 row.  Both arccos arguments round to
         # within a few ulps of +-1 there, so a delay formed from them holds
         # only to about sqrt(eps) relative, as every band-edge row of the
-        # locus does: the table search gave 0.5097741755970148.  The line
-        # search takes tau2 from the phase of the crossing equation instead.
+        # locus does.  The line search takes tau2 from the phase of the
+        # crossing equation instead.
         # The reference is a 50-digit solution of |z| = |b| at the edge.
         q = 0.5097741723787141
         got = critical_tau2_for_tau1(0.9, (2.0, -5.0), q)
         assert got == pytest.approx(0.50977417694746279, abs=1e-15)
         v = 3.0 ** (1.0 / 0.9)
-        residual = characteristic_residual(0.9, (2.0, -5.0), (q, got), complex(0.0, v))
+        residual = characteristic_residual(0.9, 2.0, -5.0, q, got, 1j * v)
         assert abs(residual) <= 5e-8 * 7.0
 
     def test_none_when_line_misses_curve(self, monkeypatch):
@@ -583,9 +562,9 @@ class TestCriticalTau2ForTau1:
         # the refiner gets no bracket.
         brackets = self.count_brackets(monkeypatch)
         assert critical_tau2_for_tau1(*MISSED_LINE) is None
-        alpha, coef, q = MISSED_LINE
-        assert table_line_search(alpha, coef, q, max_branch=reach(alpha, coef, q) + 4) is None
         assert brackets == [0]
+        alpha, (a, b), q = MISSED_LINE
+        assert_line_truths(alpha, a, b, q)
 
     def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
         # At order 0.02 the band of (-2e-12, 1e-13), ending at about
@@ -610,12 +589,11 @@ class TestCriticalTau2ForTau1:
         ],
     )
     def test_windings_beyond_eight_are_searched(self, alpha, tau1, expected):
-        # The expected values are those of the table search.
-        assert reach(alpha, UCAR_COEF, tau1) > 20
+        # The expected values are those of a table of every winding.
         got = critical_tau2_for_tau1(alpha, UCAR_COEF, tau1)
-        assert same_crossing(got, expected)
-        ref = table_line_search(alpha, UCAR_COEF, tau1, max_branch=reach(alpha, UCAR_COEF, tau1) + 4)
-        assert same_crossing(got, ref)
+        assert got == pytest.approx(expected, abs=1e-13)
+        v, _, tau2 = assert_line_truths(alpha, *UCAR_COEF, tau1)
+        assert len(v) > 20 and tau2.min() == got
 
     def test_oversized_table_is_refused_before_it_is_built(self):
         # The phase tau1*v sweeps 2e5 radians across the band [2, 4] of the
@@ -643,9 +621,9 @@ class TestCriticalTau2ForTau1:
         # The line passes just below the interior maximum of row (-1, 2), at
         # v = 2.045927, and meets it twice within about 1e-5, between two of
         # its 273 samples across the band [2, 4].  Only the split intervals
-        # bracket the pair.  The table search finds neither crossing on
-        # 2000 samples of (2, 2.1), and finds them with 200 000, at
-        # tau2 = 0.8269058492039539; the line meets lower crossings too.
+        # bracket the pair.  A table of the branches on 200 000 samples of
+        # (2, 2.1) puts the pair at tau2 = 0.8269058492039539; the line meets
+        # lower crossings too.
         q = 4.019937207034583 - 1e-10
         roots = []
         refine = stability._illinois
@@ -663,8 +641,7 @@ class TestCriticalTau2ForTau1:
         assert np.mod(-np.angle(z / -3.0), 2.0 * math.pi) / pair[0] == pytest.approx(
             0.8269058492039539, abs=1e-9
         )
-        windings = reach(1.0, UCAR_COEF, q, (2.0, 2.1)) + 4
-        assert table_line_search(1.0, UCAR_COEF, q, (2.0, 2.1), max_branch=windings) is None
+        assert_line_truths(1.0, *UCAR_COEF, q)
         roots.clear()
         monkeypatch.setattr(stability, "_may_hide_root", lambda *args: np.zeros(len(args[3]), bool))
         critical_tau2_for_tau1(1.0, UCAR_COEF, q)
@@ -687,7 +664,7 @@ class TestCriticalTau2ForTau1:
     @staticmethod
     def random_queries(rng, count):
         # tau1 at most 3, and at most what 200 windings span at the upper
-        # band edge: the references tabulate every winding at every sample.
+        # band edge, so that no line nears the scan budget.
         queries = []
         while len(queries) < count:
             alpha, a, b, t = rng.uniform((0.3, -5.0, -25.0, 0.0), (1.0, 5.0, 5.0, 1.0)).tolist()
@@ -696,23 +673,15 @@ class TestCriticalTau2ForTau1:
                 queries.append((alpha, (a, b), t * min(3.0, 200 * 2.0 * math.pi / v_top)))
         return queries
 
-    @staticmethod
-    def assert_matches_bisection(queries):
-        found = 0
-        for alpha, coef, q in queries:
-            got = critical_tau2_for_tau1(alpha, coef, q)
-            ref = bisect_line_search(alpha, coef, q, max_branch=reach(alpha, coef, q) + 4)
-            assert same_crossing(got, ref), (alpha, coef, q, got, ref)
-            found += ref is not None
-        return found
-
-    def test_matches_bisection_reference_on_sweep_grids(self, rng):
-        queries = self.sweep_queries(rng)
-        assert self.assert_matches_bisection(queries) == len(queries)
-
-    def test_matches_bisection_reference_on_random_queries(self, rng):
-        found = self.assert_matches_bisection(self.random_queries(rng, 50))
-        assert 10 < found < 50
+    @pytest.mark.parametrize("lines", ["sweep_grid", "random_set"])
+    def test_crossings_are_roots_and_counts_match(self, rng, lines):
+        if lines == "sweep_grid":
+            queries = [(alpha, c.a, c.b, q) for alpha, c, q in self.sweep_queries(rng)]
+        else:
+            queries = [query[:4] for query in random_line_queries()]
+        assert len(queries) == {"sweep_grid": 99, "random_set": 312}[lines]
+        for query in queries:
+            assert_line_truths(*query)
 
     def test_line_evaluations_per_query(self, rng, monkeypatch):
         # Each evaluation of the line function, on an array of frequencies,
@@ -819,48 +788,6 @@ class TestCriticalTau2ForTau1:
         assert counts["illinois"] <= 4 * counts["bisect"]
 
     @staticmethod
-    def assert_matches_table(queries):
-        # The reference tabulates every winding up to four past the reach,
-        # on 2000 frequencies of the default window.
-        found = 0
-        for alpha, coef, q in queries:
-            got = critical_tau2_for_tau1(alpha, coef, q)
-            windings = reach(alpha, coef, q) + 4
-            ref = table_line_search(alpha, coef, q, max_branch=windings)
-            assert same_crossing(got, ref), (alpha, coef, q, got, ref)
-            found += got is not None
-        return found
-
-    @staticmethod
-    def assert_covers_table(queries, v_range, samples):
-        # For lines that touch a row of the reference's table at one of its
-        # samples.  The line search finds the crossing the reference finds,
-        # to FOLD_TOL, or a lower one: the touching row's true extreme lies
-        # between samples, so the line meets it twice, and the reference
-        # can step over the second crossing; and the line search covers the
-        # whole band, where the reference covers only its window.  A lower
-        # tau2 must then solve the characteristic equation.
-        lower = 0
-        for alpha, (a, b), q in queries:
-            got = critical_tau2_for_tau1(alpha, (a, b), q)
-            windings = reach(alpha, (a, b), q, v_range) + 4
-            ref = table_line_search(alpha, (a, b), q, v_range, samples, max_branch=windings)
-            assert (got is None) == (ref is None), (alpha, (a, b), q, got, ref)
-            if ref is not None and not same_crossing(got, ref, FOLD_TOL):
-                assert got < ref, (alpha, (a, b), q, got, ref)
-                assert crossing_defect(alpha, a, b, q, got) <= 1e-13 * (abs(a) + abs(b))
-                lower += 1
-        return lower
-
-    def test_matches_table_reference_bitwise_on_sweep_grids(self, rng):
-        queries = self.sweep_queries(rng)
-        assert self.assert_matches_table(queries) == len(queries)
-
-    def test_matches_table_reference_bitwise_on_random_queries(self, rng):
-        found = self.assert_matches_table(self.random_queries(rng, 200))
-        assert 40 < found < 200
-
-    @staticmethod
     def count_brackets(monkeypatch):
         # The number of brackets of each refiner call, in call order.
         brackets = []
@@ -874,7 +801,7 @@ class TestCriticalTau2ForTau1:
         return brackets
 
     @pytest.mark.parametrize("windings", [20, 40])
-    def test_matches_table_reference_bitwise_with_many_brackets(self, rng, windings, monkeypatch):
+    def test_many_brackets_satisfy_both_truths(self, rng, windings, monkeypatch):
         brackets = self.count_brackets(monkeypatch)
         # |b| just above |a| puts the lower band edge near 0, where every
         # winding number reaches the line.  Each line reaches between half
@@ -885,46 +812,38 @@ class TestCriticalTau2ForTau1:
             coef = (x, -abs(x) - g)
             v_top = (abs(x) + abs(coef[1])) ** (1.0 / al)
             queries.append((al, coef, f * windings * 2.0 * math.pi / v_top))
-        assert self.assert_matches_table(queries) > 10
+        found = sum(len(assert_line_truths(al, *coef, q)[0]) > 0 for al, coef, q in queries)
+        assert found > 10
         assert sum(brackets) >= 20 * len(queries)
 
     @pytest.mark.parametrize(
-        "alpha, coef, window, samples, lower",
+        "alpha, coef, window, samples, lines",
         [
-            pytest.param(0.9, UCAR_COEF, None, 2000, 3, id="coef0"),
-            pytest.param(0.9, (-3.0, 1.0), None, 2000, 2, id="coef1"),
-            pytest.param(0.9, (2.0, -5.0), None, 2000, 1, id="coef2"),
+            pytest.param(0.9, UCAR_COEF, None, 2000, 33, id="coef0"),
+            pytest.param(0.9, (-3.0, 1.0), None, 2000, 34, id="coef1"),
+            pytest.param(0.9, (2.0, -5.0), None, 2000, 33, id="coef2"),
             # Both band edges, v = 2 and 4, are also grid points.
-            pytest.param(1.0, UCAR_COEF, (1.0, 5.0), 5, 0, id="edges_on_samples"),
-            # One ulp wide: the 2000 samples take 2 distinct values.  On 28
-            # of the 32 lines the band holds a crossing below the window's.
-            pytest.param(1.0, UCAR_COEF, (3.0, 3.0000000000000004), 2000, 28, id="two_values"),
-            # Inside the band: neither edge is sampled.  On 23 of the 33
-            # lines the band holds a crossing below the window's.
-            pytest.param(1.0, UCAR_COEF, (2.5, 3.5), 2000, 23, id="no_edge"),
+            pytest.param(1.0, UCAR_COEF, (1.0, 5.0), 5, 33, id="edges_on_samples"),
+            # One ulp wide: the 2000 samples take 2 distinct values.
+            pytest.param(1.0, UCAR_COEF, (3.0, 3.0000000000000004), 2000, 32, id="two_values"),
+            # Inside the band: neither edge is sampled.
+            pytest.param(1.0, UCAR_COEF, (2.5, 3.5), 2000, 33, id="no_edge"),
         ],
     )
-    def test_line_through_a_row_extreme_is_an_exact_hit(self, alpha, coef, window, samples, lower):
-        # tau1 equal to the largest or smallest sampled value of one row of
-        # the reference's table on ``window``: that row touches the line at
-        # one sample, with no sign change, so the table reference finds it
-        # only by its exact-sample hit.  On ``lower`` of these lines the
-        # line search finds a lower crossing that the reference steps over
-        # or that lies outside the window.
+    def test_line_through_a_row_extreme_is_an_exact_hit(self, alpha, coef, window, samples, lines):
+        # tau1 equal to the largest or smallest sampled value of one row of a
+        # branch table on ``window``: that row touches the line at one
+        # sample, with no sign change, and the line meets it twice close
+        # together or once on a band edge.
         c = stability.LinearCoefficients(*coef)
         lo, hi = window or stability.default_v_window(alpha, c)
         edges = [e for e in stability._band_edges(alpha, c) if lo < e < hi]
         vs = np.union1d(np.linspace(lo, hi, samples), edges)
-        labels = stability._branch_labels(8)
-        sign, m = np.array(labels, dtype=float).T
-        table = tau1_branches(alpha, c, vs, sign[:, None], m[:, None])
-        queries = [
-            (alpha, coef, float(q))
-            for row in table
-            for q in (np.nanmax(row), np.nanmin(row))
-            if q >= 0.0
-        ]
-        assert self.assert_covers_table(queries, window, samples) == lower
+        table = branches(alpha, c, vs, stability._branch_labels(8))[0]
+        queries = [float(q) for row in table for q in (np.nanmax(row), np.nanmin(row)) if q >= 0.0]
+        assert len(queries) == lines
+        for q in queries:
+            assert_line_truths(alpha, *coef, q)
 
     @pytest.mark.parametrize(
         "alpha, coef, window, label",
@@ -941,50 +860,30 @@ class TestCriticalTau2ForTau1:
     )
     def test_prune_margin_keeps_a_tight_row(self, alpha, coef, window, label):
         # The crossing lies on the upper band edge, which is also the lower
-        # end of the reference's window; the scan reaches it only because
-        # it runs a little past both band edges.  No lower crossing lies in
-        # the band.  (The table search needed a rounding margin to keep
-        # this row.)
+        # end of the window; the scan reaches it only because it runs a
+        # little past both band edges.  No lower crossing lies in the band.
+        # (A branch table needs a rounding margin to keep this row.)
         c = stability.LinearCoefficients(*coef)
-        sign, m = (np.array([[x]], dtype=float) for x in label)
-        row = tau1_branches(alpha, c, np.linspace(*window, 2), sign, m)
+        row = branches(alpha, c, np.linspace(*window, 2), [label])[0]
         assert np.isnan(row).sum() == 1
         q = float(np.nanmax(row))
-        assert self.assert_covers_table([(alpha, coef, q)], window, 2) == 0
+        v, _, tau2 = assert_line_truths(alpha, *coef, q)
+        edge = np.abs(v / window[0] - 1.0) <= 1e-9
+        assert tau2[edge].tolist() == [tau2.min()]
 
     def test_cap_rounding_keeps_the_last_winding(self):
         # The band of (-1, -3) at order 0.5 ends at v = 16, where the tau1
         # arccos is pi.  Row (-1, 11) takes its smallest value there, so the
         # line through that value meets the row at that sample only, on the
-        # band edge.  (The table search's cap on the windings,
-        # (tau1*16 + pi*(1 + alpha/2))/(2*pi), is 11 exactly but rounds to
-        # 10.999999999999998, and only a widened winding range kept the
-        # row.)  The tau2 arccos is pi there too, so tau2 = (pi - pi/4)/16.
+        # band edge.  A cap on the windings of (tau1*16 + pi*(1 +
+        # alpha/2))/(2*pi), 11 exactly, rounds to 10.999999999999998 here,
+        # so a search that cut its windings there would lose the row.  The
+        # tau2 arccos is pi there too, so tau2 = (pi - pi/4)/16.
         c = stability.LinearCoefficients(-1.0, -3.0)
-        q = float(tau1_branches(0.5, c, np.array([16.0]), -1.0, 11.0)[0])
+        q = float(branches(0.5, c, np.array([16.0]), [(-1, 11)])[0][0, 0])
         assert (q * 16.0 + math.pi * 1.25) / (2.0 * math.pi) < 11.0
         assert critical_tau2_for_tau1(0.5, c, q) == pytest.approx(3.0 * math.pi / 64.0, abs=1e-15)
-        assert self.assert_covers_table([(0.5, (-1.0, -3.0), q)], None, 2000) == 0
-
-    # Coefficients stay at least 0.05 in size: a tiny one overflows inside
-    # _band, and tiny ones at small alpha put the default window's upper
-    # end below its fixed lower end 1e-6.  tau1 stays within 40 and within
-    # 300 windings of the upper band edge, which keeps the reference's full
-    # table small; at alpha 0.2 the band reaches far enough that 40 would
-    # take about 6e8 windings.
-    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
-    @given(
-        alpha=st.floats(0.2, 1.0),
-        a=st.one_of(st.floats(-10.0, -0.05), st.floats(0.05, 10.0)),
-        b=st.one_of(st.floats(-30.0, -0.05), st.floats(0.05, 10.0)),
-        t=st.floats(0.0, 1.0),
-    )
-    def test_property_matches_table_reference_bitwise(self, alpha, a, b, t):
-        assume(a + b < -1e-6)
-        v_top = (abs(a) + abs(b)) ** (1.0 / alpha)
-        q = t * min(40.0, 300 * 2.0 * math.pi / v_top)
-        assert reach(alpha, (a, b), q) <= 301
-        self.assert_matches_table([(alpha, (a, b), q)])
+        assert_line_truths(0.5, -1.0, -3.0, q)
 
     @pytest.mark.parametrize(
         "fun, lo, hi",
@@ -1086,7 +985,7 @@ class TestDelayPlaneBoundary:
         # just above the lowest tau2 of the locus on the default window.
         boundary = self.boundary(30.0)
         assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0)
-        assert same_crossing(boundary, 0.36622093074825357)
+        assert boundary == pytest.approx(0.36622093074825357, abs=1e-13)
         assert boundary > curve_columns(1.0, UCAR_COEF).tau2.min()
         assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
         assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
