@@ -22,10 +22,10 @@ from .solver import (
     simulate,
 )
 from .stability import (
+    Classification,
     LinearCoefficients,
     StabilityVerdict,
     classify,
-    critical_tau2_for_tau1,
     curve_columns,
     default_v_window,
     find_equilibria,
@@ -55,7 +55,7 @@ __all__ = [
     "stable_at_zero_delay",
     "default_v_window",
     "curve_columns",
-    "critical_tau2_for_tau1",
+    "Classification",
     "classify",
     "UcarParams",
     "IkedaParams",

@@ -25,7 +25,7 @@ from .solver import DelayPair, SystemRhs, _delayed, build_grid, simulate
 from .stability import (
     LinearCoefficients,
     StabilityVerdict,
-    _classify_with_boundary,
+    classify,
     curve_columns,
     find_equilibria,
     linearize,
@@ -173,16 +173,12 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         samples=args.samples,
         max_branch=args.max_branch,
     )
-    v, _, _, sign1, m1, sign2, m2, _ = columns
-    # Rows ordered by (m1, sign1, v); the trailing keys only break ties
-    # between branches that share a sample v.
-    order = np.lexsort((sign2, m2, v, sign1, m1))
     # Each row is one (sample, tau1 branch, tau2 branch) combination, so the
     # columns repeat values: each distinct one is formatted once.
-    tables = [_distinct_text(col[order]) for col in columns]
+    tables = [_distinct_text(col) for col in columns]
     with open(args.out, "w", newline="") as fh:
         fh.write("v,tau1,tau2,sign1,m1,sign2,m2,residual\n")
-        for start in range(0, len(order), _ROWS_PER_WRITE):
+        for start in range(0, len(columns.v), _ROWS_PER_WRITE):
             cells = (text[codes[start : start + _ROWS_PER_WRITE]].tolist() for text, codes in tables)
             fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
@@ -192,12 +188,12 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
     delays = DelayPair(args.tau1, args.tau2)
-    verdict, boundary = _classify_with_boundary(args.alpha, coef, delays, args.tolerance)
+    result = classify(args.alpha, coef, delays, args.tolerance)
     print(
         json.dumps(
             {
-                "verdict": verdict.value,
-                "critical_tau2": boundary,
+                "verdict": result.verdict.value,
+                "critical_tau2": result.critical_tau2,
                 "a": coef.a,
                 "b": coef.b,
                 "alpha": args.alpha,

@@ -37,12 +37,12 @@ __all__ = [
     "StabilityVerdict",
     "LinearCoefficients",
     "CurveColumns",
+    "Classification",
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
     "default_v_window",
     "curve_columns",
-    "critical_tau2_for_tau1",
     "classify",
 ]
 
@@ -58,7 +58,9 @@ _DEFAULT_MAX_BRANCH = 8
 # The tau1 line search samples the crossing band at _SCAN_MIN frequencies
 # plus _SCAN_PER_RADIAN per radian of tau1*v, reaching _SCAN_SLACK past both
 # ends so that rounding cannot hide a crossing on one, and evaluates at most
-# _SCAN_BUDGET frequencies.
+# _SCAN_BUDGET frequencies.  classify takes a crossing of the tau2 = 0 leg
+# within _SCAN_SLACK of tau1, and a scanned frequency that close to its, to
+# be on the corner (tau1, 0).
 _SCAN_MIN = 256
 _SCAN_PER_RADIAN = 2.0
 _SCAN_SLACK = 1e-9
@@ -197,7 +199,7 @@ def _illinois(
     Returns the bracket midpoints.
 
     It serves both root searches: the scan of :func:`find_equilibria` and
-    the tau1 line search of :func:`critical_tau2_for_tau1`.
+    the tau1 line search of :func:`_line_crossings`.
     The bracket state lives in Python floats, which round as float64 arrays
     do: either search refines only a few brackets, and numpy's per-call
     overhead on arrays that short would cost more than the step's one
@@ -335,10 +337,11 @@ def _band_edges(al: float, c: LinearCoefficients) -> list[float]:
 
 
 def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
-    """Every arccos branch (sign, m) with winding number up to ``max_branch``."""
+    """Every arccos branch (sign, m) with winding number up to ``max_branch``,
+    ordered by (m, sign)."""
     if int(max_branch) < 0:
         raise ValueError("max_branch must be nonnegative")
-    return [(sign, m) for sign in (1, -1) for m in range(int(max_branch) + 1)]
+    return [(sign, m) for m in range(int(max_branch) + 1) for sign in (-1, 1)]
 
 
 def _argument(k: float, l: float, va, v2a):
@@ -445,9 +448,10 @@ def curve_columns(
     ``(sign1, m1)`` and ``(sign2, m2)`` the arccos branch and winding number
     behind each delay (integer columns), and ``residual`` the larger absolute
     defect of the two defining equations at the stored floats, in the units
-    of the coefficients.  The rows come in no particular order; ``fracdde
-    curves`` sorts them by ``(m1, sign1, v)``.  Swapping a and b maps the
-    result to the mirrored locus with the delay and label columns exchanged.
+    of the coefficients.  The rows come in the order of the ``fracdde
+    curves`` CSV, sorted by ``(m1, sign1, v, m2, sign2)``.  Swapping a and b
+    maps the result to the mirrored locus with the delay and label columns
+    exchanged.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -457,10 +461,12 @@ def curve_columns(
         raise ValueError("samples must be at least 2")
     labels = _branch_labels(max_branch)
 
-    vs = np.linspace(lo, hi, samples)
+    # A window a few ulps wide repeats sample values: each distinct one is
+    # computed once, and its rows are repeated.
+    vs, repeats = np.unique(np.linspace(lo, hi, samples), return_counts=True)
     a1, a2, outside, va = _band(al, c, vs)
     inside = ~(outside | np.isnan(a1))
-    vs, va, outside = vs[inside], va[inside], outside[inside]
+    vs, va, outside, repeats = vs[inside], va[inside], outside[inside], repeats[inside]
     th1, th2 = _arccos(a1[inside], outside), _arccos(a2[inside], outside)
     half = 0.5 * math.pi * al
     sign, m = np.array(labels).T
@@ -473,19 +479,22 @@ def curve_columns(
     pairs = {s: ok2 & ((sign[:, None] == _paired_sign(c, s)) | fold) for s in (1, -1)}
     hits = []
     # One tau1 row at a time keeps the temporaries at the size of the table.
+    # The labels come ordered by (m, sign), so the tau1 rows in turn, each
+    # taken column by column, give the rows in CSV order.
     for r1, s in enumerate(sign.tolist()):
-        at = np.flatnonzero(ok1[r1] & pairs[s])
-        r2, col = np.divmod(at, len(vs))
-        kept1, kept2 = [t[r1, col] for t in terms1], [t.ravel()[at] for t in terms2]
-        hits.append((np.full(len(at), r1), r2, col, _residual(al, va[col], kept1, kept2)))
+        col, r2 = np.divmod(np.flatnonzero((ok1[r1] & pairs[s]).T), len(labels))
+        kept1, kept2 = [t[r1, col] for t in terms1], [t[r2, col] for t in terms2]
+        hits.append((np.full(len(col), r1), r2, col, _residual(al, va[col], kept1, kept2)))
     r1, r2, col, residual = map(np.concatenate, zip(*hits))
+    n = repeats[col]
+    r1, r2, col, residual = (np.repeat(x, n) for x in (r1, r2, col, residual))
     return CurveColumns(
         vs[col], tau1[r1, col], tau2[r2, col], sign[r1], m[r1], sign[r2], m[r2], residual
     )
 
 
 def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_left, g_right):
-    """Where an interval of the line function g of :func:`critical_tau2_for_tau1`
+    """Where an interval of the line function g of :func:`_line_crossings`
     without a sign change may still hold a root.
 
     ``g = a1 - cos(q*v + alpha*pi/2)`` with ``a1 = (va + d/va)/(2a)``, ``va
@@ -505,45 +514,6 @@ def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_le
     return (size_left + size_right <= travel) & (
         np.minimum(size_left, size_right) <= 0.125 * bend * width * width
     )
-
-
-def critical_tau2_for_tau1(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    tau1: float,
-) -> float | None:
-    """Smallest tau2 at which the vertical line tau1 = const meets the locus.
-
-    For coefficients that are stable at zero delays, this is the first delay
-    pair (tau1, tau2) at which a characteristic root reaches the imaginary
-    axis when tau2 grows from 0 with tau1 held fixed; None means the line
-    meets no crossing in the crossing band ``||a| - |b|| <= v**alpha <= |a|
-    + |b|``.  It is the first crossing only: where a root crosses back, a
-    point above it can be stable again (:func:`classify` counts every
-    crossing of :func:`_line_crossings`, whose scan this is).  The search
-    always covers the whole band: there is no frequency window to narrow it.
-
-    Raises
-    ------
-    ValueError
-        If the coefficients are not stable at zero delays (the first
-        crossing of a line from an already unstable origin is meaningless),
-        if the band ends beyond the float range, or, before allocating them,
-        if the scan needs more than 2**18 frequencies, samples and split
-        points together.
-    """
-    al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    q = float(tau1)
-    if not (math.isfinite(q) and q >= 0.0):
-        raise ValueError(f"tau1 must be nonnegative and finite, got {tau1!r}")
-    if stable_at_zero_delay(c) is not StabilityVerdict.STABLE_AT_ZERO_DELAYS:
-        raise ValueError(
-            "the crossing search requires coefficients stable at zero delays "
-            f"(a + b < 0), got a={c.a}, b={c.b}"
-        )
-    tau2 = _line_crossings(al, c, q)[2]
-    return float(tau2.min()) if tau2.size else None
 
 
 def _finite_band(al: float, c: LinearCoefficients) -> list[float]:
@@ -570,8 +540,12 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     samples are found too.  :func:`_illinois` refines every sign change.  At
     a root v, ``b*exp(-i*v*tau2) = w``: ``tau2 = ((-arg(w/b)) mod 2*pi)/v``
     is the smallest nonnegative delay, and every 2*pi/v above it is one
-    more.  Raises as :func:`critical_tau2_for_tau1` does on the band and the
-    scan budget.
+    more.
+
+    Raises ValueError if the band ends beyond the float range, if the delay
+    of a crossing is (phase over a subnormal v), or, before allocating
+    them, if the scan needs more than 2**18 frequencies, samples and split
+    points together.
     """
     lo, hi = _finite_band(al, c)
     # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0
@@ -606,7 +580,17 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
     v = np.concatenate([v[y == 0.0], _illinois(g, v[i], v[i + 1], y[i], y[i + 1], 360)])
     w = (1j * v) ** al - c.a * np.exp(-1j * q * v)
-    return v, w, np.mod(-np.angle(w / c.b), _TWO_PI) / v
+    phase = np.mod(-np.angle(w / c.b), _TWO_PI)
+    with np.errstate(over="ignore"):
+        tau2 = phase / v
+    beyond = np.flatnonzero(np.isinf(tau2))
+    if beyond.size:
+        i = beyond[0]
+        raise ValueError(
+            f"the crossing at v = {v[i].item()!r} on the line tau1 = {q!r} lies at "
+            f"tau2 = {phase[i].item()!r}/v, beyond the float range"
+        )
+    return v, w, tau2
 
 
 def _single_delay_crossings(al: float, k: float, c0: float) -> list[tuple[float, float, float]]:
@@ -656,16 +640,16 @@ def _tally(crossings, tau: float, tolerance: float | None) -> int | None:
     Each of ``crossings`` is ``(tau0, v, side)``: lambda = i*v is a root at
     ``tau0 + 2*pi*m/v`` for every m >= 0, and each of those delays below tau
     adds the root and its conjugate, 2 where :func:`_side` is positive and
-    -2 where it is negative.  Returns None when one of the delays lies
-    within ``tolerance`` of tau (never for a None tolerance).  Raises
-    ValueError on a tangential crossing below tau, side 0, where the count
-    is undefined.
+    -2 where it is negative.  Returns None when the recurrence nearest to
+    tau, the one below tau0 included, lies within ``tolerance`` of it
+    (never for a None tolerance).  Raises ValueError on a tangential
+    crossing below tau, side 0, where the count is undefined.
     """
     count = 0
     for tau0, v, side in crossings:
         period = _TWO_PI / v
         laps = (tau - tau0) / period
-        if tolerance is not None and abs(tau0 + max(0, round(laps)) * period - tau) <= tolerance:
+        if tolerance is not None and abs(tau0 + max(-1, round(laps)) * period - tau) <= tolerance:
             return None
         if laps > 0.0:
             if side == 0.0:
@@ -677,12 +661,29 @@ def _tally(crossings, tau: float, tolerance: float | None) -> int | None:
     return count
 
 
+class Classification(NamedTuple):
+    """What :func:`classify` finds at one delay pair.
+
+    ``verdict`` and ``critical_tau2`` are the fields that ``fracdde
+    classify`` prints.  ``critical_tau2`` is the first crossing on the tau1
+    line; it is None at zero delays, when the coefficients are not stable
+    at zero delays, and when the line meets no crossing.  ``roots`` is the
+    number of right-half-plane characteristic roots, None where it is
+    undefined: OnBoundary, and where the coefficients are not stable at
+    zero delays.
+    """
+
+    verdict: StabilityVerdict
+    critical_tau2: float | None
+    roots: int | None
+
+
 def classify(
     alpha: FractionalOrder | float,
     coef: LinearCoefficients | tuple[float, float],
     delays: DelayPair | tuple[float, float],
     tolerance: float = 1e-6,
-) -> StabilityVerdict:
+) -> Classification:
     """Classify an equilibrium of the linearized problem at given delays.
 
     At zero delays the verdict reduces to :func:`stable_at_zero_delay`.  An
@@ -693,33 +694,17 @@ def classify(
     the path (0, 0) -> (tau1, 0) -> (tau1, tau2) (Gu, Niculescu & Chen,
     J. Math. Anal. Appl. 311 (2005) 231-253): each imaginary-axis crossing
     on the path adds 2 or -2 by the side to which it crosses.  The leg
-    tau2 = 0 has at most two crossing frequencies, in closed form
-    (:func:`_single_delay_crossings`); the leg on the tau1 line takes every
-    crossing of the line search behind :func:`critical_tau2_for_tau1`.  A
+    tau2 = 0 has at most one crossing frequency, in closed form
+    (:func:`_single_delay_crossings`), where roots cross to the right; the
+    leg on the tau1 line takes every crossing of the line scan
+    :func:`_line_crossings`, the first of which is ``critical_tau2``.  A
     crossing on the tau1 line within ``tolerance`` of tau2 makes the point
     OnBoundary; otherwise it is Stable iff the count is 0.  A vanishing
     coefficient leaves one delay, whose leg is closed form too.
 
     Raises ValueError for a band beyond the float range, a line over the
-    scan budget of :func:`critical_tau2_for_tau1`, or a tangential crossing
-    on the path, where the count is undefined.
-    """
-    return _classify_with_boundary(alpha, coef, delays, tolerance)[0]
-
-
-def _classify_with_boundary(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-    delays: DelayPair | tuple[float, float],
-    tolerance: float,
-) -> tuple[StabilityVerdict, float | None]:
-    """The verdict of :func:`classify` and ``critical_tau2``, the first
-    crossing on the tau1 line.
-
-    ``critical_tau2`` is None at zero delays, when the coefficients are not
-    stable at zero delays, and when the tau1 line meets no crossing.  At a
-    stability switch a point above it can be Stable.  The one line scan
-    serves both.
+    scan budget, a crossing delay beyond the float range, or a tangential
+    crossing on the path, where the count is undefined.
     """
     al = order_value(alpha)
     c = _as_coef(coef)
@@ -728,15 +713,16 @@ def _classify_with_boundary(
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     zero_verdict = stable_at_zero_delay(c)
+    stable = zero_verdict is StabilityVerdict.STABLE_AT_ZERO_DELAYS
     if d.tau1 == 0.0 and d.tau2 == 0.0:
-        return zero_verdict, None
-    if zero_verdict is StabilityVerdict.ON_BOUNDARY:
-        return StabilityVerdict.ON_BOUNDARY, None
+        return Classification(zero_verdict, None, 0 if stable else None)
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
-        return StabilityVerdict.UNSTABLE, None
+        return Classification(StabilityVerdict.UNSTABLE, None, None)
+    if not stable:
+        return Classification(StabilityVerdict.ON_BOUNDARY, None, None)
     _finite_band(al, c)
     leg1 = _single_delay_crossings(al, c.a, c.b)
-    last, boundary = d.tau2, None
+    last, boundary, corner = d.tau2, None, 0
     if c.b == 0.0:
         # tau2 drops out: the tau1 leg reaches the point, and the tau1 line
         # meets no crossing.
@@ -745,16 +731,39 @@ def _classify_with_boundary(
         leg2 = _single_delay_crossings(al, c.b, 0.0)
         boundary = min((tau0 for tau0, _, _ in leg2), default=None)
     else:
-        v, w, tau0 = (x.tolist() for x in _line_crossings(al, c, d.tau1))
-        boundary, q = min(tau0, default=None), d.tau1
-        # Sides only for the crossings that can lie below the point.
-        leg2 = [
-            (t, x, _side(al, x, z, c.a * q * cmath.exp(-1j * x * q)))
-            for t, x, z in zip(tau0, v, w)
-            if t <= d.tau2 + tolerance
-        ]
+        q = d.tau1
+        v, w, tau0 = (x.tolist() for x in _line_crossings(al, c, q))
+        # A leg-1 crossing within rounding of tau1 puts a root on the axis at
+        # the corner (tau1, 0), where the line scan finds it again, its
+        # phase rounded to 0 or to 2*pi/v.  Leg 1 crosses to the right, so
+        # the root is in the right half-plane above the corner iff its side
+        # on the line is positive.  It is counted there, not on leg 1, and
+        # as any crossing from one period up the line.
+        ends = []
+        for t, x, _ in leg1:
+            laps = round((q - t) / (_TWO_PI / x))
+            if laps >= 0 and abs(t + laps * (_TWO_PI / x) - q) <= _SCAN_SLACK * q:
+                ends.append(x)
+                corner += 2 * laps
+        leg1 = [crossing for crossing in leg1 if crossing[1] not in ends]
+        at_end = [any(abs(x - e) <= _SCAN_SLACK * e for e in ends) for x in v]
+        boundary = 0.0 if any(at_end) else min(tau0, default=None)
+        leg2 = []
+        for t, x, z, end in zip(tau0, v, w, at_end):
+            # Sides only for the crossings that can lie below the point or
+            # within the tolerance of it.
+            if end or t <= d.tau2 + tolerance or d.tau2 <= tolerance:
+                side = _side(al, x, z, c.a * q * cmath.exp(-1j * x * q))
+                leg2.append((_TWO_PI / x if end else t, x, side))
+                corner += 2 if end and side > 0.0 else 0
     count = _tally(leg2, last, tolerance)
     if count is None:
-        return StabilityVerdict.ON_BOUNDARY, boundary
-    count += _tally(leg1, d.tau1, None)
-    return (StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE), boundary
+        return Classification(StabilityVerdict.ON_BOUNDARY, boundary, None)
+    count += corner + _tally(leg1, d.tau1, None)
+    if count < 0:
+        raise RuntimeError(
+            f"internal error: {count} right-half-plane roots counted at {d} for "
+            f"a={c.a}, b={c.b}, alpha={al}"
+        )
+    verdict = StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE
+    return Classification(verdict, boundary, count)

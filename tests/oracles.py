@@ -29,7 +29,9 @@ order one.  ``branches`` tabulates both delays on the arccos branches, and
 branch from it.
 
 ``random_line_queries`` draws the fixed random set of line queries on which
-the line search and the classify verdicts are measured.
+the line search and the classify verdicts are measured, and
+``wide_line_queries`` a fixed set over wider orders, coefficients and
+lines.
 
 The truths for the line search and :func:`fracdde.classify` come from the
 characteristic function alone and import nothing from the package.
@@ -376,9 +378,8 @@ def curve_points(alpha, coef, **kwargs) -> list[CurvePoint]:
 
 def locus_rows(columns) -> np.ndarray:
     """The rows of a :func:`fracdde.curve_columns` result as an ``(n, 8)``
-    float array, in the order of the ``fracdde curves`` CSV."""
-    order = np.lexsort((columns.sign2, columns.m2, columns.v, columns.sign1, columns.m1))
-    return np.column_stack([col[order].astype(float) for col in columns]).reshape(-1, 8)
+    float array, in their own order, that of the ``fracdde curves`` CSV."""
+    return np.column_stack([col.astype(float) for col in columns]).reshape(-1, 8)
 
 
 def rescaled(alpha: float, coef: tuple[float, float], window: tuple[float, float]):
@@ -555,6 +556,33 @@ def random_line_queries() -> list[tuple[float, float, float, float, float]]:
         tau1, tau2 = rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0)
         if min(abs(a), abs(b)) >= 0.05 and a + b < -1e-3:
             queries.append((alpha, a, b, tau1, tau2))
+    return queries
+
+
+def wide_line_queries() -> list[tuple[float, float, float, float]]:
+    """The wide set: 40 line queries ``(alpha, a, b, tau1)``.
+
+    ``random.Random(30)`` draws each candidate's alpha on [0.2, 1], a on
+    [-10, -0.05] or [0.05, 10], b on [-30, -0.05] or [0.05, 10], and t on
+    [0, 1], with tau1 = t*min(40, 300*2*pi/v_top) and v_top = (|a| +
+    |b|)**(1/alpha): at most 300 windings of the band's upper edge.  A
+    candidate is kept if a + b < -1e-6 and the contour of
+    :func:`rhp_root_count`, about 16*R*max(tau1, 1) points with R =
+    2*v_top + 1, needs at most 4e5 of them, until 40 are kept.  That bound
+    refuses two candidates, (alpha, |a| + |b|) about (0.30, 22) and (0.36,
+    29); the smallest alpha kept is 0.26.
+    """
+    rng = random.Random(30)
+    queries = []
+    while len(queries) < 40:
+        alpha = rng.uniform(0.2, 1.0)
+        a = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 10.0)
+        b = rng.choice((-rng.uniform(0.05, 30.0), rng.uniform(0.05, 10.0)))
+        t = rng.uniform(0.0, 1.0)
+        v_top = (abs(a) + abs(b)) ** (1.0 / alpha)
+        tau1 = t * min(40.0, 300 * 2.0 * math.pi / v_top)
+        if a + b < -1e-6 and 16.0 * (2.0 * v_top + 1.0) * max(tau1, 1.0) <= 4e5:
+            queries.append((alpha, a, b, tau1))
     return queries
 
 

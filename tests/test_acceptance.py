@@ -17,7 +17,6 @@ from fracdde import (
     SystemRhs,
     build_grid,
     classify,
-    critical_tau2_for_tau1,
     find_equilibria,
     ikeda_rhs,
     linearize,
@@ -51,7 +50,7 @@ def window_amplitudes(values, h, t_from, t_to, width):
 
 def test_c1_boundary_tau2_on_the_tau1_axis():
     start = time.perf_counter()
-    got = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
+    got = classify(1.0, UCAR_COEF, (0.0, 1.0)).critical_tau2
     elapsed = time.perf_counter() - start
     assert got == pytest.approx(0.43521, abs=1e-3)
     assert elapsed < 1.0
@@ -221,21 +220,21 @@ def test_c8_qualitative_long_run_dynamics():
 def test_c9_classify_agrees_with_long_run_dynamics():
     # Cubic model around x* = 1.
     coef_ucar = linearize(ucar_rhs(), 1.0)
-    assert classify(0.9, coef_ucar, (0.4, 0.5)) is StabilityVerdict.STABLE
-    assert classify(0.9, coef_ucar, (1.6, 1.4)) is StabilityVerdict.UNSTABLE
+    assert classify(0.9, coef_ucar, (0.4, 0.5)).verdict is StabilityVerdict.STABLE
+    assert classify(0.9, coef_ucar, (1.6, 1.4)).verdict is StabilityVerdict.UNSTABLE
 
     # Sinusoidal model around its upper equilibrium, via the full pipeline.
     rhs = ikeda_rhs()
     roots = find_equilibria(rhs, (-10.0, 10.0))
     x_up = next(r for r in roots if abs(r - 2.7859) < 1e-3)
     coef_ikeda = linearize(rhs, x_up)
-    assert classify(0.7, coef_ikeda, (0.02, 0.01)) is StabilityVerdict.STABLE
-    assert classify(0.7, coef_ikeda, (0.01, 0.1)) is StabilityVerdict.UNSTABLE
+    assert classify(0.7, coef_ikeda, (0.02, 0.01)).verdict is StabilityVerdict.STABLE
+    assert classify(0.7, coef_ikeda, (0.01, 0.1)).verdict is StabilityVerdict.UNSTABLE
 
     # Zero-delay verdicts follow the sign of a + b.
     for coef in (coef_ucar, coef_ikeda, (2.0, -1.0), (1.0, 0.5)):
         expected = stable_at_zero_delay(coef)
-        assert classify(0.9, coef, (0.0, 0.0)) is expected
+        assert classify(0.9, coef, (0.0, 0.0)).verdict is expected
 
 
 
@@ -249,7 +248,7 @@ def test_c10_stability_switch_on_the_tau1_line(tau2, verdict):
     # before 1.0.  A stable run's last quarter is flat to 2e-5 here, an
     # unstable one keeps oscillating by 0.24 or more.
     coef = linearize(ucar_rhs(), 1.0)
-    assert classify(0.9, coef, (1.0, tau2)).value == verdict
+    assert classify(0.9, coef, (1.0, tau2)).verdict.value == verdict
     grid = build_grid(DelayPair(1.0, tau2), 400.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
     assert not traj.is_truncated

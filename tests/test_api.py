@@ -30,7 +30,7 @@ PUBLIC = {
     "stable_at_zero_delay",
     "default_v_window",
     "curve_columns",
-    "critical_tau2_for_tau1",
+    "Classification",
     "classify",
     "UcarParams",
     "IkedaParams",

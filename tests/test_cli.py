@@ -290,9 +290,10 @@ class TestCurvesCommand:
 
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
         # The writer must print exactly what format(v, ".17g") and str(int)
-        # print, signed zeros and extreme exponents included.  Values repeat
-        # across rows, as on the real locus, and the tau2 column holds both
-        # zeros, which a dedupe by float equality would print alike.
+        # print, signed zeros and extreme exponents included, row by row in
+        # the order the library gives.  Values repeat across rows, as on the
+        # real locus, and the tau2 column holds both zeros, which a dedupe by
+        # float equality would print alike.
         points = [
             CurvePoint(0.1, 1.0 / 3.0, -0.0, 1, 0, -1, 0, 0.0),
             CurvePoint(2.5e-300, 1.7976931348623157e308, 12.0, -1, 3, 1, 17, 5e-324),
@@ -307,7 +308,7 @@ class TestCurvesCommand:
                 + [format(p.residual, ".17g")]
             )
             + "\n"
-            for p in sorted(points, key=lambda p: (p.m1, p.sign1, p.v, p.m2, p.sign2))
+            for p in points
         )
         assert {format(p.tau2, ".17g") for p in points} >= {"0", "-0"}
         assert "e+308" in expected
@@ -568,12 +569,8 @@ class TestClassifyCommand:
             ["--a=-3e-7", "--b", "1e-7", "--tau1", "0"],
             ["--a=-1e-7", "--b", "0", "--tau1", "1"],
             ["--a", "0", "--b=-1e-7", "--tau1", "1"],
-            # The first crossing on the line is inf, which JSON cannot hold;
-            # numpy warns of the overflow on the way.
-            pytest.param(
-                ["--a", "1e-7", "--b=-3e-7", "--tau1", "1"],
-                marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning"),
-            ),
+            # The first crossing on the line lies beyond the float range.
+            ["--a", "1e-7", "--b=-3e-7", "--tau1", "1"],
         ],
     )
     def test_tiny_coefficients_are_a_usage_error(self, capsys, argv):
@@ -582,6 +579,30 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("fracdde: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_subnormal_crossing_frequency_is_a_usage_error(self, capsys):
+        # The band of these coefficients at order 0.02 is subnormal, and the
+        # delay phase/v of its crossing overflows: one error line that
+        # names it, and no numpy warning, which the suite turns into an
+        # error.
+        argv = ["classify", "--a", "1e-7", "--b=-3e-7", "--alpha", "0.02",
+                "--tau1", "1", "--tau2", "1"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: the crossing at v = ") and err.count("\n") == 1
+        assert "on the line tau1 = 1.0 lies at tau2 = " in err and "beyond the float range" in err
+
+    def test_line_through_a_tau1_axis_crossing(self, capsys):
+        # A root sits on the axis at (tau1*, 0) and moves right as tau2
+        # grows: the reference count is 2 at tau2 = 1e-3, and the first
+        # crossing on the line is the corner itself.
+        coef = ["--a=-3", "--b=-0.5", "--alpha", "0.8", "--tau1", "0.5624679864618456"]
+        code, doc = self.run(["classify", *coef, "--tau2", "0.001"], capsys)
+        assert code == 0
+        assert (doc["verdict"], doc["critical_tau2"]) == ("Unstable", 0.0)
+        code, doc = self.run(["classify", *coef, "--tau2", "0"], capsys)
+        assert (code, doc["verdict"]) == (0, "OnBoundary")
 
     def test_band_below_the_default_window_floor(self, capsys):
         # The crossing band of these coefficients, about [1.9e-8, 1.5e-7],

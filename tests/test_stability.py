@@ -1,4 +1,3 @@
-import cmath
 import math
 import tracemalloc
 import warnings
@@ -9,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracdde import (
+    Classification,
     DegenerateCoefficientsError,
     IkedaParams,
     LinearCoefficients,
@@ -16,7 +16,6 @@ from fracdde import (
     SystemRhs,
     UcarParams,
     classify,
-    critical_tau2_for_tau1,
     curve_columns,
     default_v_window,
     find_equilibria,
@@ -42,6 +41,7 @@ from oracles import (
     rescaled,
     rhp_root_count,
     scalar_equilibria,
+    wide_line_queries,
 )
 from reference_values import IKEDA_EQUILIBRIA
 
@@ -58,34 +58,36 @@ def doubled_scan_density(monkeypatch):
     monkeypatch.setattr(stability, "_SCAN_PER_RADIAN", 2 * stability._SCAN_PER_RADIAN)
 
 
+def first_crossing(alpha, coef, tau1):
+    """``critical_tau2`` of the line tau1 = const: the first crossing on it,
+    which :func:`classify` reports at every point of the line off the
+    origin."""
+    return classify(alpha, coef, (tau1, 1.0)).critical_tau2
+
+
 def assert_line_truths(alpha, a, b, q):
     """Check the line search on the line tau1 = q against the characteristic
     function alone, and return its crossings ``(v, w, tau2)``.
 
     Every crossing must be a root: |F(i*v)| <= 1e-12*(|a| + |b|) at (q,
-    tau2).  The package's count, the tally of the leg tau2 = 0 plus that of
-    the line, must equal the argument-principle count at the midpoints of
-    the first two gaps [0, t1] and [t1, t2] between the delays where a root
-    reaches the axis on the line (each crossing and its recurrences every
-    2*pi/v).  A gap narrower than 1e-9, where a touching pair sits on the
-    axis, is skipped; a line with no crossing is checked at tau2 = 1 and 3.
+    tau2).  The count of :func:`classify` must equal the argument-principle
+    count at the midpoints of the first two gaps [0, t1] and [t1, t2]
+    between the delays where a root reaches the axis on the line (each
+    crossing and its recurrences every 2*pi/v).  A gap narrower than 1e-9,
+    where a touching pair sits on the axis, is skipped; a line with no
+    crossing is checked at tau2 = 1 and 3.
     """
     crossings = stability._line_crossings(alpha, LinearCoefficients(a, b), q)
     v, w, tau0 = (x.tolist() for x in crossings)
     for x, t in zip(v, tau0):
         residual = abs(characteristic_residual(alpha, a, b, q, t, 1j * x))
         assert residual <= 1e-12 * (abs(a) + abs(b)), (alpha, a, b, q, x, t, residual)
-    leg1 = stability._tally(stability._single_delay_crossings(alpha, a, b), q, None)
-    leg2 = [
-        (t, x, stability._side(alpha, x, z, a * q * cmath.exp(-1j * x * q)))
-        for x, z, t in zip(v, w, tau0)
-    ]
     times = sorted(t + k * 2.0 * math.pi / x for x, t in zip(v, tau0) for k in (0, 1))
     ends = [0.0] + times[:2]
     gaps = zip(ends, ends[1:])
     points = [0.5 * (lo + hi) for lo, hi in gaps if hi - lo >= 1e-9] if v else [1.0, 3.0]
     for tau2 in points:
-        count = leg1 + stability._tally(leg2, tau2, None)
+        count = classify(alpha, (a, b), (q, tau2), tolerance=0.0).roots
         assert count == rhp_root_count(alpha, a, b, q, tau2), (alpha, a, b, q, tau2, count)
     return crossings
 
@@ -424,6 +426,26 @@ class TestCriticalCurve:
         kinds = [col.dtype.kind for col in columns]
         assert kinds == ["f", "f", "f", "i", "i", "i", "i", "f"]
 
+    @pytest.mark.parametrize(
+        "alpha, coef, kwargs, rows",
+        [
+            (0.9, UCAR_COEF, {}, 37_618),
+            (0.5, (-1.0, 0.3), {"max_branch": 12}, 110_062),
+            # Both band edges are samples, and folds pair both signs there.
+            (1.0, UCAR_COEF, {"v_range": (1.0, 5.0), "samples": 5}, 697),
+            # One ulp wide: the 2000 samples take 2 distinct values, and
+            # each sample keeps its rows.
+            (1.0, UCAR_COEF, {"v_range": (3.0, 3.0000000000000004)}, 272_000),
+        ],
+        ids=["readme", "windings", "edges_on_samples", "two_values"],
+    )
+    def test_rows_come_in_csv_order(self, alpha, coef, kwargs, rows):
+        # Sorted by (m1, sign1, v, m2, sign2): a stable sort by that key
+        # leaves every row in place.
+        c = curve_columns(alpha, coef, **kwargs)
+        order = np.lexsort((c.sign2, c.m2, c.v, c.sign1, c.m1))
+        assert len(order) == rows and order.tolist() == list(range(rows))
+
     @staticmethod
     def assert_matches_object_path(alpha, coef, **kwargs):
         points = curve_points(alpha, coef, **kwargs)
@@ -464,7 +486,7 @@ class TestCriticalTau2ForTau1:
             0.5266829353832136, -3.4915082607549808, 1.5093447303985377,
             0.28974514667017104, 2.143528017226757,
         )
-        missed = [q for q in queries if critical_tau2_for_tau1(q[0], q[1:3], q[3]) is None]
+        missed = [q for q in queries if classify(q[0], q[1:3], q[3:]).critical_tau2 is None]
         assert len(missed) == 19
 
     def test_axis_value_matches_analytic(self):
@@ -474,7 +496,7 @@ class TestCriticalTau2ForTau1:
         v = math.sqrt(b * b - a * a)
         a2 = (v * v + b * b - a * a) / (2 * b * v)
         expected = (math.acos(a2) - 0.5 * math.pi) / v
-        got = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
+        got = first_crossing(1.0, UCAR_COEF, 0.0)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_insensitive_to_sampling_density(self, rng, monkeypatch):
@@ -482,10 +504,10 @@ class TestCriticalTau2ForTau1:
         # crossings may differ in their last bits, but no crossing appears
         # or vanishes.
         queries = [(1.0, UCAR_COEF, 0.3)] + self.random_queries(rng, 200)
-        base = [critical_tau2_for_tau1(alpha, coef, q) for alpha, coef, q in queries]
+        base = [first_crossing(alpha, coef, q) for alpha, coef, q in queries]
         doubled_scan_density(monkeypatch)
         for (alpha, coef, q), got in zip(queries, base):
-            dense = critical_tau2_for_tau1(alpha, coef, q)
+            dense = first_crossing(alpha, coef, q)
             assert (got is None) == (dense is None), (alpha, coef, q)
             if got is not None:
                 assert abs(dense - got) <= 1e-13 * got, (alpha, coef, q, got, dense)
@@ -496,7 +518,7 @@ class TestCriticalTau2ForTau1:
         # window edge just above the queried line; a plain scanline misses
         # the crossing because it lies between the last two valid samples.
         b = 24.0 * math.cos(2.785902114077879)
-        got = critical_tau2_for_tau1(0.7, (-3.0, b), 0.02)
+        got = first_crossing(0.7, (-3.0, b), 0.02)
         assert got is not None
         assert got == pytest.approx(0.0199867, abs=2e-5)
 
@@ -515,7 +537,7 @@ class TestCriticalTau2ForTau1:
             else:
                 hi = v
         expected = (math.acos((v * v + 8.0) / (-6.0 * v)) - 0.5 * math.pi) / v
-        got = critical_tau2_for_tau1(1.0, UCAR_COEF, q)
+        got = first_crossing(1.0, UCAR_COEF, q)
         assert got is not None
         assert got == pytest.approx(expected, abs=1e-9)
         assert abs(characteristic_residual(1.0, 1.0, -3.0, q, got, 1j * v)) <= 1e-9
@@ -532,13 +554,13 @@ class TestCriticalTau2ForTau1:
         brackets = self.count_brackets(monkeypatch)
         z = 1j * v - np.exp(-1j * q * v)
         tau2 = np.mod(-np.angle(z / -3.0), 2.0 * math.pi) / v
-        assert critical_tau2_for_tau1(1.0, UCAR_COEF, q) == tau2
+        assert first_crossing(1.0, UCAR_COEF, q) == tau2
         assert brackets == [0]
 
     def test_large_coefficients_rescale(self):
         # At order 1, (1e8, -3e8) is (1, -3) with the delays divided by 1e8.
-        got = critical_tau2_for_tau1(1.0, (1e8, -3e8), 0.0)
-        assert got == pytest.approx(critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0) / 1e8, rel=1e-13)
+        got = first_crossing(1.0, (1e8, -3e8), 0.0)
+        assert got == pytest.approx(first_crossing(1.0, UCAR_COEF, 0.0) / 1e8, rel=1e-13)
 
     def test_crossing_at_a_row_extreme_on_the_band_edge(self):
         # At order 0.9 the band of (2, -5) starts at v = 3**(1/0.9), where
@@ -549,7 +571,7 @@ class TestCriticalTau2ForTau1:
         # crossing equation instead.
         # The reference is a 50-digit solution of |z| = |b| at the edge.
         q = 0.5097741723787141
-        got = critical_tau2_for_tau1(0.9, (2.0, -5.0), q)
+        got = first_crossing(0.9, (2.0, -5.0), q)
         assert got == pytest.approx(0.50977417694746279, abs=1e-15)
         v = 3.0 ** (1.0 / 0.9)
         residual = characteristic_residual(0.9, 2.0, -5.0, q, got, 1j * v)
@@ -561,7 +583,7 @@ class TestCriticalTau2ForTau1:
         # branches across all of it: the line function keeps one sign, and
         # the refiner gets no bracket.
         brackets = self.count_brackets(monkeypatch)
-        assert critical_tau2_for_tau1(*MISSED_LINE) is None
+        assert first_crossing(*MISSED_LINE) is None
         assert brackets == [0]
         alpha, (a, b), q = MISSED_LINE
         assert_line_truths(alpha, a, b, q)
@@ -569,13 +591,14 @@ class TestCriticalTau2ForTau1:
     def test_line_beyond_every_branch_samples_no_row(self, monkeypatch):
         # At order 0.02 the band of (-2e-12, 1e-13), ending at about
         # (2.1e-12)**50, underflows to 0: it holds no positive float, so the
-        # search returns before it evaluates the line or refines a bracket.
+        # scan returns before it evaluates the line or refines a bracket.
         brackets = self.count_brackets(monkeypatch)
         rows = []
         argument = stability._argument
         monkeypatch.setattr(stability, "_argument", lambda *args: rows.append(args) or argument(*args))
         assert stability._band_edges(0.02, LinearCoefficients(-2e-12, 1e-13)) == [0.0, 0.0]
-        assert critical_tau2_for_tau1(0.02, (-2e-12, 1e-13), 1.0) is None
+        c = LinearCoefficients(-2e-12, 1e-13)
+        assert [x.size for x in stability._line_crossings(0.02, c, 1.0)] == [0, 0, 0]
         assert rows == []
         assert brackets == []
 
@@ -590,7 +613,7 @@ class TestCriticalTau2ForTau1:
     )
     def test_windings_beyond_eight_are_searched(self, alpha, tau1, expected):
         # The expected values are those of a table of every winding.
-        got = critical_tau2_for_tau1(alpha, UCAR_COEF, tau1)
+        got = first_crossing(alpha, UCAR_COEF, tau1)
         assert got == pytest.approx(expected, abs=1e-13)
         v, _, tau2 = assert_line_truths(alpha, *UCAR_COEF, tau1)
         assert len(v) > 20 and tau2.min() == got
@@ -603,7 +626,7 @@ class TestCriticalTau2ForTau1:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"tau1 = 100000\.0 needs about 4\.003e\+05 "):
-                critical_tau2_for_tau1(1.0, UCAR_COEF, 1e5)
+                classify(1.0, UCAR_COEF, (1e5, 1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,7 +638,7 @@ class TestCriticalTau2ForTau1:
         # around its close pair do not.
         monkeypatch.setattr(stability, "_SCAN_BUDGET", 273)
         with pytest.raises(ValueError, match=r"needs about 275 frequencies .* more than the 273 "):
-            critical_tau2_for_tau1(1.0, UCAR_COEF, 4.019937207034583 - 1e-10)
+            classify(1.0, UCAR_COEF, (4.019937207034583 - 1e-10, 1.0))
 
     def test_close_pair_between_samples_is_found(self, monkeypatch):
         # The line passes just below the interior maximum of row (-1, 2), at
@@ -634,7 +657,7 @@ class TestCriticalTau2ForTau1:
             return found
 
         monkeypatch.setattr(stability, "_illinois", recorded)
-        critical_tau2_for_tau1(1.0, UCAR_COEF, q)
+        classify(1.0, UCAR_COEF, (q, 1.0))
         pair = [v for v in roots if abs(v - 2.045927) < 1e-5]
         assert len(pair) == 2 and pair[1] - pair[0] < 2e-5 < 2.0 / 272
         z = 1j * pair[0] - np.exp(-1j * q * pair[0])
@@ -644,7 +667,7 @@ class TestCriticalTau2ForTau1:
         assert_line_truths(1.0, *UCAR_COEF, q)
         roots.clear()
         monkeypatch.setattr(stability, "_may_hide_root", lambda *args: np.zeros(len(args[3]), bool))
-        critical_tau2_for_tau1(1.0, UCAR_COEF, q)
+        classify(1.0, UCAR_COEF, (q, 1.0))
         assert not [v for v in roots if abs(v - 2.045927) < 1e-5]
 
     @staticmethod
@@ -673,13 +696,15 @@ class TestCriticalTau2ForTau1:
                 queries.append((alpha, (a, b), t * min(3.0, 200 * 2.0 * math.pi / v_top)))
         return queries
 
-    @pytest.mark.parametrize("lines", ["sweep_grid", "random_set"])
+    @pytest.mark.parametrize("lines", ["sweep_grid", "random_set", "wide_set"])
     def test_crossings_are_roots_and_counts_match(self, rng, lines):
         if lines == "sweep_grid":
             queries = [(alpha, c.a, c.b, q) for alpha, c, q in self.sweep_queries(rng)]
-        else:
+        elif lines == "random_set":
             queries = [query[:4] for query in random_line_queries()]
-        assert len(queries) == {"sweep_grid": 99, "random_set": 312}[lines]
+        else:
+            queries = wide_line_queries()
+        assert len(queries) == {"sweep_grid": 99, "random_set": 312, "wide_set": 40}[lines]
         for query in queries:
             assert_line_truths(*query)
 
@@ -701,7 +726,7 @@ class TestCriticalTau2ForTau1:
         monkeypatch.setattr(stability, "_argument", counted)
         queries = self.sweep_queries(rng)
         for alpha, coef, q in queries:
-            critical_tau2_for_tau1(alpha, coef, q)
+            classify(alpha, coef, (q, 1.0))
         assert calls <= 8 * len(queries)
 
     def test_bracket_closes_on_the_neighbouring_float(self, monkeypatch):
@@ -718,7 +743,7 @@ class TestCriticalTau2ForTau1:
             return refine(fun, lo, hi, f_lo, f_hi, max_iter)
 
         monkeypatch.setattr(stability, "_illinois", recorded)
-        critical_tau2_for_tau1(0.9, UCAR_COEF, 0.88)
+        classify(0.9, UCAR_COEF, (0.88, 1.0))
         [(fun, lo, hi, f_lo, f_hi)] = brackets
         assert len(lo) == 1
         calls = 0
@@ -882,7 +907,7 @@ class TestCriticalTau2ForTau1:
         c = stability.LinearCoefficients(-1.0, -3.0)
         q = float(branches(0.5, c, np.array([16.0]), [(-1, 11)])[0][0, 0])
         assert (q * 16.0 + math.pi * 1.25) / (2.0 * math.pi) < 11.0
-        assert critical_tau2_for_tau1(0.5, c, q) == pytest.approx(3.0 * math.pi / 64.0, abs=1e-15)
+        assert first_crossing(0.5, c, q) == pytest.approx(3.0 * math.pi / 64.0, abs=1e-15)
         assert_line_truths(0.5, -1.0, -3.0, q)
 
     @pytest.mark.parametrize(
@@ -954,29 +979,34 @@ class TestCriticalTau2ForTau1:
         assert got.dtype == float and got.shape == (0,)
 
     def test_requires_stability_at_zero(self):
-        with pytest.raises(ValueError):
-            critical_tau2_for_tau1(0.9, (1.0, -0.5), 0.1)
+        # The first crossing of a line from an already unstable origin is
+        # meaningless: the line is not searched.
+        assert classify(0.9, (1.0, -0.5), (0.1, 1.0)) == (StabilityVerdict.UNSTABLE, None, None)
 
     def test_rejects_negative_line(self):
         with pytest.raises(ValueError):
-            critical_tau2_for_tau1(1.0, UCAR_COEF, -0.1)
+            classify(1.0, UCAR_COEF, (-0.1, 1.0))
 
 
 class TestDelayPlaneBoundary:
     # The boundary tau2 that classify compares a point against.
     @staticmethod
     def boundary(tau1, tau2=1.0, alpha=1.0, coef=UCAR_COEF):
-        return stability._classify_with_boundary(alpha, coef, (tau1, tau2), 1e-6)[1]
+        return classify(alpha, coef, (tau1, tau2)).critical_tau2
+
+    @staticmethod
+    def line_search(tau1, alpha=1.0, coef=UCAR_COEF):
+        return stability._line_crossings(alpha, LinearCoefficients(*coef), tau1)[2]
 
     def test_equals_line_search_when_it_hits(self):
-        direct = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
+        direct = self.line_search(0.0).min()
         assert self.boundary(0.0) == direct
 
     def test_null_when_the_line_misses_every_crossing(self):
         # This line misses every branch of the band, though the locus has
         # points below tau2 = 1 elsewhere: no boundary lies above the line.
         alpha, coef, q = MISSED_LINE
-        assert critical_tau2_for_tau1(alpha, coef, q) is None
+        assert self.line_search(q, alpha, coef).size == 0
         assert self.boundary(q, alpha=alpha, coef=coef) is None
         assert curve_columns(alpha, coef).tau2.min() < 1.0
 
@@ -984,40 +1014,96 @@ class TestDelayPlaneBoundary:
         # Windings up to 19 reach tau1 = 30, so the line meets the locus
         # just above the lowest tau2 of the locus on the default window.
         boundary = self.boundary(30.0)
-        assert boundary == critical_tau2_for_tau1(1.0, UCAR_COEF, 30.0)
+        assert boundary == self.line_search(30.0).min()
         assert boundary == pytest.approx(0.36622093074825357, abs=1e-13)
         assert boundary > curve_columns(1.0, UCAR_COEF).tau2.min()
-        assert classify(1.0, UCAR_COEF, (30.0, 0.3)) is StabilityVerdict.STABLE
-        assert classify(1.0, UCAR_COEF, (30.0, 0.4)) is StabilityVerdict.UNSTABLE
+        assert classify(1.0, UCAR_COEF, (30.0, 0.3)).verdict is StabilityVerdict.STABLE
+        assert classify(1.0, UCAR_COEF, (30.0, 0.4)).verdict is StabilityVerdict.UNSTABLE
 
 
 class TestClassify:
     def test_zero_delays_delegate_to_sign_rule(self):
-        assert classify(0.9, UCAR_COEF, (0.0, 0.0)) is StabilityVerdict.STABLE_AT_ZERO_DELAYS
+        assert classify(0.9, UCAR_COEF, (0.0, 0.0)).verdict is StabilityVerdict.STABLE_AT_ZERO_DELAYS
         assert (
-            classify(0.9, (2.0, -1.0), (0.0, 0.0)) is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
+            classify(0.9, (2.0, -1.0), (0.0, 0.0)).verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
         )
-        assert classify(0.9, (1.0, -1.0), (0.0, 0.0)) is StabilityVerdict.ON_BOUNDARY
+        assert classify(0.9, (1.0, -1.0), (0.0, 0.0)).verdict is StabilityVerdict.ON_BOUNDARY
 
     def test_unstable_at_zero_stays_unstable_with_delays(self):
-        assert classify(0.9, (2.0, -1.0), (0.3, 0.4)) is StabilityVerdict.UNSTABLE
+        assert classify(0.9, (2.0, -1.0), (0.3, 0.4)).verdict is StabilityVerdict.UNSTABLE
 
     def test_boundary_at_zero_stays_boundary(self):
-        assert classify(0.9, (1.0, -1.0), (0.3, 0.4)) is StabilityVerdict.ON_BOUNDARY
+        assert classify(0.9, (1.0, -1.0), (0.3, 0.4)).verdict is StabilityVerdict.ON_BOUNDARY
 
     def test_band_around_boundary(self):
-        c0 = critical_tau2_for_tau1(1.0, UCAR_COEF, 0.0)
-        assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-3)) is StabilityVerdict.STABLE
-        assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-3)) is StabilityVerdict.UNSTABLE
-        assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-8)) is StabilityVerdict.ON_BOUNDARY
-        assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-8)) is StabilityVerdict.ON_BOUNDARY
+        c0 = first_crossing(1.0, UCAR_COEF, 0.0)
+        assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-3)).verdict is StabilityVerdict.STABLE
+        assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-3)).verdict is StabilityVerdict.UNSTABLE
+        assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-8)).verdict is StabilityVerdict.ON_BOUNDARY
+        assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-8)).verdict is StabilityVerdict.ON_BOUNDARY
+
+    def test_result_fields(self):
+        # roots is the count that the verdict reads, None where no count is
+        # formed; the CLI prints verdict and critical_tau2.
+        assert classify(0.9, UCAR_COEF, (0.0, 0.0)) == (
+            StabilityVerdict.STABLE_AT_ZERO_DELAYS, None, 0
+        )
+        assert classify(0.9, (2.0, -1.0), (0.0, 0.0)) == (
+            StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS, None, None
+        )
+        assert classify(0.9, (1.0, -1.0), (0.3, 0.4)) == (StabilityVerdict.ON_BOUNDARY, None, None)
+        result = classify(0.9, UCAR_COEF, (1.0, 0.5))
+        assert isinstance(result, Classification)
+        assert (result.verdict, result.roots) == (StabilityVerdict.UNSTABLE, 2)
+        assert rhp_root_count(0.9, *UCAR_COEF, 1.0, 0.5) == 2
+        c0 = result.critical_tau2
+        assert classify(0.9, UCAR_COEF, (1.0, c0)) == (StabilityVerdict.ON_BOUNDARY, c0, None)
+        assert classify(0.9, UCAR_COEF, (1.0, 0.7)) == (StabilityVerdict.STABLE, c0, 0)
+
+    @pytest.mark.parametrize(
+        "alpha, a, b, corner",
+        [
+            # The line scan's phase for the root at the corner rounds to
+            # 2*pi/v: the crossing was neither counted nor seen within the
+            # tolerance of tau2 = 0.
+            (0.5, -4.0, 1.0, 0.10100647673532827),
+            (0.8, -3.0, -0.5, 0.5624679864618456),
+            # The phase rounds to 0, and the crossing to the left was
+            # counted as leaving the right half-plane: a count of -2.
+            (0.9, -3.0, 1.0, 0.4124473892577091),
+        ],
+    )
+    def test_line_through_a_tau1_axis_crossing(self, alpha, a, b, corner):
+        # The tau2 = 0 leg crosses at tau1* (pinned as the closed form gives
+        # it), where a root sits on the axis at (tau1*, 0).  On the line
+        # through it, that root is counted once, by its side on the line.
+        # The lines 4 ulps either side and the next recurrence count alike.
+        [(tau1, v, side)] = stability._single_delay_crossings(alpha, a, b)
+        assert tau1 == corner and side > 0.0
+        lines = [corner, corner + 2.0 * math.pi / v]
+        lines += [float(np.nextafter(corner, corner + d, dtype=float)) for d in (-1.0, 1.0)]
+        for q in lines + [x + 3 * (x - corner) for x in lines[2:]]:
+            for tau2 in (0.0, 5e-7):
+                assert classify(alpha, (a, b), (q, tau2)) == (StabilityVerdict.ON_BOUNDARY, 0.0, None)
+            for tau2 in (1e-4, 1e-3, 1e-2):
+                verdict, boundary, roots = classify(alpha, (a, b), (q, tau2))
+                count = rhp_root_count(alpha, a, b, q, tau2)
+                assert (roots, boundary) == (count, 0.0), (q, tau2)
+                assert verdict is (StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE)
+
+    def test_negative_count_is_an_internal_error(self, monkeypatch):
+        # Crossings that all go to the left cannot start from a stable
+        # origin: the count is wrong, not the point unstable.
+        monkeypatch.setattr(stability, "_side", lambda *args: -1.0)
+        with pytest.raises(RuntimeError, match="internal error"):
+            classify(0.9, UCAR_COEF, (1.0, 0.7))
 
     def test_missed_line_counts_no_root(self):
         # No root crosses on the path to any point of a line that misses
         # every crossing, although points of the locus lie below tau2 = 1.
         alpha, coef, q = MISSED_LINE
         for tau2 in (0.001, 1.0):
-            assert classify(alpha, coef, (q, tau2)) is StabilityVerdict.STABLE
+            assert classify(alpha, coef, (q, tau2)).verdict is StabilityVerdict.STABLE
             assert rhp_root_count(alpha, *coef, q, tau2) == 0
 
     def test_verdict_never_reads_the_locus(self, monkeypatch):
@@ -1027,9 +1113,9 @@ class TestClassify:
         monkeypatch.setattr(stability, "curve_columns", unused)
         monkeypatch.setattr(stability, "default_v_window", unused)
         alpha, coef, q = MISSED_LINE
-        assert classify(alpha, coef, (q, 1.0)) is StabilityVerdict.STABLE
-        assert classify(0.9, UCAR_COEF, (1.0, 0.5)) is StabilityVerdict.UNSTABLE
-        assert classify(0.9, UCAR_COEF, (1.0, 0.7)) is StabilityVerdict.STABLE
+        assert classify(alpha, coef, (q, 1.0)).verdict is StabilityVerdict.STABLE
+        assert classify(0.9, UCAR_COEF, (1.0, 0.5)).verdict is StabilityVerdict.UNSTABLE
+        assert classify(0.9, UCAR_COEF, (1.0, 0.7)).verdict is StabilityVerdict.STABLE
 
     # The ranges of the random set.  The reference count's contour grows
     # with the delays, so they stay below 4.
@@ -1043,7 +1129,7 @@ class TestClassify:
     )
     def test_property_verdict_is_the_root_count(self, alpha, a, b, tau1, tau2):
         assume(a + b < -1e-3 and tau1 + tau2 > 0.0)
-        verdict = classify(alpha, (a, b), (tau1, tau2))
+        verdict = classify(alpha, (a, b), (tau1, tau2)).verdict
         assume(verdict is not StabilityVerdict.ON_BOUNDARY)
         count = rhp_root_count(alpha, a, b, tau1, tau2)
         assert (verdict is StabilityVerdict.STABLE) == (count == 0), count
@@ -1052,15 +1138,15 @@ class TestClassify:
         # Exchanging the roles of the delays counts along the other path,
         # (0, 0) -> (0, tau2) -> (tau1, tau2), from other crossings.
         for alpha, a, b, tau1, tau2 in random_line_queries():
-            verdict = classify(alpha, (a, b), (tau1, tau2))
-            assert classify(alpha, (b, a), (tau2, tau1)) is verdict
+            verdict = classify(alpha, (a, b), (tau1, tau2)).verdict
+            assert classify(alpha, (b, a), (tau2, tau1)).verdict is verdict
 
     def test_diagonal_set_is_stable_below_the_closed_form(self):
         queries = diagonal_queries()
         assert len(queries) == 278
         for alpha, a, b, tau in queries:
             stable = tau < diagonal_critical_delay(alpha, a, b)
-            assert (classify(alpha, (a, b), (tau, tau)) is StabilityVerdict.STABLE) == stable
+            assert (classify(alpha, (a, b), (tau, tau)).verdict is StabilityVerdict.STABLE) == stable
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(
@@ -1077,7 +1163,7 @@ class TestClassify:
         star = diagonal_critical_delay(alpha, -k, 0.0)
         assume(abs(tau - star) > 1e-6 and tau + other > 0.0)
         coef, delays = ((0.0, -k), (other, tau)) if mirror else ((-k, 0.0), (tau, other))
-        stable = classify(alpha, coef, delays) is StabilityVerdict.STABLE
+        stable = classify(alpha, coef, delays).verdict is StabilityVerdict.STABLE
         assert stable == (tau < star)
 
     def test_tangential_crossing_is_refused(self):
@@ -1097,30 +1183,26 @@ class TestClassify:
             (1.0, UCAR_COEF, (0.0, 0.3)),
             (1.0, UCAR_COEF, (0.0, 0.5)),
         ]
-        base = [classify(alpha, coef, delays) for alpha, coef, delays in cases]
+        base = [classify(alpha, coef, delays).verdict for alpha, coef, delays in cases]
         doubled_scan_density(monkeypatch)
         for (alpha, coef, delays), verdict in zip(cases, base):
-            assert classify(alpha, coef, delays) is verdict, f"{alpha}, {delays}"
+            assert classify(alpha, coef, delays).verdict is verdict, f"{alpha}, {delays}"
 
     def test_degenerate_rejected(self):
-        # The locus and the line search need both coefficients; classify
-        # counts the one delay left in closed form, tau* = pi*(1 - 0.45).
-        for call in (
-            lambda: critical_tau2_for_tau1(0.9, (-1.0, 0.0), 0.1),
-            lambda: critical_tau2_for_tau1(0.9, (0.0, -1.0), 0.1),
-            lambda: curve_columns(0.9, (-1.0, 0.0)),
-        ):
+        # The locus needs both coefficients; classify counts the one delay
+        # left in closed form, tau* = pi*(1 - 0.45).
+        for coef in ((-1.0, 0.0), (0.0, -1.0)):
             with pytest.raises(DegenerateCoefficientsError):
-                call()
-        assert classify(0.9, (-1.0, 0.0), (2.0, 0.5)) is StabilityVerdict.UNSTABLE
-        assert classify(0.9, (-1.0, 0.0), (1.5, 0.5)) is StabilityVerdict.STABLE
+                curve_columns(0.9, coef)
+        assert classify(0.9, (-1.0, 0.0), (2.0, 0.5)).verdict is StabilityVerdict.UNSTABLE
+        assert classify(0.9, (-1.0, 0.0), (1.5, 0.5)).verdict is StabilityVerdict.STABLE
         assert rhp_root_count(0.9, -1.0, 0.0, 2.0, 0.5) == 2
         assert rhp_root_count(0.9, -1.0, 0.0, 1.5, 0.5) == 0
         # With a = 0 the tau1 line is the single delay's own axis.
-        verdict, boundary = stability._classify_with_boundary(0.9, (0.0, -1.0), (0.5, 2.0), 1e-6)
-        assert verdict is StabilityVerdict.UNSTABLE
+        verdict, boundary, roots = classify(0.9, (0.0, -1.0), (0.5, 2.0))
+        assert (verdict, roots) == (StabilityVerdict.UNSTABLE, 2)
         assert boundary == pytest.approx(math.pi * 0.55, rel=1e-15)
-        assert stability._classify_with_boundary(0.9, (-1.0, 0.0), (2.0, 0.5), 1e-6)[1] is None
+        assert classify(0.9, (-1.0, 0.0), (2.0, 0.5)).critical_tau2 is None
 
     def test_zero_delay_verdict_comes_before_the_degenerate_check(self):
         # ucar linearized at its equilibrium x* = 0: (a, b) = (1, -0.0), so
@@ -1129,12 +1211,11 @@ class TestClassify:
         # shows.
         coef = linearize(ucar_rhs(), 0.0)
         assert (coef.a, coef.b) == (1.0, 0.0)
-        verdict, boundary = stability._classify_with_boundary(0.9, coef, (0.4, 0.5), 1e-6)
-        assert (verdict, boundary) == (StabilityVerdict.UNSTABLE, None)
-        zero = classify(0.9, coef, (0.0, 0.0))
+        assert classify(0.9, coef, (0.4, 0.5)) == (StabilityVerdict.UNSTABLE, None, None)
+        zero = classify(0.9, coef, (0.0, 0.0)).verdict
         assert zero is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
-        assert classify(0.9, (-1.0, 0.0), (0.0, 0.0)) is StabilityVerdict.STABLE_AT_ZERO_DELAYS
-        assert classify(0.9, (0.0, 0.0), (0.4, 0.5)) is StabilityVerdict.ON_BOUNDARY
+        assert classify(0.9, (-1.0, 0.0), (0.0, 0.0)).verdict is StabilityVerdict.STABLE_AT_ZERO_DELAYS
+        assert classify(0.9, (0.0, 0.0), (0.4, 0.5)).verdict is StabilityVerdict.ON_BOUNDARY
 
 
 # (|a| + |b|)**(1/alpha) is beyond the float range for both pairs.  At alpha
@@ -1153,7 +1234,7 @@ class TestOverflowingBandEdge:
         for call in (
             lambda: default_v_window(alpha, coef),
             lambda: curve_columns(alpha, coef),
-            lambda: critical_tau2_for_tau1(alpha, coef, 0.1),
+            lambda: stability._line_crossings(alpha, LinearCoefficients(*coef), 0.1),
             lambda: classify(alpha, coef, (0.1, 0.1)),
         ):
             with pytest.raises(ValueError, match="float range"):
@@ -1170,7 +1251,7 @@ class TestOverflowingBandEdge:
         want = curve_columns(alpha, scaled, v_range=scaled_window, samples=200)
         assert_rescaled_locus(locus_rows(got), locus_rows(want), s, 1e-12)
         with pytest.raises(ValueError, match="float range"):
-            critical_tau2_for_tau1(alpha, coef, 1e-290)
+            stability._line_crossings(alpha, LinearCoefficients(*coef), 1e-290)
         with pytest.raises(ValueError, match="float range"):
             classify(alpha, coef, (1e-290, 0.1))
 
@@ -1180,6 +1261,6 @@ class TestOverflowingBandEdge:
         alpha, coef, window = HUGE_BAND[1]
         assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 26_245
         with pytest.raises(ValueError, match="float range"):
-            critical_tau2_for_tau1(alpha, coef, 1e-290)
+            stability._line_crossings(alpha, LinearCoefficients(*coef), 1e-290)
         with pytest.raises(ValueError, match="float range"):
             classify(alpha, coef, (1e-290, 0.1))
