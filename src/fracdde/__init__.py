@@ -9,12 +9,11 @@ the (tau1, tau2) plane where characteristic roots cross the imaginary axis.
 
 from __future__ import annotations
 
-from .errors import DegenerateCoefficientsError
 from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
-from .numerics import FractionalOrder, corner_weight_table, interior_weight_table
+from .numerics import corner_weight_table, interior_weight_table
 from .solver import (
-    CommensurateGrid,
     DelayPair,
+    Grid,
     SystemRhs,
     Trajectory,
     build_grid,
@@ -27,7 +26,6 @@ from .stability import (
     StabilityVerdict,
     classify,
     curve_columns,
-    default_v_window,
     find_equilibria,
     linearize,
     stable_at_zero_delay,
@@ -37,13 +35,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DegenerateCoefficientsError",
-    "FractionalOrder",
     "corner_weight_table",
     "interior_weight_table",
     "DelayPair",
     "SystemRhs",
-    "CommensurateGrid",
+    "Grid",
     "Trajectory",
     "build_grid",
     "simulate",
@@ -53,7 +49,6 @@ __all__ = [
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "default_v_window",
     "curve_columns",
     "Classification",
     "classify",

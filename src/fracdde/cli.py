@@ -309,8 +309,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    # The package errors subclass ValueError; numpy raises MemoryError when
-    # an array is too large to allocate.  Python float and complex arithmetic
+    # Invalid input raises ValueError; numpy raises MemoryError when an
+    # array is too large to allocate.  Python float and complex arithmetic
     # raise ArithmeticError where a value leaves the float range.
     except (ValueError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"fracdde: error: {exc}", file=sys.stderr)

@@ -8,12 +8,10 @@ time stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FractionalOrder",
     "order_value",
     "corner_weight_table",
     "interior_weight_table",
@@ -25,35 +23,21 @@ _SERIES_CUTOFF = 8
 _SERIES_TERMS = 12
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Order of the fractional derivative, restricted to (0, 1].
+def order_value(alpha: float) -> float:
+    """The derivative order as a float, validated to lie in (0, 1].
 
     The value 1 is allowed and reduces every formula in this package to its
     classical first-order counterpart.
     """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        a = self.alpha
-        if not isinstance(a, (int, float)) or isinstance(a, bool) or not math.isfinite(a):
-            raise ValueError("derivative order must be a finite real number")
-        if not 0.0 < a <= 1.0:
-            raise ValueError(f"derivative order must lie in (0, 1], got {a!r}")
-
-    def __float__(self) -> float:
-        return float(self.alpha)
+    a = float(alpha)
+    if not math.isfinite(a):
+        raise ValueError("derivative order must be a finite real number")
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"derivative order must lie in (0, 1], got {a!r}")
+    return a
 
 
-def order_value(order: FractionalOrder | float) -> float:
-    """Unwrap an order given either bare or wrapped, validating its range."""
-    if isinstance(order, FractionalOrder):
-        return float(order)
-    return float(FractionalOrder(float(order)))
-
-
-def corner_weight_table(alpha: FractionalOrder | float, n_max: int) -> np.ndarray:
+def corner_weight_table(alpha: float, n_max: int) -> np.ndarray:
     """First-column quadrature weights ``a[0, n+1]`` for ``n = 0..n_max``.
 
     Entry ``j`` of the result multiplies the oldest integrand sample in the
@@ -71,7 +55,7 @@ def corner_weight_table(alpha: FractionalOrder | float, n_max: int) -> np.ndarra
     return n ** (a + 1.0) - (n - a) * (n + 1.0) ** a
 
 
-def interior_weight_table(alpha: FractionalOrder | float, m_max: int) -> np.ndarray:
+def interior_weight_table(alpha: float, m_max: int) -> np.ndarray:
     """Interior quadrature weights indexed by sample offset.
 
     Entry ``m`` of the result is the weight attached to an integrand sample

@@ -37,17 +37,12 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    FractionalOrder,
-    corner_weight_table,
-    interior_weight_table,
-    order_value,
-)
+from .numerics import corner_weight_table, interior_weight_table, order_value
 
 __all__ = [
     "DelayPair",
     "SystemRhs",
-    "CommensurateGrid",
+    "Grid",
     "Trajectory",
     "History",
     "build_grid",
@@ -83,10 +78,6 @@ class DelayPair:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
-    @property
-    def max(self) -> float:
-        return max(self.tau1, self.tau2)
-
 
 def _as_delays(delays: DelayPair | tuple[float, float]) -> DelayPair:
     if isinstance(delays, DelayPair):
@@ -117,7 +108,7 @@ class SystemRhs:
 
 
 @dataclass(frozen=True)
-class CommensurateGrid:
+class Grid:
     """Uniform grid of step ``h``; delay i is ``ki >= 1`` steps plus an
     offset ``thetai`` in [0, 1), read by interpolation when nonzero."""
 
@@ -142,10 +133,6 @@ class CommensurateGrid:
         """Grid points the history covers: each delay's ``ki``, plus one if off grid."""
         return max(self.k1 + (self.theta1 > 0.0), self.k2 + (self.theta2 > 0.0))
 
-    @property
-    def t_end(self) -> float:
-        return self.n_steps * self.h
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -169,12 +156,8 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.values) - self.history_steps - 1
 
-    @property
-    def is_truncated(self) -> bool:
-        return self.truncated_at is not None
-
     def times(self) -> np.ndarray:
-        """Grid times aligned with ``values``, from -history_steps * h to t_end."""
+        """Grid times aligned with ``values``, from -history_steps * h to n_steps * h."""
         return (np.arange(len(self.values)) - self.history_steps) * self.h
 
 
@@ -182,7 +165,7 @@ def build_grid(
     delays: DelayPair | tuple[float, float],
     t_end: float,
     h_request: float,
-) -> CommensurateGrid:
+) -> Grid:
     """Write both delays and the horizon in steps of the requested size.
 
     A delay within 1e-9 relative of ``k`` whole steps is ``k`` steps with
@@ -211,9 +194,7 @@ def build_grid(
     (k1, theta1), (k2, theta2), (n, rest) = (_steps(s, h) for s in spans)
     if min(k1, k2) < 1:
         raise ValueError(f"delay {min(d.tau1, d.tau2):g} is shorter than the step h = {h:g}")
-    return CommensurateGrid(
-        h=h, n_steps=n + (rest > 0.0), k1=k1, k2=k2, theta1=theta1, theta2=theta2
-    )
+    return Grid(h=h, n_steps=n + (rest > 0.0), k1=k1, k2=k2, theta1=theta1, theta2=theta2)
 
 
 def _steps(span: float, h: float) -> tuple[int, float]:
@@ -242,8 +223,8 @@ def _history_callable(history: History) -> Callable[[float], float]:
 
 def simulate(
     rhs: SystemRhs,
-    alpha: FractionalOrder | float,
-    grid: CommensurateGrid,
+    alpha: float,
+    grid: Grid,
     history: History,
 ) -> Trajectory:
     """Integrate the two-delay problem over the given grid.
@@ -273,9 +254,9 @@ def simulate(
     ----------
     rhs : SystemRhs
         Right-hand side of the equation; ``rhs.g`` must be elementwise.
-    alpha : float or FractionalOrder
+    alpha : float
         Caputo derivative order in (0, 1].
-    grid : CommensurateGrid
+    grid : Grid
         Output of :func:`build_grid`.
     history : float or callable
         Constant history value, or a function of t.
@@ -440,7 +421,7 @@ def simulate(
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
 
 
-def phase_columns(traj: Trajectory, grid: CommensurateGrid) -> np.ndarray:
+def phase_columns(traj: Trajectory, grid: Grid) -> np.ndarray:
     """Delay-embedded view of a trajectory.
 
     Returns a float array with one row per computed grid time ``t >= 0`` and

@@ -29,8 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateCoefficientsError
-from .numerics import FractionalOrder, order_value
+from .numerics import order_value
 from .solver import DelayPair, SystemRhs, _as_delays
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "default_v_window",
     "curve_columns",
     "classify",
 ]
@@ -103,7 +101,7 @@ def _as_coef(coef: LinearCoefficients | tuple[float, float]) -> LinearCoefficien
 def _require_nondegenerate(coef: LinearCoefficients | tuple[float, float]) -> LinearCoefficients:
     c = _as_coef(coef)
     if c.a == 0.0 or c.b == 0.0:
-        raise DegenerateCoefficientsError(
+        raise ValueError(
             f"crossing curves require both coefficients nonzero, got a={c.a}, b={c.b}; "
             "a vanishing coefficient reduces the problem to a single delay"
         )
@@ -286,42 +284,19 @@ def stable_at_zero_delay(
 ) -> StabilityVerdict:
     """Classify an equilibrium of the delay-free problem by the sign of a+b.
 
-    Within 1e-12 of a + b = 0 the verdict is OnBoundary; the boundary band
+    Where |a + b| is at most 1e-12 times |a| + |b| the verdict is
+    OnBoundary, whatever the scale of the coefficients; the boundary band
     wins over either sign so that roundoff in computed coefficients cannot
     flip a marginal case to a definite one.
     """
     c = _as_coef(coef)
     s = c.a + c.b
-    if abs(s) <= _ZERO_SUM_TOL:
+    # Each term scaled on its own: |a| + |b| may overflow where a + b does not.
+    if abs(s) <= _ZERO_SUM_TOL * abs(c.a) + _ZERO_SUM_TOL * abs(c.b):
         return StabilityVerdict.ON_BOUNDARY
     if s < 0.0:
         return StabilityVerdict.STABLE_AT_ZERO_DELAYS
     return StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
-
-
-def default_v_window(
-    alpha: FractionalOrder | float,
-    coef: LinearCoefficients | tuple[float, float],
-) -> tuple[float, float]:
-    """Default crossing-frequency search window.
-
-    Eliminating the trigonometric unknowns from lambda = i*v confines the
-    crossings to the closed-form band ``||a| - |b|| <= v**alpha <= |a| + |b|``,
-    the frequencies at which both arccos arguments lie in [-1, 1].  The
-    window extends to four times the upper band edge with a tiny positive
-    lower end (v = 0 itself is never a crossing of interest and the
-    parametrization is singular there).  Raises ValueError when the window
-    end exceeds the float range.
-    """
-    al = order_value(alpha)
-    c = _as_coef(coef)
-    hi = 4.0 * _band_edges(al, c)[1]
-    if math.isinf(hi):
-        raise ValueError(
-            f"the default frequency window 4*(|a| + |b|)**(1/alpha) exceeds the float "
-            f"range for a={c.a}, b={c.b}, alpha={al}; curves can be given an explicit window"
-        )
-    return (1e-6, hi)
 
 
 def _band_edges(al: float, c: LinearCoefficients) -> list[float]:
@@ -419,15 +394,22 @@ def _paired_sign(c: LinearCoefficients, sign1: int) -> int:
 def _resolve_search(
     al: float, c: LinearCoefficients, v_range: tuple[float, float] | None
 ) -> tuple[float, float]:
-    lo, hi = v_range if v_range is not None else default_v_window(al, c)
-    lo, hi = float(lo), float(hi)
+    if v_range is None:
+        hi = 4.0 * _band_edges(al, c)[1]
+        if math.isinf(hi):
+            raise ValueError(
+                f"the default frequency window 4*(|a| + |b|)**(1/alpha) exceeds the float "
+                f"range for a={c.a}, b={c.b}, alpha={al}; curves can be given an explicit window"
+            )
+        v_range = (1e-6, hi)
+    lo, hi = float(v_range[0]), float(v_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"frequency window must satisfy 0 < lo < hi, got {(lo, hi)!r}")
     return lo, hi
 
 
 def curve_columns(
-    alpha: FractionalOrder | float,
+    alpha: float,
     coef: LinearCoefficients | tuple[float, float],
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
@@ -435,13 +417,18 @@ def curve_columns(
 ) -> CurveColumns:
     """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane.
 
-    The frequency window (default :func:`default_v_window`) is sampled
-    uniformly at ``samples`` points.  At each frequency where both arccos
-    arguments lie in [-1, 1] (clamped within 1e-12), every tau1 branch with
-    winding number up to ``max_branch`` is paired with every tau2 branch of
-    the arccos sign that the coefficient signs allow (see
-    :func:`_paired_sign`; at a fold both signs pair), and a point is kept
-    when both delays are nonnegative.
+    Eliminating the trigonometric unknowns from lambda = i*v confines the
+    crossings to the closed-form band ``||a| - |b|| <= v**alpha <= |a| +
+    |b|``, the frequencies at which both arccos arguments lie in [-1, 1].
+    The frequency window ``v_range`` defaults to four times the upper band
+    edge with a tiny positive lower end, ``(1e-6, 4*(|a| + |b|)**(1/alpha))``
+    (v = 0 itself is never a crossing of interest and the parametrization
+    is singular there), and is sampled uniformly at ``samples`` points.  At
+    each frequency where both arccos arguments lie in [-1, 1] (clamped
+    within 1e-12), every tau1 branch with winding number up to
+    ``max_branch`` is paired with every tau2 branch of the arccos sign that
+    the coefficient signs allow (see :func:`_paired_sign`; at a fold both
+    signs pair), and a point is kept when both delays are nonnegative.
 
     Each row is one point: ``v`` is the crossing frequency, ``(tau1, tau2)``
     the delays at which lambda = i*v solves the characteristic equation,
@@ -452,6 +439,9 @@ def curve_columns(
     curves`` CSV, sorted by ``(m1, sign1, v, m2, sign2)``.  Swapping a and b
     maps the result to the mirrored locus with the delay and label columns
     exchanged.
+
+    Raises ValueError when a coefficient vanishes, which leaves a single
+    delay, and when the default window's upper end exceeds the float range.
     """
     al = order_value(alpha)
     c = _require_nondegenerate(coef)
@@ -679,7 +669,7 @@ class Classification(NamedTuple):
 
 
 def classify(
-    alpha: FractionalOrder | float,
+    alpha: float,
     coef: LinearCoefficients | tuple[float, float],
     delays: DelayPair | tuple[float, float],
     tolerance: float = 1e-6,

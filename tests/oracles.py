@@ -56,13 +56,12 @@ import numpy as np
 
 from fracdde import LinearCoefficients, curve_columns
 from fracdde.numerics import (
-    FractionalOrder,
     corner_weight_table,
     interior_weight_table,
     order_value,
 )
 from fracdde.solver import (
-    CommensurateGrid,
+    Grid,
     History,
     SystemRhs,
     Trajectory,
@@ -90,7 +89,7 @@ class NonConvergenceError(RuntimeError):
     """A series evaluation failed to converge within its term budget."""
 
 
-def mittag_leffler(alpha: FractionalOrder | float, z: float) -> float:
+def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function by direct series summation.
 
     Computes ``sum_k z**k / Gamma(alpha*k + 1)``, accumulating terms until
@@ -148,9 +147,7 @@ def mittag_leffler(alpha: FractionalOrder | float, z: float) -> float:
     )
 
 
-def delayed_series_oracle(
-    alpha: FractionalOrder | float, a: float, tau: float, t: float
-) -> float:
+def delayed_series_oracle(alpha: float, a: float, tau: float, t: float) -> float:
     """Exact solution of the linear single-delay problem with unit history.
 
     Evaluates the solution of ``D^alpha x(t) = a * x(t - tau)`` with
@@ -195,7 +192,7 @@ def delayed_series_oracle(
     return math.fsum(terms)
 
 
-def trapezoid_weights(alpha: FractionalOrder | float, n: int) -> np.ndarray:
+def trapezoid_weights(alpha: float, n: int) -> np.ndarray:
     """Full product-trapezoidal quadrature row for the step to index ``n+1``.
 
     Returns the ``n+2`` weights ``a[j, n+1]`` for ``j = 0..n+1``.  The row
@@ -219,8 +216,8 @@ def trapezoid_weights(alpha: FractionalOrder | float, n: int) -> np.ndarray:
 
 def direct_sum_stepper(
     rhs: SystemRhs,
-    alpha: FractionalOrder | float,
-    grid: CommensurateGrid,
+    alpha: float,
+    grid: Grid,
     history: History,
 ) -> Trajectory:
     """Product-trapezoidal stepping with the memory sum taken directly.
@@ -404,7 +401,7 @@ def assert_rescaled_locus(rows: np.ndarray, want: np.ndarray, s: float, rel: flo
 
 
 def parametric_delays(
-    alpha: FractionalOrder | float,
+    alpha: float,
     coef: LinearCoefficients | tuple[float, float],
     v: float,
     sign1: int = 1,
@@ -437,7 +434,7 @@ def parametric_delays(
 
 
 def object_curve_points(
-    alpha: FractionalOrder | float,
+    alpha: float,
     coef: LinearCoefficients | tuple[float, float],
     v_range: tuple[float, float] | None = None,
     samples: int = 2000,
@@ -566,11 +563,10 @@ def wide_line_queries() -> list[tuple[float, float, float, float]]:
     [-10, -0.05] or [0.05, 10], b on [-30, -0.05] or [0.05, 10], and t on
     [0, 1], with tau1 = t*min(40, 300*2*pi/v_top) and v_top = (|a| +
     |b|)**(1/alpha): at most 300 windings of the band's upper edge.  A
-    candidate is kept if a + b < -1e-6 and the contour of
-    :func:`rhp_root_count`, about 16*R*max(tau1, 1) points with R =
-    2*v_top + 1, needs at most 4e5 of them, until 40 are kept.  That bound
-    refuses two candidates, (alpha, |a| + |b|) about (0.30, 22) and (0.36,
-    29); the smallest alpha kept is 0.26.
+    candidate is kept if a + b < -1e-6 and 16*R*max(tau1, 1) <= 4e5 with R
+    = 2*v_top + 1, the radius of :func:`rhp_root_count`, until 40 are
+    kept.  That bound refuses two candidates, (alpha, |a| + |b|) about
+    (0.30, 22) and (0.36, 29); the smallest alpha kept is 0.26.
     """
     rng = random.Random(30)
     queries = []
@@ -618,7 +614,9 @@ def rhp_root_count(alpha: float, a: float, b: float, tau1: float, tau2: float) -
     # Parameter s runs over [-pi/2, pi/2] along the arc, then over
     # [pi/2, pi/2 + 2R] down the imaginary axis.
     span = half + 2.0 * radius
-    oscillations = radius * max(tau1, tau2, 1.0)
+    # Down the axis the delay terms turn by up to R*max(tau1, tau2) radians;
+    # the refinement below resolves whatever else turns between samples.
+    oscillations = radius * max(tau1, tau2)
     s = np.linspace(-half, span, int(max(512, 16 * oscillations)))
 
     def contour(s):

@@ -181,7 +181,7 @@ def test_c8_qualitative_long_run_dynamics():
     # Cubic model, stable delay pair: settles onto the equilibrium at 1.
     grid = build_grid(DelayPair(0.4, 0.5), 200.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
-    assert not traj.is_truncated
+    assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     tail = x[int(round(150.0 / grid.h)) :]
     assert np.max(np.abs(tail - 1.0)) <= 1e-3
@@ -190,7 +190,7 @@ def test_c8_qualitative_long_run_dynamics():
     # with amplitude above 0.5 over every late 20-unit window.
     grid = build_grid(DelayPair(1.6, 1.4), 200.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
-    assert not traj.is_truncated
+    assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     assert np.max(np.abs(x)) <= 3.0
     amplitudes = window_amplitudes(x, grid.h, 100.0, 180.0, 20.0)
@@ -199,7 +199,7 @@ def test_c8_qualitative_long_run_dynamics():
     # Sinusoidal model, stable delay pair: settles onto the upper equilibrium.
     grid = build_grid(DelayPair(0.02, 0.01), 50.0, 0.0025)
     traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
-    assert not traj.is_truncated
+    assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     tail = x[int(round(40.0 / grid.h)) :]
     assert np.max(np.abs(tail - 2.7859)) <= 1e-2
@@ -207,7 +207,7 @@ def test_c8_qualitative_long_run_dynamics():
     # Sinusoidal model, unstable delay pair: sustained bounded oscillation.
     grid = build_grid(DelayPair(0.01, 0.1), 150.0, 0.0025)
     traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
-    assert not traj.is_truncated
+    assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     assert np.max(np.abs(x)) <= 50.0
     amplitudes = window_amplitudes(x, grid.h, 100.0, 130.0, 20.0)
@@ -251,7 +251,7 @@ def test_c10_stability_switch_on_the_tau1_line(tau2, verdict):
     assert classify(0.9, coef, (1.0, tau2)).verdict.value == verdict
     grid = build_grid(DelayPair(1.0, tau2), 400.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
-    assert not traj.is_truncated
+    assert traj.truncated_at is None
     tail = traj.values[grid.history_steps :][-(grid.n_steps // 4) :]
     swing = float(np.ptp(tail))
     assert swing < 1e-3 if verdict == "Stable" else swing > 0.1

@@ -12,13 +12,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "__version__",
-    "DegenerateCoefficientsError",
-    "FractionalOrder",
     "corner_weight_table",
     "interior_weight_table",
     "DelayPair",
     "SystemRhs",
-    "CommensurateGrid",
+    "Grid",
     "Trajectory",
     "build_grid",
     "simulate",
@@ -28,7 +26,6 @@ PUBLIC = {
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",
-    "default_v_window",
     "curve_columns",
     "Classification",
     "classify",
@@ -40,12 +37,12 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 25
+    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 22
     assert set(fracdde.__all__) == PUBLIC
 
 
 MODULES = ["fracdde"] + [f"fracdde.{name}" for name in
-                         ("cli", "errors", "models", "numerics", "solver", "stability")]
+                         ("cli", "models", "numerics", "solver", "stability")]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fracdde import FractionalOrder, corner_weight_table, interior_weight_table
+from fracdde import corner_weight_table, interior_weight_table
+from fracdde.numerics import order_value
 from oracles import (
     NonConvergenceError,
     delayed_series_oracle,
@@ -19,14 +21,20 @@ from reference_values import (
 
 
 class TestFractionalOrder:
+    # order_value takes anything float() takes and checks the result.
     def test_accepts_unit_interval(self):
-        assert float(FractionalOrder(0.5)) == 0.5
-        assert float(FractionalOrder(1.0)) == 1.0
+        for good in [0.5, 1.0, "0.5", np.float32(0.5), True]:
+            got = order_value(good)
+            assert type(got) is float and got == float(good)
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, 1.0000001, 2.0, math.inf, math.nan])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            FractionalOrder(bad)
+        if math.isfinite(bad):
+            message = re.escape(f"derivative order must lie in (0, 1], got {bad!r}")
+        else:
+            message = "derivative order must be a finite real number"
+        with pytest.raises(ValueError, match=message):
+            order_value(bad)
 
 
 class TestGammaFunction:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdde import (
-    CommensurateGrid,
     DelayPair,
+    Grid,
     SystemRhs,
     Trajectory,
     build_grid,
@@ -26,7 +26,7 @@ def linear_rhs(a, b):
 class TestBuildGrid:
     def test_exact_request(self):
         grid = build_grid(DelayPair(0.4, 0.5), 100.0, 0.01)
-        assert grid == CommensurateGrid(h=0.01, n_steps=10000, k1=40, k2=50)
+        assert grid == Grid(h=0.01, n_steps=10000, k1=40, k2=50)
 
     def test_off_grid_delay_keeps_the_requested_step(self):
         # 0.01 is 2.5 steps of 0.004: two whole steps and an offset of a half.
@@ -96,7 +96,7 @@ class TestBuildGrid:
         assert abs((141 + grid.theta2) * 0.01 - math.sqrt(2)) <= 4 * math.ulp(math.sqrt(2))
         assert grid.history_steps == 142
         traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
-        assert not traj.is_truncated and np.all(np.isfinite(traj.values))
+        assert traj.truncated_at is None and np.all(np.isfinite(traj.values))
 
     def test_rejects_zero_delay(self):
         with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ class TestBuildGrid:
     def test_history_steps_property(self):
         grid = build_grid(DelayPair(0.4, 0.5), 10.0, 0.01)
         assert grid.history_steps == 50
-        assert grid.t_end == pytest.approx(10.0)
+        assert grid.n_steps * grid.h == pytest.approx(10.0)
         # An off-grid delay also reads the sample one step further back.
         assert build_grid(DelayPair(0.4, 0.505), 10.0, 0.01).history_steps == 51
 
@@ -129,7 +129,7 @@ class TestSimulate:
         for x_star in (0.0, 1.0, -1.0):
             traj = simulate(ucar_rhs(), 0.85, grid, x_star)
             assert np.all(traj.values == x_star)
-            assert not traj.is_truncated
+            assert traj.truncated_at is None
 
     def test_equilibrium_stays_fixed_through_fft_path(self):
         # 5000 steps take the far-field sum through FFT convolutions; an
@@ -139,7 +139,7 @@ class TestSimulate:
         for x_star in (0.0, 1.0, -1.0):
             traj = simulate(ucar_rhs(), 0.85, grid, x_star)
             assert np.all(traj.values == x_star)
-            assert not traj.is_truncated
+            assert traj.truncated_at is None
 
     def test_alpha_one_matches_classical_trapezoid(self, rng):
         # At alpha = 1 the scheme must reduce to the classical trapezoid
@@ -231,7 +231,7 @@ class TestSimulate:
         rhs = SystemRhs(g=lambda x1, x2: x2 * x2 * x2)
         grid = build_grid(DelayPair(0.1, 0.1), 50.0, 0.1)
         traj = simulate(rhs, 1.0, grid, 2.0)
-        assert traj.is_truncated
+        assert traj.truncated_at is not None
         j = traj.truncated_at
         k = traj.history_steps
         assert 1 <= j <= grid.n_steps
@@ -244,7 +244,7 @@ class TestSimulate:
         rhs = SystemRhs(g=lambda x1, x2: x2 ** 9)
         grid = build_grid(DelayPair(0.1, 0.1), 50.0, 0.1)
         traj = simulate(rhs, 1.0, grid, 3.0)
-        assert traj.is_truncated
+        assert traj.truncated_at is not None
 
     @pytest.mark.parametrize("k1, k2", [(1, 1), (40, 50)])
     def test_scalar_only_rhs_is_rejected_on_the_first_call(self, k1, k2):
@@ -256,7 +256,7 @@ class TestSimulate:
             calls.append(1)
             return -x1 + math.sin(x2)
 
-        grid = CommensurateGrid(h=0.01, n_steps=100, k1=k1, k2=k2)
+        grid = Grid(h=0.01, n_steps=100, k1=k1, k2=k2)
         with pytest.raises(TypeError, match="elementwise"):
             simulate(SystemRhs(g=g), 0.9, grid, 0.5)
         assert len(calls) == 1
@@ -272,11 +272,9 @@ class TestSimulate:
             points.append(np.size(x1))
             return -0.5 * x1 - 0.25 * x2
 
-        grid = CommensurateGrid(
-            h=0.01, n_steps=1000, k1=k1, k2=k2, theta1=theta1, theta2=theta2
-        )
+        grid = Grid(h=0.01, n_steps=1000, k1=k1, k2=k2, theta1=theta1, theta2=theta2)
         traj = simulate(SystemRhs(g=g), 0.8, grid, 1.0)
-        assert not traj.is_truncated
+        assert traj.truncated_at is None
         assert sum(points) == grid.n_steps + 1
 
     def test_leaves_no_reference_cycle(self):
@@ -355,14 +353,12 @@ class TestFastMemorySum:
         ],
     )
     def test_converging_runs_match_direct_sum(self, n_steps, alpha, k1, k2, theta1, theta2):
-        grid = CommensurateGrid(
-            h=0.01, n_steps=n_steps, k1=k1, k2=k2, theta1=theta1, theta2=theta2
-        )
+        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2, theta1=theta1, theta2=theta2)
         rhs = linear_rhs(-0.5, -0.25)
         history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
         traj = simulate(rhs, alpha, grid, history)
         ref = direct_sum_stepper(rhs, alpha, grid, history)
-        assert not traj.is_truncated and not ref.is_truncated
+        assert traj.truncated_at is None and ref.truncated_at is None
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     @pytest.mark.parametrize("n_steps", [1, 2, 5, 20])
@@ -370,12 +366,12 @@ class TestFastMemorySum:
     def test_run_shorter_than_a_block_and_the_delays(self, n_steps, k1, k2):
         # Every step reads only the history, and the weight tables are
         # shorter than one block.
-        grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
+        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
         rhs = linear_rhs(-0.5, -0.25)
         history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
         traj = simulate(rhs, 0.6, grid, history)
         ref = direct_sum_stepper(rhs, 0.6, grid, history)
-        assert not traj.is_truncated
+        assert traj.truncated_at is None
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     def test_nonlinear_run_matches_direct_sum(self):
@@ -401,7 +397,7 @@ class TestFastMemorySum:
         ],
     )
     def test_diverging_runs_truncate_at_the_same_step(self, rhs, alpha, k1, k2, n_steps, history):
-        grid = CommensurateGrid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
+        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
         traj = simulate(rhs, alpha, grid, history)
         ref = direct_sum_stepper(rhs, alpha, grid, history)
         assert traj.truncated_at is not None
@@ -415,7 +411,7 @@ class TestPhaseColumns:
     def test_alignment_small_case(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         traj = Trajectory(h=0.5, history_steps=1, values=values)
-        grid = CommensurateGrid(h=0.5, n_steps=2, k1=1, k2=1)
+        grid = Grid(h=0.5, n_steps=2, k1=1, k2=1)
         table = phase_columns(traj, grid)
         expected = np.array(
             [
@@ -447,6 +443,6 @@ class TestPhaseColumns:
     def test_mismatched_grid_rejected(self):
         grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.1)
         traj = simulate(linear_rhs(-1.0, 0.0), 0.9, grid, 1.0)
-        other = CommensurateGrid(h=0.1, n_steps=10, k1=4, k2=3)
+        other = Grid(h=0.1, n_steps=10, k1=4, k2=3)
         with pytest.raises(ValueError):
             phase_columns(traj, other)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fracdde import (
     Classification,
-    DegenerateCoefficientsError,
     IkedaParams,
     LinearCoefficients,
     StabilityVerdict,
@@ -17,7 +16,6 @@ from fracdde import (
     UcarParams,
     classify,
     curve_columns,
-    default_v_window,
     find_equilibria,
     ikeda_rhs,
     linearize,
@@ -265,6 +263,22 @@ class TestStableAtZeroDelay:
         assert stable_at_zero_delay((1.0, -1.0 - 5e-13)) is StabilityVerdict.ON_BOUNDARY
         assert stable_at_zero_delay((1.0, -1.0 + 1e-11)) is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-300, 1e300])
+    def test_boundary_band_scales_with_the_coefficients(self, scale):
+        # The band is 1e-12 of |a| + |b|: tiny coefficients keep the sign of
+        # their sum, and the band holds a rounding of a + b = 0 at any scale.
+        assert stable_at_zero_delay((scale, -3.0 * scale)) is StabilityVerdict.STABLE_AT_ZERO_DELAYS
+        assert stable_at_zero_delay((3.0 * scale, -scale)) is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
+        near = -scale * (1.0 + 5e-13)
+        assert stable_at_zero_delay((scale, near)) is StabilityVerdict.ON_BOUNDARY
+
+    def test_boundary_band_does_not_overflow(self):
+        # |a| + |b| overflows here; a + b does for the first pair only.
+        big = 1.5e308
+        assert stable_at_zero_delay((big, big)) is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
+        assert stable_at_zero_delay((big, -big)) is StabilityVerdict.ON_BOUNDARY
+        assert stable_at_zero_delay((big, -1e308)) is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
+
 
 class TestCharacteristicResidual:
     def test_real_root_no_delays(self):
@@ -337,11 +351,14 @@ class TestCriticalCurve:
         assert p.tau2 == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_default_window_formula(self):
-        lo, hi = default_v_window(0.5, UCAR_COEF)
-        assert lo == 1e-6
-        assert hi == pytest.approx(4.0 * 4.0 ** 2.0)
-        lo1, hi1 = default_v_window(1.0, UCAR_COEF)
-        assert hi1 == pytest.approx(16.0)
+        # No window samples (1e-6, 4*(|a| + |b|)**(1/alpha)), bit for bit.
+        for alpha in (0.5, 0.9, 1.0):
+            window = (1e-6, 4.0 * (abs(UCAR_COEF[0]) + abs(UCAR_COEF[1])) ** (1.0 / alpha))
+            got = curve_columns(alpha, UCAR_COEF)
+            want = curve_columns(alpha, UCAR_COEF, v_range=window)
+            assert got.v.size > 0
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_invariants_random_coefficients(self, rng):
         checked = 0
@@ -349,7 +366,7 @@ class TestCriticalCurve:
             alpha = float(rng.uniform(0.3, 1.0))
             a = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
             b = float(rng.uniform(0.5, 4.0) * rng.choice((-1.0, 1.0)))
-            lo, hi = default_v_window(alpha, (a, b))
+            lo, hi = 1e-6, 4.0 * (abs(a) + abs(b)) ** (1.0 / alpha)
             points = curve_points(alpha, (a, b), samples=300, max_branch=3)
             for p in points:
                 assert p.tau1 >= 0.0 and p.tau2 >= 0.0
@@ -469,9 +486,9 @@ class TestCriticalCurve:
         assert self.assert_matches_object_path(1.0, UCAR_COEF, v_range=(0.1, 1.5)) == []
 
     def test_degenerate_coefficient_rejected(self):
-        with pytest.raises(DegenerateCoefficientsError):
+        with pytest.raises(ValueError, match="both coefficients nonzero"):
             curve_columns(0.9, (1.0, 0.0))
-        with pytest.raises(DegenerateCoefficientsError):
+        with pytest.raises(ValueError, match="both coefficients nonzero"):
             curve_columns(0.9, (0.0, -2.0))
 
 
@@ -861,7 +878,7 @@ class TestCriticalTau2ForTau1:
         # sample, with no sign change, and the line meets it twice close
         # together or once on a band edge.
         c = stability.LinearCoefficients(*coef)
-        lo, hi = window or stability.default_v_window(alpha, c)
+        lo, hi = window or (1e-6, 4.0 * stability._band_edges(alpha, c)[1])
         edges = [e for e in stability._band_edges(alpha, c) if lo < e < hi]
         vs = np.union1d(np.linspace(lo, hi, samples), edges)
         table = branches(alpha, c, vs, stability._branch_labels(8))[0]
@@ -1091,6 +1108,26 @@ class TestClassify:
                 assert (roots, boundary) == (count, 0.0), (q, tau2)
                 assert verdict is (StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE)
 
+    def test_tiny_coefficients_classify_at_their_scale(self):
+        # (1e-13, -3e-13) is (1, -3) with every delay multiplied by s =
+        # 1e-13**(-1/alpha): the point (1, 1) is the point (1/s, 1/s) of (1,
+        # -3), stable, and the first crossing above it is s times that of
+        # the line tau1 = 1/s.
+        alpha = 0.9
+        s = 1e-13 ** (-1.0 / alpha)
+        verdict, boundary, roots = classify(alpha, (1e-13, -3e-13), (1.0, 1.0))
+        assert (verdict, roots) == (StabilityVerdict.STABLE, 0)
+        assert boundary == pytest.approx(s * first_crossing(alpha, UCAR_COEF, 1.0 / s), rel=1e-9)
+        assert classify(alpha, (3e-13, -1e-13), (1.0, 1.0)).verdict is StabilityVerdict.UNSTABLE
+
+    @pytest.mark.parametrize("tau2, count", [(3e-4, 10), (1e-3, 454), (3e-3, 1296)])
+    def test_small_order_counts_many_roots_at_small_delays(self, tau2, count):
+        # At order 0.2188 the band of (7.64, -20.23) reaches v of about 4e6:
+        # crossings recur every 1.5e-6 or so in tau2 on the line tau1 = 3e-4.
+        alpha, coef, q = 0.2188, (7.64, -20.23), 3e-4
+        assert rhp_root_count(alpha, *coef, q, tau2) == count
+        assert classify(alpha, coef, (q, tau2), tolerance=0.0).roots == count
+
     def test_negative_count_is_an_internal_error(self, monkeypatch):
         # Crossings that all go to the left cannot start from a stable
         # origin: the count is wrong, not the point unstable.
@@ -1111,7 +1148,7 @@ class TestClassify:
             raise AssertionError("classify sampled the locus")
 
         monkeypatch.setattr(stability, "curve_columns", unused)
-        monkeypatch.setattr(stability, "default_v_window", unused)
+        monkeypatch.setattr(stability, "_resolve_search", unused)
         alpha, coef, q = MISSED_LINE
         assert classify(alpha, coef, (q, 1.0)).verdict is StabilityVerdict.STABLE
         assert classify(0.9, UCAR_COEF, (1.0, 0.5)).verdict is StabilityVerdict.UNSTABLE
@@ -1192,7 +1229,7 @@ class TestClassify:
         # The locus needs both coefficients; classify counts the one delay
         # left in closed form, tau* = pi*(1 - 0.45).
         for coef in ((-1.0, 0.0), (0.0, -1.0)):
-            with pytest.raises(DegenerateCoefficientsError):
+            with pytest.raises(ValueError, match="both coefficients nonzero"):
                 curve_columns(0.9, coef)
         assert classify(0.9, (-1.0, 0.0), (2.0, 0.5)).verdict is StabilityVerdict.UNSTABLE
         assert classify(0.9, (-1.0, 0.0), (1.5, 0.5)).verdict is StabilityVerdict.STABLE
@@ -1232,13 +1269,19 @@ class TestOverflowingBandEdge:
     @pytest.mark.parametrize("alpha, coef", [case[:2] for case in HUGE_BAND])
     def test_default_window_is_a_value_error(self, alpha, coef):
         for call in (
-            lambda: default_v_window(alpha, coef),
             lambda: curve_columns(alpha, coef),
             lambda: stability._line_crossings(alpha, LinearCoefficients(*coef), 0.1),
             lambda: classify(alpha, coef, (0.1, 0.1)),
         ):
             with pytest.raises(ValueError, match="float range"):
                 call()
+
+    def test_default_window_end_beyond_the_float_range(self):
+        # The band's upper edge, 1.1e308, is a float; four times it is not.
+        coef = (5e307, -6e307)
+        assert math.isfinite(stability._band_edges(1.0, LinearCoefficients(*coef))[1])
+        with pytest.raises(ValueError, match="float range"):
+            curve_columns(1.0, coef)
 
     @pytest.mark.parametrize("alpha, coef, window", HUGE_BAND)
     def test_explicit_window_leaves_the_edge_outside(self, alpha, coef, window):
