@@ -188,7 +188,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     coef = _coef_from_args(args)
     delays = DelayPair(args.tau1, args.tau2)
-    result = classify(args.alpha, coef, delays, args.tolerance)
+    result = classify(args.alpha, coef, delays)
     print(
         json.dumps(
             {
@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--alpha", type=float, required=True)
     p_cls.add_argument("--tau1", type=float, required=True)
     p_cls.add_argument("--tau2", type=float, required=True)
-    p_cls.add_argument(
-        "--tolerance", type=float, default=1e-6, help="boundary band half-width (default 1e-6)"
-    )
     p_cls.set_defaults(func=_cmd_classify)
 
     p_eq = sub.add_parser("equilibria", help="list model equilibria as JSON")

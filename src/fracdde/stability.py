@@ -54,11 +54,10 @@ _FD_BASE_STEP = 1e-6
 _DEFAULT_SAMPLES = 2000
 _DEFAULT_MAX_BRANCH = 8
 # The tau1 line search samples the crossing band at _SCAN_MIN frequencies
-# plus _SCAN_PER_RADIAN per radian of tau1*v, reaching _SCAN_SLACK past both
-# ends so that rounding cannot hide a crossing on one, and evaluates at most
-# _SCAN_BUDGET frequencies.  classify takes a crossing of the tau2 = 0 leg
-# within _SCAN_SLACK of tau1, and a scanned frequency that close to its, to
-# be on the corner (tau1, 0).
+# plus _SCAN_PER_RADIAN per radian of tau1*v, at most _SCAN_BUDGET.  The
+# relative rounding slack _SCAN_SLACK has three uses: the scan reaches that
+# far past both band ends, a leg-1 crossing that close to tau1 lies on the
+# corner (tau1, 0), and a point that close to a crossing is OnBoundary.
 _SCAN_MIN = 256
 _SCAN_PER_RADIAN = 2.0
 _SCAN_SLACK = 1e-9
@@ -460,7 +459,10 @@ def curve_columns(
     th1, th2 = _arccos(a1[inside], outside), _arccos(a2[inside], outside)
     half = 0.5 * math.pi * al
     sign, m = np.array(labels).T
-    tau1, tau2 = (_delay(half, th, vs, sign[:, None], m[:, None]) for th in (th1, th2))
+    # A delay that overflows over a subnormal v drops out, as a negative one does.
+    with np.errstate(over="ignore"):
+        tau1, tau2 = (_delay(half, th, vs, sign[:, None], m[:, None]) for th in (th1, th2))
+    tau1[np.isinf(tau1)] = tau2[np.isinf(tau2)] = np.nan
     ok1, ok2 = tau1 >= 0.0, tau2 >= 0.0
     terms1, terms2 = _terms(c.a, vs, tau1), _terms(c.b, vs, tau2)
     # A tau1 row of sign s meets the tau2 rows of the paired sign, and at a
@@ -624,22 +626,22 @@ def _side(al: float, v: float, w: complex, rest: complex) -> float:
     return (w * (al * (1j * v) ** (al - 1.0) + rest).conjugate()).imag
 
 
-def _tally(crossings, tau: float, tolerance: float | None) -> int | None:
+def _tally(crossings, tau: float) -> int | None:
     """Right-half-plane roots gained on a leg whose delay grows from 0 to tau.
 
     Each of ``crossings`` is ``(tau0, v, side)``: lambda = i*v is a root at
     ``tau0 + 2*pi*m/v`` for every m >= 0, and each of those delays below tau
     adds the root and its conjugate, 2 where :func:`_side` is positive and
     -2 where it is negative.  Returns None when the recurrence nearest to
-    tau, the one below tau0 included, lies within ``tolerance`` of it
-    (never for a None tolerance).  Raises ValueError on a tangential
-    crossing below tau, side 0, where the count is undefined.
+    tau, the one below tau0 included, lies within ``_SCAN_SLACK*tau`` of it,
+    the corner's slack in :func:`classify`.  Raises ValueError on a
+    tangential crossing below tau, side 0, where the count is undefined.
     """
     count = 0
     for tau0, v, side in crossings:
         period = _TWO_PI / v
         laps = (tau - tau0) / period
-        if tolerance is not None and abs(tau0 + max(-1, round(laps)) * period - tau) <= tolerance:
+        if abs(tau0 + max(-1, round(laps)) * period - tau) <= _SCAN_SLACK * tau:
             return None
         if laps > 0.0:
             if side == 0.0:
@@ -659,8 +661,8 @@ class Classification(NamedTuple):
     line; it is None at zero delays, when the coefficients are not stable
     at zero delays, and when the line meets no crossing.  ``roots`` is the
     number of right-half-plane characteristic roots, None where it is
-    undefined: OnBoundary, and where the coefficients are not stable at
-    zero delays.
+    undefined: OnBoundary, a root on the imaginary axis within rounding of
+    the point, and where the coefficients are not stable at zero delays.
     """
 
     verdict: StabilityVerdict
@@ -672,7 +674,6 @@ def classify(
     alpha: float,
     coef: LinearCoefficients | tuple[float, float],
     delays: DelayPair | tuple[float, float],
-    tolerance: float = 1e-6,
 ) -> Classification:
     """Classify an equilibrium of the linearized problem at given delays.
 
@@ -688,9 +689,10 @@ def classify(
     (:func:`_single_delay_crossings`), where roots cross to the right; the
     leg on the tau1 line takes every crossing of the line scan
     :func:`_line_crossings`, the first of which is ``critical_tau2``.  A
-    crossing on the tau1 line within ``tolerance`` of tau2 makes the point
-    OnBoundary; otherwise it is Stable iff the count is 0.  A vanishing
-    coefficient leaves one delay, whose leg is closed form too.
+    crossing on the tau1 line recurring within 1e-9*tau2 of tau2, the corner's
+    slack, makes the point OnBoundary (every point, where crossings recur
+    closer than about 2e-9*tau2); otherwise it is Stable iff the count is 0.
+    A vanishing coefficient leaves one delay, whose leg is closed form too.
 
     Raises ValueError for a band beyond the float range, a line over the
     scan budget, a crossing delay beyond the float range, or a tangential
@@ -699,9 +701,6 @@ def classify(
     al = order_value(alpha)
     c = _as_coef(coef)
     d = _as_delays(delays)
-    tolerance = float(tolerance)
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance!r}")
     zero_verdict = stable_at_zero_delay(c)
     stable = zero_verdict is StabilityVerdict.STABLE_AT_ZERO_DELAYS
     if d.tau1 == 0.0 and d.tau2 == 0.0:
@@ -724,11 +723,12 @@ def classify(
         q = d.tau1
         v, w, tau0 = (x.tolist() for x in _line_crossings(al, c, q))
         # A leg-1 crossing within rounding of tau1 puts a root on the axis at
-        # the corner (tau1, 0), where the line scan finds it again, its
-        # phase rounded to 0 or to 2*pi/v.  Leg 1 crosses to the right, so
-        # the root is in the right half-plane above the corner iff its side
-        # on the line is positive.  It is counted there, not on leg 1, and
-        # as any crossing from one period up the line.
+        # the corner (tau1, 0).  The line crossing nearest its frequency is
+        # that root (the rounding of tau1 can move the frequency by more),
+        # its phase rounded to 0 or to 2*pi/v.  Leg 1 crosses to the right,
+        # so the root is in the right half-plane above the corner iff its
+        # side on the line is positive: it is counted there, not on leg 1,
+        # and as any crossing from one period up the line.
         ends = []
         for t, x, _ in leg1:
             laps = round((q - t) / (_TWO_PI / x))
@@ -736,20 +736,22 @@ def classify(
                 ends.append(x)
                 corner += 2 * laps
         leg1 = [crossing for crossing in leg1 if crossing[1] not in ends]
-        at_end = [any(abs(x - e) <= _SCAN_SLACK * e for e in ends) for x in v]
-        boundary = 0.0 if any(at_end) else min(tau0, default=None)
+        near = {min(range(len(v)), key=lambda i: abs(v[i] - e)) for e in ends if v}
+        at_end = [i in near for i in range(len(v))]
+        boundary = 0.0 if near else min(tau0, default=None)
         leg2 = []
         for t, x, z, end in zip(tau0, v, w, at_end):
             # Sides only for the crossings that can lie below the point or
-            # within the tolerance of it.
-            if end or t <= d.tau2 + tolerance or d.tau2 <= tolerance:
+            # within rounding of it.
+            if end or t <= d.tau2 * (1.0 + _SCAN_SLACK):
                 side = _side(al, x, z, c.a * q * cmath.exp(-1j * x * q))
                 leg2.append((_TWO_PI / x if end else t, x, side))
                 corner += 2 if end and side > 0.0 else 0
-    count = _tally(leg2, last, tolerance)
+    count = _tally(leg2, last)
     if count is None:
         return Classification(StabilityVerdict.ON_BOUNDARY, boundary, None)
-    count += corner + _tally(leg1, d.tau1, None)
+    # Leg 1 is never None: the corner rule took its crossings that close to tau1.
+    count += corner + _tally(leg1, d.tau1)
     if count < 0:
         raise RuntimeError(
             f"internal error: {count} right-half-plane roots counted at {d} for "

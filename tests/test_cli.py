@@ -288,6 +288,19 @@ class TestCurvesCommand:
         assert header == list(columns._fields)
         assert len(rows) == len(columns.v)
 
+    def test_overflowing_delays_are_not_written(self, tmp_path, capsys):
+        # Over the subnormal frequencies of this window the delays of many
+        # samples overflow: those rows are not written, and nothing warns.
+        out = tmp_path / "s.csv"
+        argv = ["curves", "--a", "1.1220184543019633", "--b=-1.1220184543019636",
+                "--alpha", "0.05078125", "--v-min", "1e-308", "--v-max", "1e-300",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        text = out.read_text()
+        assert text.count("\n") > 1
+        assert "inf" not in text and "nan" not in text
+
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, monkeypatch):
         # The writer must print exactly what format(v, ".17g") and str(int)
         # print, signed zeros and extreme exponents included, row by row in
@@ -649,6 +662,10 @@ class TestClassifyCommand:
              "Unstable", None),
             (["--a", "-1", "--b", "0", "--alpha", "0.9", "--tau1", "1.5", "--tau2", "0.5"],
              "Stable", None),
+            # 454 right-half-plane roots: crossings recur about every 1.5e-6
+            # in tau2 on this line, far more than rounding of tau2 apart.
+            (["--a", "7.64", "--b=-20.23", "--alpha", "0.2188", "--tau1", "0.0003",
+              "--tau2", "0.001"], "Unstable", 6.913734760987828e-07),
         ],
     )
     def test_verdict_is_the_root_count(self, capsys, argv, verdict, boundary):
@@ -657,14 +674,21 @@ class TestClassifyCommand:
         assert doc["verdict"] == verdict
         assert doc["critical_tau2"] == boundary
 
-    def test_window_options_are_rejected(self, capsys):
-        # classify searches the whole crossing band: it takes no window.
+    @pytest.mark.parametrize(
+        "option",
+        [["--v-min", "1", "--v-max", "2"], ["--tolerance", "0"]],
+        ids=["window", "tolerance"],
+    )
+    def test_window_options_are_rejected(self, capsys, option):
+        # classify searches the whole crossing band: it takes no window, and
+        # a point is OnBoundary only within rounding of a crossing, with no
+        # band to set.
         argv = ["classify", "--a", "1", "--b", "-3", "--alpha", "0.9", "--tau1", "0.4",
-                "--tau2", "0.5", "--v-min", "1", "--v-max", "2"]
+                "--tau2", "0.5", *option]
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "unrecognized arguments: --v-min 1 --v-max 2" in err
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
     @pytest.mark.parametrize(
         "delays, verdict", [(("0.4", "0.5"), "Unstable"), (("0", "0"), "UnstableAtZeroDelays")]

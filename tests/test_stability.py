@@ -85,7 +85,7 @@ def assert_line_truths(alpha, a, b, q):
     gaps = zip(ends, ends[1:])
     points = [0.5 * (lo + hi) for lo, hi in gaps if hi - lo >= 1e-9] if v else [1.0, 3.0]
     for tau2 in points:
-        count = classify(alpha, (a, b), (q, tau2), tolerance=0.0).roots
+        count = classify(alpha, (a, b), (q, tau2)).roots
         assert count == rhp_root_count(alpha, a, b, q, tau2), (alpha, a, b, q, tau2, count)
     return crossings
 
@@ -387,9 +387,10 @@ class TestCriticalCurve:
     # Every sign pair, coefficients from 1e-3 to 1e4 and alpha down to 0.05,
     # on a window from below the band to past it or on one whose ends are
     # band edges.  The window starts at 1e-6 of the upper edge or above:
-    # near |a| = |b| the lower edge can be subnormal, and 1/v overflows
-    # there (the one-scale item of the roadmap).  Where both arccos
-    # arguments stay 1e-6 away from +-1 the rows hold to 2e-13 relative.
+    # near |a| = |b| the lower edge can be subnormal, where 1/v overflows
+    # and the samples drop out (test_overflowing_delays_are_dropped).  Where
+    # both arccos arguments stay 1e-6 away from +-1 the rows hold to 2e-13
+    # relative.
     # At an edge sample an argument rounds to within a few ulps of +-1,
     # where the arccos turns that into an angle error of about
     # sqrt(eps) = 1.5e-8: over 15 000 random draws with both edges sampled,
@@ -416,6 +417,18 @@ class TestCriticalCurve:
         v, tau1, tau2 = columns.v, columns.tau1, columns.tau2
         f = (1j * v) ** alpha - a * np.exp(-1j * v * tau1) - b * np.exp(-1j * v * tau2)
         assert (np.abs(f) <= bound).all()
+
+    def test_overflowing_delays_are_dropped(self):
+        # Near |a| = |b| at small order the lower band edge is subnormal,
+        # about 5.6e-309.  Over a v that small the delays overflow: those
+        # samples are no points of the locus and drop out, with no warning,
+        # and every row kept satisfies the crossing equations.
+        alpha, coef = 0.05078125, (10**0.05, -1.1220184543019636)
+        window = stability._band_edges(alpha, LinearCoefficients(*coef))
+        columns = curve_columns(alpha, coef, v_range=window)
+        assert len(columns.v) == 288_893
+        assert all(np.isfinite(col).all() for col in columns)
+        assert (columns.residual <= 5e-8 * (abs(coef[0]) + abs(coef[1]))).all()
 
     def test_points_match_scalar_parametrization(self):
         points = curve_points(0.8, UCAR_COEF, samples=150, max_branch=2)
@@ -1053,11 +1066,20 @@ class TestClassify:
         assert classify(0.9, (1.0, -1.0), (0.3, 0.4)).verdict is StabilityVerdict.ON_BOUNDARY
 
     def test_band_around_boundary(self):
+        # The point is OnBoundary only within rounding of the crossing,
+        # 1e-9*tau2; 1e-8 away, the root count decides.
         c0 = first_crossing(1.0, UCAR_COEF, 0.0)
         assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-3)).verdict is StabilityVerdict.STABLE
         assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-3)).verdict is StabilityVerdict.UNSTABLE
-        assert classify(1.0, UCAR_COEF, (0.0, c0 + 1e-8)).verdict is StabilityVerdict.ON_BOUNDARY
-        assert classify(1.0, UCAR_COEF, (0.0, c0 - 1e-8)).verdict is StabilityVerdict.ON_BOUNDARY
+        for tau2, verdict, roots in (
+            (c0 - 1e-8, StabilityVerdict.STABLE, 0),
+            (c0 + 1e-8, StabilityVerdict.UNSTABLE, 2),
+        ):
+            assert rhp_root_count(1.0, *UCAR_COEF, 0.0, tau2) == roots
+            assert classify(1.0, UCAR_COEF, (0.0, tau2)) == (verdict, c0, roots)
+        near = [c0 - 1e-10, c0 + 1e-10, c0 - 3 * math.ulp(c0), c0 + 3 * math.ulp(c0)]
+        for tau2 in near:
+            assert classify(1.0, UCAR_COEF, (0.0, tau2)) == (StabilityVerdict.ON_BOUNDARY, c0, None)
 
     def test_result_fields(self):
         # roots is the count that the verdict reads, None where no count is
@@ -1081,8 +1103,7 @@ class TestClassify:
         "alpha, a, b, corner",
         [
             # The line scan's phase for the root at the corner rounds to
-            # 2*pi/v: the crossing was neither counted nor seen within the
-            # tolerance of tau2 = 0.
+            # 2*pi/v: the crossing was neither counted nor seen at tau2 = 0.
             (0.5, -4.0, 1.0, 0.10100647673532827),
             (0.8, -3.0, -0.5, 0.5624679864618456),
             # The phase rounds to 0, and the crossing to the left was
@@ -1094,15 +1115,18 @@ class TestClassify:
         # The tau2 = 0 leg crosses at tau1* (pinned as the closed form gives
         # it), where a root sits on the axis at (tau1*, 0).  On the line
         # through it, that root is counted once, by its side on the line.
-        # The lines 4 ulps either side and the next recurrence count alike.
+        # The lines 4 ulps either side and the next recurrence count alike,
+        # and so do those 0.99e-9 relative above the corner and the
+        # recurrence, within the corner's slack: there the frequency of the
+        # root on the line moves by more than 1e-9 relative.
         [(tau1, v, side)] = stability._single_delay_crossings(alpha, a, b)
         assert tau1 == corner and side > 0.0
         lines = [corner, corner + 2.0 * math.pi / v]
         lines += [float(np.nextafter(corner, corner + d, dtype=float)) for d in (-1.0, 1.0)]
-        for q in lines + [x + 3 * (x - corner) for x in lines[2:]]:
-            for tau2 in (0.0, 5e-7):
-                assert classify(alpha, (a, b), (q, tau2)) == (StabilityVerdict.ON_BOUNDARY, 0.0, None)
-            for tau2 in (1e-4, 1e-3, 1e-2):
+        slack = [x * (1.0 + 0.99e-9) for x in lines[:2]]
+        for q in lines + [x + 3 * (x - corner) for x in lines[2:]] + slack:
+            assert classify(alpha, (a, b), (q, 0.0)) == (StabilityVerdict.ON_BOUNDARY, 0.0, None)
+            for tau2 in (5e-7, 1e-4, 1e-3, 1e-2):
                 verdict, boundary, roots = classify(alpha, (a, b), (q, tau2))
                 count = rhp_root_count(alpha, a, b, q, tau2)
                 assert (roots, boundary) == (count, 0.0), (q, tau2)
@@ -1123,10 +1147,12 @@ class TestClassify:
     @pytest.mark.parametrize("tau2, count", [(3e-4, 10), (1e-3, 454), (3e-3, 1296)])
     def test_small_order_counts_many_roots_at_small_delays(self, tau2, count):
         # At order 0.2188 the band of (7.64, -20.23) reaches v of about 4e6:
-        # crossings recur every 1.5e-6 or so in tau2 on the line tau1 = 3e-4.
+        # crossings recur every 1.5e-6 or so in tau2 on the line tau1 = 3e-4,
+        # far more than rounding of tau2 apart.
         alpha, coef, q = 0.2188, (7.64, -20.23), 3e-4
         assert rhp_root_count(alpha, *coef, q, tau2) == count
-        assert classify(alpha, coef, (q, tau2), tolerance=0.0).roots == count
+        verdict, _, roots = classify(alpha, coef, (q, tau2))
+        assert (verdict, roots) == (StabilityVerdict.UNSTABLE, count)
 
     def test_negative_count_is_an_internal_error(self, monkeypatch):
         # Crossings that all go to the left cannot start from a stable
@@ -1207,11 +1233,16 @@ class TestClassify:
         # A root that touches the axis without crossing leaves the count
         # undefined above that delay; below it the count still stands.
         with pytest.raises(ValueError, match="undefined"):
-            stability._tally([(0.5, 2.0, 0.0)], 1.0, 1e-6)
-        assert stability._tally([(0.5, 2.0, 0.0)], 0.4, 1e-6) == 0
-        # Each recurrence 0.5 + pi*m below 7 adds 2; 0.5 + 2*pi is in the band.
-        assert stability._tally([(0.5, 2.0, 1.0)], 7.0, 1e-6) == 6
-        assert stability._tally([(0.5, 2.0, -1.0)], 0.5 + 2.0 * math.pi, 1e-6) is None
+            stability._tally([(0.5, 2.0, 0.0)], 1.0)
+        assert stability._tally([(0.5, 2.0, 0.0)], 0.4) == 0
+        # Each recurrence 0.5 + pi*m below 7 adds 2; 0.5 + 2*pi is one.
+        assert stability._tally([(0.5, 2.0, 1.0)], 7.0) == 6
+        assert stability._tally([(0.5, 2.0, -1.0)], 0.5 + 2.0 * math.pi) is None
+        # The slack is relative to the delay: 1e-9 of it.
+        tau = 0.5 + 2.0 * math.pi
+        assert stability._tally([(0.5, 2.0, 1.0)], tau * (1.0 + 5e-10)) is None
+        assert stability._tally([(0.5, 2.0, 1.0)], tau * (1.0 + 2e-9)) == 6
+        assert stability._tally([(0.5, 2.0, 1.0)], tau * (1.0 - 2e-9)) == 4
 
     def test_verdict_stable_under_sampling_density(self, monkeypatch):
         cases = [
