@@ -9,15 +9,13 @@ the (tau1, tau2) plane where characteristic roots cross the imaginary axis.
 
 from __future__ import annotations
 
-from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
-from .numerics import corner_weight_table, interior_weight_table
+from .models import ikeda_rhs, ucar_rhs
 from .solver import (
     DelayPair,
     Grid,
     SystemRhs,
     Trajectory,
     build_grid,
-    phase_columns,
     simulate,
 )
 from .stability import (
@@ -35,15 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "corner_weight_table",
-    "interior_weight_table",
     "DelayPair",
     "SystemRhs",
     "Grid",
     "Trajectory",
     "build_grid",
     "simulate",
-    "phase_columns",
     "StabilityVerdict",
     "LinearCoefficients",
     "find_equilibria",
@@ -52,8 +47,6 @@ __all__ = [
     "curve_columns",
     "Classification",
     "classify",
-    "UcarParams",
-    "IkedaParams",
     "ucar_rhs",
     "ikeda_rhs",
 ]

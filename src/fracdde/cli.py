@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import IkedaParams, UcarParams, ikeda_rhs, ucar_rhs
+from .models import ikeda_rhs, ucar_rhs
 from .solver import DelayPair, SystemRhs, _delayed, build_grid, simulate
 from .stability import (
     LinearCoefficients,
@@ -78,9 +78,9 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
 def _rhs_from_args(args: argparse.Namespace) -> SystemRhs:
     _check_foreign_params(args)
     if args.model == "ucar":
-        return ucar_rhs(UcarParams(**_given(args, "delta", "epsilon")))
+        return ucar_rhs(**_given(args, "delta", "epsilon"))
     if args.model == "ikeda":
-        return ikeda_rhs(IkedaParams(**_given(args, "c1", "c2")))
+        return ikeda_rhs(**_given(args, "c1", "c2"))
     if args.a is None or args.b is None:
         raise ValueError("--model linear requires both --a and --b")
     a, b = args.a, args.b
@@ -108,10 +108,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
     grid = build_grid(DelayPair(args.tau1, args.tau2), args.T, args.h)
     traj = simulate(rhs, args.alpha, grid, args.history)
-    # The rows of phase_columns, without building its table.  A chunk of n
-    # rows from start reads values[start : start + k + n], of which the first
-    # k were formatted by the chunk before it (the history, for the first
-    # chunk); a delayed column off the grid is interpolated and formatted.
+    # One row (t, x(t), x(t - tau1), x(t - tau2)) per computed grid time
+    # t >= 0, up to the last finite state.  A chunk of n rows from start reads
+    # values[start : start + k + n], of which the first k were formatted by
+    # the chunk before it (the history, for the first chunk); a delayed
+    # column off the grid is interpolated and formatted.
     k = traj.history_steps
     rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
     prev = _formatted(traj.values[:k])

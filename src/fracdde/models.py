@@ -3,38 +3,31 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import SystemRhs
 
-__all__ = ["UcarParams", "IkedaParams", "ucar_rhs", "ikeda_rhs"]
+__all__ = ["ucar_rhs", "ikeda_rhs"]
 
 
-@dataclass(frozen=True)
-class UcarParams:
-    """Parameters of g(x1, x2) = delta*x1 - epsilon*x2**3; both positive."""
-
-    delta: float = 1.0
-    epsilon: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, value in (("delta", self.delta), ("epsilon", self.epsilon)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number")
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def _check_gains(positive: bool, **gains: float) -> None:
+    need = "positive and finite" if positive else "finite"
+    for name, value in gains.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number")
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
-def ucar_rhs(params: UcarParams | None = None) -> SystemRhs:
-    """Cubic feedback oscillator.
+def ucar_rhs(delta: float = 1.0, epsilon: float = 1.0) -> SystemRhs:
+    """Cubic feedback oscillator g(x1, x2) = delta*x1 - epsilon*x2**3, both
+    gains positive.
 
     Equilibria are 0 and +/- sqrt(delta/epsilon).  At the symmetric pair the
     linearization is (a, b) = (delta, -3*delta) independent of epsilon.
     """
-    p = params if params is not None else UcarParams()
-    delta, epsilon = p.delta, p.epsilon
+    _check_gains(True, delta=delta, epsilon=epsilon)
 
     # Multiplication instead of ** so a diverging state yields IEEE inf
     # (float ** raises OverflowError) and lands in the truncation path.
@@ -50,29 +43,14 @@ def ucar_rhs(params: UcarParams | None = None) -> SystemRhs:
     return SystemRhs(g=g, dg_dx1=dg_dx1, dg_dx2=dg_dx2)
 
 
-@dataclass(frozen=True)
-class IkedaParams:
-    """Parameters of g(x1, x2) = c1*x1 + c2*sin(x2)."""
+def ikeda_rhs(c1: float = -3.0, c2: float = 24.0) -> SystemRhs:
+    """Sinusoidal feedback oscillator g(x1, x2) = c1*x1 + c2*sin(x2), with a
+    linear damping term.
 
-    c1: float = -3.0
-    c2: float = 24.0
-
-    def __post_init__(self) -> None:
-        for name, value in (("c1", self.c1), ("c2", self.c2)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def ikeda_rhs(params: IkedaParams | None = None) -> SystemRhs:
-    """Sinusoidal feedback oscillator with a linear damping term.
-
-    With the default parameters the equation has seven equilibria in
-    [-10, 10]; the linearization at x* is (a, b) = (c1, c2*cos(x*)).
+    With the default gains the equation has seven equilibria in [-10, 10];
+    the linearization at x* is (a, b) = (c1, c2*cos(x*)).
     """
-    p = params if params is not None else IkedaParams()
-    c1, c2 = p.c1, p.c2
+    _check_gains(False, c1=c1, c2=c2)
 
     # np.sin, not math.sin: simulate calls g on float64 arrays.
     def g(x1: float, x2: float) -> float:

@@ -47,7 +47,6 @@ __all__ = [
     "History",
     "build_grid",
     "simulate",
-    "phase_columns",
 ]
 
 History = float | Callable[[float], float]
@@ -419,26 +418,3 @@ def simulate(
             span = (done & -done) * _BLOCK
             add_far(hi - span, hi, min(hi + span, n_total + 1), 2 * span)
     return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
-
-
-def phase_columns(traj: Trajectory, grid: Grid) -> np.ndarray:
-    """Delay-embedded view of a trajectory.
-
-    Returns a float array with one row per computed grid time ``t >= 0`` and
-    columns ``(t, x(t), x(t - tau1), x(t - tau2))``.  For a truncated run the
-    rows stop at the last finite state.
-    """
-    if grid.history_steps != traj.history_steps:
-        raise ValueError("grid and trajectory disagree on the history length")
-    if abs(grid.h - traj.h) > 1e-12 * grid.h:
-        raise ValueError("grid and trajectory disagree on the step size")
-    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
-    k = traj.history_steps
-    return np.column_stack(
-        [
-            np.arange(rows) * traj.h,
-            traj.values[k : k + rows],
-            _delayed(traj.values, k - grid.k1, grid.theta1, rows),
-            _delayed(traj.values, k - grid.k2, grid.theta2, rows),
-        ]
-    )

@@ -534,10 +534,10 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     is the smallest nonnegative delay, and every 2*pi/v above it is one
     more.
 
-    Raises ValueError if the band ends beyond the float range, if the delay
-    of a crossing is (phase over a subnormal v), or, before allocating
-    them, if the scan needs more than 2**18 frequencies, samples and split
-    points together.
+    Raises ValueError if the band ends beyond the float range, if the line
+    function or the delay of a crossing is (squares of the coefficients, or
+    phase over a subnormal v), or, before allocating them, if the scan needs
+    more than 2**18 frequencies, samples and split points together.
     """
     lo, hi = _finite_band(al, c)
     # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0
@@ -558,7 +558,13 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     count = _SCAN_MIN + _SCAN_PER_RADIAN * q * (hi - lo)
     charge(count)
     v = np.linspace(lo, hi, math.ceil(count))
-    y = g(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = g(v)
+    if not np.isfinite(y).all():
+        raise ValueError(
+            f"the crossing equation on the line tau1 = {q!r} leaves the float range: "
+            f"its terms of order (|a| + |b|)**2 overflow"
+        )
     while True:
         mid = 0.5 * (v[:-1] + v[1:])
         splittable = (v[:-1] < mid) & (mid < v[1:]) & ~_sign_change(y[:-1], y[1:])
@@ -694,9 +700,10 @@ def classify(
     closer than about 2e-9*tau2); otherwise it is Stable iff the count is 0.
     A vanishing coefficient leaves one delay, whose leg is closed form too.
 
-    Raises ValueError for a band beyond the float range, a line over the
-    scan budget, a crossing delay beyond the float range, or a tangential
-    crossing on the path, where the count is undefined.
+    Raises ValueError for a band beyond the float range, coefficients whose
+    squares overflow, a line over the scan budget, a crossing delay beyond
+    the float range, or a tangential crossing on the path, where the count
+    is undefined.
     """
     al = order_value(alpha)
     c = _as_coef(coef)

@@ -8,6 +8,9 @@ stepper, which is what makes them oracles for its accuracy.
 :func:`fracdde.simulate` with the memory sum formed by one full-length dot
 product per step, O(N^2) in total: the reference for the fast memory sum.
 
+``phase_columns`` builds the delay-embedded table of a trajectory at once:
+the reference for the rows that ``fracdde simulate`` formats chunk by chunk.
+
 ``trapezoid_weights`` assembles one full quadrature row from the two weight
 tables that the stepper reads: the reference for the weight identities.
 
@@ -65,6 +68,7 @@ from fracdde.solver import (
     History,
     SystemRhs,
     Trajectory,
+    _delayed,
 )
 from fracdde.stability import (
     _arccos,
@@ -190,6 +194,29 @@ def delayed_series_oracle(alpha: float, a: float, tau: float, t: float) -> float
         terms.append(-mag if negative and k % 2 else mag)
         k += 1
     return math.fsum(terms)
+
+
+def phase_columns(traj: Trajectory, grid: Grid) -> np.ndarray:
+    """Delay-embedded view of a trajectory.
+
+    Returns a float array with one row per computed grid time ``t >= 0`` and
+    columns ``(t, x(t), x(t - tau1), x(t - tau2))``.  For a truncated run the
+    rows stop at the last finite state.
+    """
+    if grid.history_steps != traj.history_steps:
+        raise ValueError("grid and trajectory disagree on the history length")
+    if abs(grid.h - traj.h) > 1e-12 * grid.h:
+        raise ValueError("grid and trajectory disagree on the step size")
+    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
+    k = traj.history_steps
+    return np.column_stack(
+        [
+            np.arange(rows) * traj.h,
+            traj.values[k : k + rows],
+            _delayed(traj.values, k - grid.k1, grid.theta1, rows),
+            _delayed(traj.values, k - grid.k2, grid.theta2, rows),
+        ]
+    )
 
 
 def trapezoid_weights(alpha: float, n: int) -> np.ndarray:

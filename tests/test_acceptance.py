@@ -20,12 +20,17 @@ from fracdde import (
     find_equilibria,
     ikeda_rhs,
     linearize,
-    phase_columns,
     simulate,
     stable_at_zero_delay,
     ucar_rhs,
 )
-from oracles import curve_points, delayed_series_oracle, parametric_delays, trapezoid_weights
+from oracles import (
+    curve_points,
+    delayed_series_oracle,
+    parametric_delays,
+    phase_columns,
+    trapezoid_weights,
+)
 
 UCAR_COEF = (1.0, -3.0)
 

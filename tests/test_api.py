@@ -12,15 +12,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC = {
     "__version__",
-    "corner_weight_table",
-    "interior_weight_table",
     "DelayPair",
     "SystemRhs",
     "Grid",
     "Trajectory",
     "build_grid",
     "simulate",
-    "phase_columns",
     "StabilityVerdict",
     "LinearCoefficients",
     "find_equilibria",
@@ -29,15 +26,13 @@ PUBLIC = {
     "curve_columns",
     "Classification",
     "classify",
-    "UcarParams",
-    "IkedaParams",
     "ucar_rhs",
     "ikeda_rhs",
 }
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 22
+    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 17
     assert set(fracdde.__all__) == PUBLIC
 
 

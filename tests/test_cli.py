@@ -11,7 +11,6 @@ from fracdde import (
     build_grid,
     curve_columns,
     linearize,
-    phase_columns,
     simulate,
     stability,
     ucar_rhs,
@@ -23,6 +22,7 @@ from oracles import (
     assert_rescaled_locus,
     locus_rows,
     object_curve_points,
+    phase_columns,
     rescaled,
 )
 
@@ -436,6 +436,22 @@ class TestOverflowingBandEdge:
     def test_default_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, coef, command):
         monkeypatch.chdir(tmp_path)
         assert main([*command, *coef]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: ") and err.count("\n") == 1
+        assert "float range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The squares of the coefficients overflow, though the band is
+            # finite: no count can be formed, and no verdict is printed.
+            ["--a", "1e160", "--b=-3e160", "--tau1", "0", "--tau2", "1e-160"],
+            ["--a", "1e154", "--b=-1.5e154", "--tau1", "1e-154", "--tau2", "1e-154"],
+        ],
+    )
+    def test_overflowing_squares_are_a_usage_error(self, capsys, argv):
+        assert main(["classify", *argv, "--alpha", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("fracdde: error: ") and err.count("\n") == 1

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from fracdde import IkedaParams, UcarParams, ikeda_rhs, linearize, ucar_rhs
+from fracdde import ikeda_rhs, linearize, ucar_rhs
+
+# States at which two right-hand sides are compared value by value.
+STATES = [(0.0, 0.0), (1.5, 2.0), (-0.3, 0.7), (4.0, -9.5)]
+
+
+def same_values(rhs, other):
+    return all(
+        (rhs.g(*x), rhs.dg_dx1(*x), rhs.dg_dx2(*x))
+        == (other.g(*x), other.dg_dx1(*x), other.dg_dx2(*x))
+        for x in STATES
+    )
 
 
 class TestUcar:
     def test_equilibria_satisfy_rhs(self):
         for delta, epsilon in [(1.0, 1.0), (1.0, 2.0), (0.5, 0.25)]:
-            rhs = ucar_rhs(UcarParams(delta, epsilon))
+            rhs = ucar_rhs(delta, epsilon)
             assert rhs.g(0.0, 0.0) == 0.0
             x = math.sqrt(delta / epsilon)
             assert abs(rhs.g(x, x)) <= 1e-12
@@ -19,7 +30,7 @@ class TestUcar:
         # At the symmetric equilibria the cubic gain cancels out of both
         # partials, leaving (delta, -3*delta).
         for epsilon in (0.5, 1.0, 2.0):
-            rhs = ucar_rhs(UcarParams(1.0, epsilon))
+            rhs = ucar_rhs(1.0, epsilon)
             coef = linearize(rhs, math.sqrt(1.0 / epsilon))
             assert coef.a == pytest.approx(1.0, rel=1e-12)
             assert coef.b == pytest.approx(-3.0, rel=1e-12)
@@ -29,21 +40,37 @@ class TestUcar:
         assert (coef.a, coef.b) == (1.0, 0.0)
 
     def test_default_parameters(self):
-        assert UcarParams() == UcarParams(1.0, 1.0)
+        assert same_values(ucar_rhs(), ucar_rhs(1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (0.0, 1.0),
+            (1.0, -2.0),
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (1.0, -math.inf),
+            (-1.0, 1.0),
+            (1.0, 0),
+            (1.0, math.nan),
+        ],
+    )
     def test_rejects_nonpositive_parameters(self, bad):
-        with pytest.raises(ValueError):
-            UcarParams(*bad)
+        with pytest.raises(ValueError, match="must be positive and finite, got "):
+            ucar_rhs(*bad)
 
-    @pytest.mark.parametrize("bad", [{"delta": True}, {"epsilon": True}, {"delta": "1"}])
+    @pytest.mark.parametrize(
+        "bad", [{"delta": True}, {"epsilon": True}, {"delta": "1"}, {"epsilon": "1"}]
+    )
     def test_rejects_non_real_parameters(self, bad):
         with pytest.raises(ValueError, match="must be a real number"):
-            UcarParams(**bad)
+            ucar_rhs(**bad)
 
     def test_rhs_values(self):
-        rhs = ucar_rhs(UcarParams(2.0, 0.5))
+        rhs = ucar_rhs(delta=2.0, epsilon=0.5)
         assert rhs.g(1.5, 2.0) == 2.0 * 1.5 - 0.5 * 8.0
+        assert same_values(rhs, ucar_rhs(2.0, 0.5))
+        assert same_values(ucar_rhs(epsilon=0.5), ucar_rhs(1.0, 0.5))
 
 
 class TestIkeda:
@@ -74,15 +101,29 @@ class TestIkeda:
         assert got.tolist() == expected
 
     def test_custom_parameters(self):
-        rhs = ikeda_rhs(IkedaParams(c1=-1.0, c2=2.0))
+        rhs = ikeda_rhs(c1=-1.0, c2=2.0)
         assert rhs.g(3.0, 0.5) == pytest.approx(-3.0 + 2.0 * math.sin(0.5))
+        assert same_values(rhs, ikeda_rhs(-1.0, 2.0))
 
-    @pytest.mark.parametrize("bad", [(math.inf, 24.0), (-3.0, math.nan)])
+    def test_default_parameters(self):
+        assert same_values(ikeda_rhs(), ikeda_rhs(-3.0, 24.0))
+
+    @pytest.mark.parametrize("gains", [(0.0, 0.0), (2.0, -5.0), (0, -1)])
+    def test_accepts_zero_and_negative_gains(self, gains):
+        rhs = ikeda_rhs(*gains)
+        assert rhs.g(1.0, 0.0) == gains[0]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(math.inf, 24.0), (-3.0, math.nan), (-math.inf, 24.0), (-3.0, -math.inf), (math.nan, 1.0)],
+    )
     def test_rejects_nonfinite_parameters(self, bad):
-        with pytest.raises(ValueError):
-            IkedaParams(*bad)
+        with pytest.raises(ValueError, match="must be finite, got "):
+            ikeda_rhs(*bad)
 
-    @pytest.mark.parametrize("bad", [{"c1": False}, {"c2": True}, {"c1": None}])
+    @pytest.mark.parametrize(
+        "bad", [{"c1": False}, {"c2": True}, {"c1": None}, {"c2": "1"}]
+    )
     def test_rejects_non_real_parameters(self, bad):
         with pytest.raises(ValueError, match="must be a real number"):
-            IkedaParams(**bad)
+            ikeda_rhs(**bad)

@@ -4,8 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fracdde import corner_weight_table, interior_weight_table
-from fracdde.numerics import order_value
+from fracdde.numerics import corner_weight_table, interior_weight_table, order_value
 from oracles import (
     NonConvergenceError,
     delayed_series_oracle,

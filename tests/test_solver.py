@@ -12,11 +12,10 @@ from fracdde import (
     SystemRhs,
     Trajectory,
     build_grid,
-    phase_columns,
     simulate,
     ucar_rhs,
 )
-from oracles import delayed_series_oracle, direct_sum_stepper, mittag_leffler
+from oracles import delayed_series_oracle, direct_sum_stepper, mittag_leffler, phase_columns
 
 
 def linear_rhs(a, b):

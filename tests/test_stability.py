@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from fracdde import (
     Classification,
-    IkedaParams,
     LinearCoefficients,
     StabilityVerdict,
     SystemRhs,
-    UcarParams,
     classify,
     curve_columns,
     find_equilibria,
@@ -103,7 +101,7 @@ class TestFindEquilibria:
 
     @pytest.mark.parametrize(
         "rhs",
-        [ikeda_rhs(), ikeda_rhs(IkedaParams(-3.0, 12.0)), ucar_rhs()],
+        [ikeda_rhs(), ikeda_rhs(-3.0, 12.0), ucar_rhs()],
         ids=["ikeda", "ikeda_c2_12", "ucar"],
     )
     def test_odd_rhs_gives_mirrored_roots(self, rhs):
@@ -185,9 +183,9 @@ class TestFindEquilibria:
         "rhs, bracket",
         [
             (ucar_rhs(), (-10.0, 10.0)),
-            (ucar_rhs(UcarParams(2.0, 0.5)), (-5.0, 5.0)),
+            (ucar_rhs(2.0, 0.5), (-5.0, 5.0)),
             (ikeda_rhs(), (-10.0, 10.0)),
-            (ikeda_rhs(IkedaParams(-3.0, 12.0)), (-10.0, 10.0)),
+            (ikeda_rhs(-3.0, 12.0), (-10.0, 10.0)),
         ],
         ids=["ucar", "ucar_wide", "ikeda", "ikeda_c2_12"],
     )
@@ -1295,6 +1293,15 @@ HUGE_BAND = [
     (0.1, (3.4e30, -3.5e30), (1e289, 1e291)),
 ]
 
+# The band of these pairs is finite, but the squares of the coefficients,
+# and so every value of the line function, overflow: (1, -3) at (0, 1) and
+# (1, -1.5) at (1, 1), rescaled.  (1, -3) at (0, 1) has 2 right-half-plane
+# roots, which the line scan cannot count at this scale.
+OVERFLOWING_SQUARES = [
+    (1.0, (1e160, -3e160), (0.0, 1e-160)),
+    (1.0, (1e154, -1.5e154), (1e-154, 1e-154)),
+]
+
 
 class TestOverflowingBandEdge:
     @pytest.mark.parametrize("alpha, coef", [case[:2] for case in HUGE_BAND])
@@ -1306,6 +1313,14 @@ class TestOverflowingBandEdge:
         ):
             with pytest.raises(ValueError, match="float range"):
                 call()
+
+    @pytest.mark.parametrize("alpha, coef, delays", OVERFLOWING_SQUARES)
+    def test_overflowing_squares_are_a_value_error(self, alpha, coef, delays):
+        assert math.isfinite(stability._band_edges(alpha, LinearCoefficients(*coef))[1])
+        with pytest.raises(ValueError, match="float range"):
+            stability._line_crossings(alpha, LinearCoefficients(*coef), delays[0])
+        with pytest.raises(ValueError, match="float range"):
+            classify(alpha, coef, delays)
 
     def test_default_window_end_beyond_the_float_range(self):
         # The band's upper edge, 1.1e308, is a float; four times it is not.
