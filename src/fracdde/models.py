@@ -52,8 +52,15 @@ def ikeda_rhs(c1: float = -3.0, c2: float = 24.0) -> SystemRhs:
     """
     _check_gains(False, c1=c1, c2=c2)
 
-    # np.sin, not math.sin: simulate calls g on float64 arrays.
+    # simulate calls g on float64 arrays, which take np.sin, and on floats,
+    # which take math.sin: numpy's scalar call costs several times more.
+    # math.sin raises on an infinite state, where np.sin gives NaN.
     def g(x1: float, x2: float) -> float:
+        if isinstance(x2, float):
+            try:
+                return c1 * x1 + c2 * math.sin(x2)
+            except ValueError:
+                return math.nan
         return c1 * x1 + c2 * np.sin(x2)
 
     def dg_dx1(x1: float, x2: float) -> float:

@@ -96,9 +96,16 @@ def interior_weight_table(alpha: float, m_max: int) -> np.ndarray:
         # Writing each term as m**(beta - 2k) rather than m**beta * u**(2k)
         # keeps beta == 2 exact: there C(2, 2k) vanishes for k >= 2 and the
         # series collapses to the constant 2.
+        #
+        # The sum is at least its first term, and term k is
+        # C(beta, 2k)/C(beta, 2) * m**(-2(k-1)) of it.  Where that ratio is
+        # below 2**-60, far under half an ulp of the sum, adding the term
+        # cannot change a bit, so it is evaluated only on the offsets
+        # below that cutoff (plus one, against rounding in the cutoff).
         m = np.arange(_SERIES_CUTOFF, m_max + 1, dtype=float)
         total = np.zeros_like(m)
         coeff = 1.0  # running binomial coefficient C(beta, j)
+        first = 0.0
         j = 0
         for k in range(1, _SERIES_TERMS + 1):
             while j < 2 * k:
@@ -106,6 +113,12 @@ def interior_weight_table(alpha: float, m_max: int) -> np.ndarray:
                 j += 1
             if coeff == 0.0:
                 break
-            total += coeff * m ** (beta - 2 * k)
+            if k == 1:
+                first = coeff
+                live = len(m)
+            else:
+                reach = (coeff / first * 2.0**60) ** (1.0 / (2 * k - 2))
+                live = min(len(m), max(0, int(reach) + 2 - _SERIES_CUTOFF))
+            total[:live] += coeff * m[:live] ** (beta - 2 * k)
         d2[_SERIES_CUTOFF:] = 2.0 * total
     return d2

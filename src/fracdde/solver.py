@@ -22,8 +22,9 @@ Every step needs the whole memory of g.  The stepper splits that sum in two
 (the divide-and-conquer scheme of Hairer, Lubich and Schlichte, SIAM J. Sci.
 Stat. Comput. 6 (1985) 532-541): the near part, the samples of the current
 block of ``_BLOCK`` steps, is one product with the block's lower-triangular
-weight matrix per chunk (a short dot product per step in the one-point
-loop); the far part reaches each block already summed.  One loop runs the
+weight matrix per chunk (in the one-point loop, one dot product per step of
+a precomputed weight row with the block's samples so far, zero past them);
+the far part reaches each block already summed.  One loop runs the
 blocks in order; after block ``done`` (counting from 1), one FFT
 convolution adds its last ``d = done & -done`` blocks to the far part of
 the next ``d``.  A run of N steps costs O(N log^2 N).
@@ -241,7 +242,8 @@ def simulate(
     convolution adds its last ``done & -done`` blocks to that sum for as
     many blocks ahead, so the whole run is O(N log^2 N).  When ``kmin`` is
     below ``_MIN_CHUNK`` the steps are taken one at a time instead, with
-    ``g`` called on floats.
+    ``g`` called on floats and one fixed-length dot product per step for
+    the block's part of the sum.
 
     A history callable is sampled on [-history_steps * h, 0] (up to one step
     before -tau_max for an off-grid delay) and must be finite there.
@@ -308,16 +310,30 @@ def simulate(
     acc = np.empty(n_total + 1, dtype=float)
     spectra: dict[int, np.ndarray] = {}
 
+    # Row m of the block's weight matrix with its diagonal and upper part
+    # zeroed: dotted with the block's f, filled up to step m and zero past
+    # it, it gives step m's near sum at one fixed length.  Built on the
+    # first one-point block; a chunk-body run needs it only to find a
+    # truncation step.
+    strict_rows: list[np.ndarray] = []
+
     def step_each(lo: int, hi: int, evaluated: int = known) -> int | None:
         # One step at a time, calling g on floats past f[evaluated].
         # Python floats from here on: the same IEEE arithmetic as numpy
         # scalars, without their per-operation overhead.  reads_i starts at
         # state lo - ki - 1 and grows by each new state, so step j reads
         # state j - ki at reads_i[j - lo + 1]; a delay of a block or more
-        # finds every state it reads there from the start.
+        # finds every state it reads there from the start.  The block's
+        # states reach x, and its f values f, once at the end.
+        if not strict_rows:
+            strict_rows.extend(np.tril(toeplitz, -1))
         reads1 = x[k + lo - k1 - 1 : k + min(lo, hi - k1)].tolist()
         reads2 = x[k + lo - k2 - 1 : k + min(lo, hi - k2)].tolist()
+        first = len(reads1)
         acc_terms = acc[lo:hi].tolist()
+        # Filled step by step: a non-finite f known ahead of the current
+        # step would turn its zero weight into NaN.
+        fblock = np.zeros(len(toeplitz))
         for m in range(hi - lo):
             j = lo + m
             if j > evaluated:
@@ -334,19 +350,21 @@ def simulate(
                     # IEEE arithmetic gives inf; a diverging state is a
                     # truncation, not an exception.
                     fj = math.inf
-                f[j] = fj
             else:
                 fj = f.item(j)
+            fblock[m] = fj
             s = acc_terms[m] + fj
             if m:
-                s += float(toeplitz[m, :m].dot(f[lo:j]))
+                s += float(strict_rows[m].dot(fblock))
             value = phi0 + c * s
             if not math.isfinite(value):
+                x[k + lo : k + j] = reads1[first:]
                 x[k + j :] = np.nan
                 return j
-            x[k + j] = value
             reads1.append(value)
             reads2.append(value)
+        x[k + lo : k + hi] = reads1[first:]
+        f[lo:hi] = fblock[: hi - lo]
         return None
 
     def step_chunks(lo: int, hi: int) -> int | None:

@@ -13,6 +13,10 @@ the reference for the rows that ``fracdde simulate`` formats chunk by chunk.
 
 ``trapezoid_weights`` assembles one full quadrature row from the two weight
 tables that the stepper reads: the reference for the weight identities.
+``series_interior_weights`` sums all twelve series terms of the interior
+weights at every offset: the reference for
+:func:`fracdde.numerics.interior_weight_table`, which skips a term where it
+cannot move the sum.
 
 ``scalar_equilibria`` scans and bisects one bracket at a time in Python
 floats: the reference for :func:`fracdde.find_equilibria`, which refines
@@ -239,6 +243,26 @@ def trapezoid_weights(alpha: float, n: int) -> np.ndarray:
         row[1 : n + 1] = interior[n:0:-1]
     row[n + 1] = 1.0
     return row
+
+
+def series_interior_weights(alpha: float, m_max: int) -> np.ndarray:
+    """Interior weights for offsets ``8 .. m_max`` (``m_max >= 8``) from
+    the first twelve terms of ``2 * sum_k C(beta, 2k) * m**(beta - 2k)``,
+    ``beta = alpha + 1``, every term at every offset and added in order of
+    k."""
+    beta = order_value(alpha) + 1.0
+    m = np.arange(8, m_max + 1, dtype=float)
+    total = np.zeros_like(m)
+    coeff = 1.0  # running binomial coefficient C(beta, j)
+    j = 0
+    for k in range(1, 13):
+        while j < 2 * k:
+            coeff *= (beta - j) / (j + 1)
+            j += 1
+        if coeff == 0.0:
+            break
+        total += coeff * m ** (beta - 2 * k)
+    return 2.0 * total
 
 
 def direct_sum_stepper(

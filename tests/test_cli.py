@@ -228,6 +228,24 @@ class TestSimulateCommand:
         assert 0 < len(rows) < 2001
         assert all(math.isfinite(float(r[1])) for r in rows)
 
+    def test_diverging_one_point_ikeda_run(self, tmp_path, capsys):
+        # kmin = 3 steps: g is called on floats, and its sine meets an
+        # infinite state as the run leaves the float range.
+        out = tmp_path / "ikeda.csv"
+        argv = [
+            "simulate",
+            "--model", "ikeda", "--c1", "30",
+            "--alpha", "0.9",
+            "--tau1", "0.03", "--tau2", "0.05",
+            "--T", "50", "--h", "0.01",
+            "--history", "2.5",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("state left the finite range at step 3277 ") and err.count("\n") == 1
+        assert len(read_csv(out)[1]) == 3277
+
     def test_truncated_long_delay_csv_bytes(self, tmp_path, capsys):
         # A 4500-step delay and a blow-up in the second 4096-row chunk: the
         # x_tau2 column of the partial CSV reads strings carried over from
@@ -738,6 +756,15 @@ class TestEquilibriaCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 7
+
+    def test_overflowing_gains_warn_nothing(self, capsys):
+        # g(x, x) overflows at every sample but 0; Python floats overflow
+        # to inf without the numpy warning the suite turns into an error.
+        argv = ["equilibria", "--model", "ikeda", "--c1", "1e308", "--c2", "1e308"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == [{"x_star": 0.0, "a": 1e308, "b": 1e308, "stable_at_zero": False}]
 
     def test_custom_bracket(self, capsys):
         code = main(["equilibria", "--model", "ikeda", "--bracket", "-3", "3"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,29 @@ class TestIkeda:
         assert got.shape == x1.shape
         expected = [rhs.g(a, b) for a, b in zip(x1.tolist(), x2.tolist())]
         assert got.tolist() == expected
+
+    def test_float_and_array_sines_agree(self):
+        # Floats take math.sin and arrays np.sin, whose own SIMD sine may
+        # differ from the C library's in the last bits; at large |x2| too.
+        rhs = ikeda_rhs(c1=0.0, c2=1.0)
+        x2 = np.concatenate(
+            [
+                np.linspace(-20.0, 20.0, 4001),
+                np.geomspace(1.0, 1e300, 600),
+                -np.geomspace(1e-300, 1e6, 600),
+            ]
+        )
+        got = rhs.g(np.zeros_like(x2), x2)
+        for x, y in zip(x2.tolist(), got.tolist()):
+            z = rhs.g(0.0, x)
+            assert type(z) is float
+            assert abs(z - y) <= 2 * math.ulp(y), x
+
+    @pytest.mark.parametrize("x2", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_float_state_gives_nan(self, x2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(ikeda_rhs().g(1.0, x2))
 
     def test_custom_parameters(self):
         rhs = ikeda_rhs(c1=-1.0, c2=2.0)

@@ -9,6 +9,7 @@ from oracles import (
     NonConvergenceError,
     delayed_series_oracle,
     mittag_leffler,
+    series_interior_weights,
     trapezoid_weights,
 )
 from reference_values import (
@@ -101,6 +102,17 @@ class TestTrapezoidWeights:
             for m in (8, 9, 15):
                 direct = (m + 1.0) ** b + (m - 1.0) ** b - 2.0 * m ** b
                 assert table[m] == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("m_max", [8, 9, 130, 4000, 30000])
+    def test_interior_table_series_is_every_term_bitwise(self, m_max):
+        # The table skips a series term where it is below 2**-60 of the
+        # first; that must leave every bit of the full twelve-term sum.
+        rng = np.random.default_rng(35)
+        alphas = [*np.linspace(0.01, 1.0, 100), *rng.uniform(0.0, 1.0, 20), 1e-6, 1.0]
+        for alpha in alphas:
+            table = interior_weight_table(float(alpha), m_max)
+            want = series_interior_weights(float(alpha), m_max)
+            assert table[8:].tobytes() == want.tobytes(), alpha
 
     def test_corner_table_matches_row(self):
         corners = corner_weight_table(0.35, 25)

@@ -393,6 +393,14 @@ class TestFastMemorySum:
             # of the chunk of 33 at 257.
             (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 0.8, 12, 9, 3000, 1.5),
             (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 1.0, 40, 33, 3000, 1.5),
+            # One-point runs whose g is already inf on the last three history
+            # states: step 1 reads none of them, and the run truncates at
+            # step 3, the first that does.
+            *(
+                (SystemRhs(g=lambda x1, x2: x2 * x2 * x2), 0.8, 5, 5, n,
+                 lambda t: 1e103 if t >= -0.02 else 1.0)
+                for n in (20, 300)
+            ),
         ],
     )
     def test_diverging_runs_truncate_at_the_same_step(self, rhs, alpha, k1, k2, n_steps, history):
