@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .models import ikeda_rhs, ucar_rhs
 from .solver import (
-    DelayPair,
     Grid,
     SystemRhs,
     Trajectory,
@@ -20,7 +19,6 @@ from .solver import (
 )
 from .stability import (
     Classification,
-    LinearCoefficients,
     StabilityVerdict,
     classify,
     curve_columns,
@@ -33,14 +31,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DelayPair",
     "SystemRhs",
     "Grid",
     "Trajectory",
     "build_grid",
     "simulate",
     "StabilityVerdict",
-    "LinearCoefficients",
     "find_equilibria",
     "linearize",
     "stable_at_zero_delay",

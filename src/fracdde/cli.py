@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .models import ikeda_rhs, ucar_rhs
-from .solver import DelayPair, SystemRhs, _delayed, build_grid, simulate
+from .numerics import _real
+from .solver import SystemRhs, _delayed, build_grid, simulate
 from .stability import (
-    LinearCoefficients,
     StabilityVerdict,
     classify,
     curve_columns,
@@ -83,7 +83,7 @@ def _rhs_from_args(args: argparse.Namespace) -> SystemRhs:
         return ikeda_rhs(**_given(args, "c1", "c2"))
     if args.a is None or args.b is None:
         raise ValueError("--model linear requires both --a and --b")
-    a, b = args.a, args.b
+    a, b = _real("a", args.a), _real("b", args.b)
     return SystemRhs(
         g=lambda x1, x2: a * x1 + b * x2,
         dg_dx1=lambda x1, x2: a,
@@ -91,14 +91,14 @@ def _rhs_from_args(args: argparse.Namespace) -> SystemRhs:
     )
 
 
-def _coef_from_args(args: argparse.Namespace) -> LinearCoefficients:
+def _coef_from_args(args: argparse.Namespace) -> tuple[float, float]:
     if args.a is not None or args.b is not None:
         if args.model is not None or args.x_star is not None:
             raise ValueError("give either --a/--b or --model with --x-star, not both")
         if args.a is None or args.b is None:
             raise ValueError("--a and --b must be given together")
         _check_foreign_params(args)
-        return LinearCoefficients(args.a, args.b)
+        return args.a, args.b
     if args.model is None or args.x_star is None:
         raise ValueError("give either --a/--b or --model with --x-star")
     return linearize(_rhs_from_args(args), args.x_star)
@@ -106,7 +106,7 @@ def _coef_from_args(args: argparse.Namespace) -> LinearCoefficients:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
-    grid = build_grid(DelayPair(args.tau1, args.tau2), args.T, args.h)
+    grid = build_grid((args.tau1, args.tau2), args.T, args.h)
     traj = simulate(rhs, args.alpha, grid, args.history)
     # One row (t, x(t), x(t - tau1), x(t - tau2)) per computed grid time
     # t >= 0, up to the last finite state.  A chunk of n rows from start reads
@@ -171,8 +171,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         args.alpha,
         coef,
         v_range=None if args.v_min is None else (args.v_min, args.v_max),
-        samples=args.samples,
-        max_branch=args.max_branch,
+        **_given(args, "samples", "max_branch"),
     )
     # Each row is one (sample, tau1 branch, tau2 branch) combination, so the
     # columns repeat values: each distinct one is formatted once.
@@ -187,19 +186,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    coef = _coef_from_args(args)
-    delays = DelayPair(args.tau1, args.tau2)
-    result = classify(args.alpha, coef, delays)
+    a, b = _coef_from_args(args)
+    result = classify(args.alpha, (a, b), (args.tau1, args.tau2))
     print(
         json.dumps(
             {
                 "verdict": result.verdict.value,
                 "critical_tau2": result.critical_tau2,
-                "a": coef.a,
-                "b": coef.b,
+                "a": a,
+                "b": b,
                 "alpha": args.alpha,
-                "tau1": delays.tau1,
-                "tau2": delays.tau2,
+                "tau1": args.tau1,
+                "tau2": args.tau2,
             },
             allow_nan=False,
         )
@@ -209,16 +207,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_equilibria(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
-    roots = find_equilibria(rhs, (args.bracket[0], args.bracket[1]), resolution=args.resolution)
+    roots = find_equilibria(rhs, (args.bracket[0], args.bracket[1]), **_given(args, "resolution"))
     entries = []
     for x_star in roots:
-        coef = linearize(rhs, x_star)
+        a, b = linearize(rhs, x_star)
         entries.append(
             {
                 "x_star": x_star,
-                "a": coef.a,
-                "b": coef.b,
-                "stable_at_zero": stable_at_zero_delay(coef)
+                "a": a,
+                "b": b,
+                "stable_at_zero": stable_at_zero_delay((a, b))
                 is StabilityVerdict.STABLE_AT_ZERO_DELAYS,
             }
         )
@@ -267,10 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--alpha", type=float, required=True)
     p_cur.add_argument("--v-min", type=float, help="lower end of the frequency window")
     p_cur.add_argument("--v-max", type=float, help="upper end of the frequency window")
-    p_cur.add_argument("--samples", type=int, default=2000, help="frequency samples (default 2000)")
-    p_cur.add_argument(
-        "--max-branch", type=int, default=8, help="largest winding number (default 8)"
-    )
+    p_cur.add_argument("--samples", type=int, help="frequency samples (default 2000)")
+    p_cur.add_argument("--max-branch", type=int, help="largest winding number (default 8)")
     p_cur.add_argument("--out", required=True, help="output CSV path")
     p_cur.set_defaults(func=_cmd_curves)
 
@@ -292,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         help="search interval (default -10 10)",
     )
-    p_eq.add_argument(
-        "--resolution", type=int, default=2001, help="scan points in the bracket (default 2001)"
-    )
+    p_eq.add_argument("--resolution", type=int, help="scan points in the bracket (default 2001)")
     p_eq.set_defaults(func=_cmd_equilibria)
     return parser
 

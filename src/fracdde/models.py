@@ -6,18 +6,10 @@ import math
 
 import numpy as np
 
+from .numerics import _real
 from .solver import SystemRhs
 
 __all__ = ["ucar_rhs", "ikeda_rhs"]
-
-
-def _check_gains(positive: bool, **gains: float) -> None:
-    need = "positive and finite" if positive else "finite"
-    for name, value in gains.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number")
-        if not (math.isfinite(value) and (value > 0 or not positive)):
-            raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 def ucar_rhs(delta: float = 1.0, epsilon: float = 1.0) -> SystemRhs:
@@ -27,7 +19,7 @@ def ucar_rhs(delta: float = 1.0, epsilon: float = 1.0) -> SystemRhs:
     Equilibria are 0 and +/- sqrt(delta/epsilon).  At the symmetric pair the
     linearization is (a, b) = (delta, -3*delta) independent of epsilon.
     """
-    _check_gains(True, delta=delta, epsilon=epsilon)
+    delta, epsilon = _real("delta", delta, "positive"), _real("epsilon", epsilon, "positive")
 
     # Multiplication instead of ** so a diverging state yields IEEE inf
     # (float ** raises OverflowError) and lands in the truncation path.
@@ -50,7 +42,7 @@ def ikeda_rhs(c1: float = -3.0, c2: float = 24.0) -> SystemRhs:
     With the default gains the equation has seven equilibria in [-10, 10];
     the linearization at x* is (a, b) = (c1, c2*cos(x*)).
     """
-    _check_gains(False, c1=c1, c2=c2)
+    c1, c2 = _real("c1", c1), _real("c2", c2)
 
     # simulate calls g on float64 arrays, which take np.sin, and on floats,
     # which take math.sin: numpy's scalar call costs several times more.

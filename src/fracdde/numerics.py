@@ -1,13 +1,14 @@
 """The derivative order and the quadrature weights for fractional integrals.
 
 Everything in this module is plain float-valued numerics: the validated
-derivative order and the product-trapezoidal weight tables that drive the
-time stepper.
+derivative order, the one check of every delay, coefficient and gain, and
+the product-trapezoidal weight tables that drive the time stepper.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -35,6 +36,24 @@ def order_value(alpha: float) -> float:
     if not 0.0 < a <= 1.0:
         raise ValueError(f"derivative order must lie in (0, 1], got {a!r}")
     return a
+
+
+def _real(name: str, value: object, bound: str = "") -> float:
+    """``value`` as a float, checked by the rule for every delay, coefficient
+    and gain: a ``numbers.Real`` that is not a bool (numpy scalars pass,
+    strings do not), finite, and ``bound`` ("nonnegative" or "positive")
+    where the caller asks."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    in_bound = {"": True, "nonnegative": x >= 0.0, "positive": x > 0.0}[bound]
+    if not (math.isfinite(x) and in_bound):
+        need = f"{bound} and finite" if bound else "finite"
+        raise ValueError(f"{name} must be {need}, got {x!r}")
+    return x
 
 
 def corner_weight_table(alpha: float, n_max: int) -> np.ndarray:

@@ -38,10 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import corner_weight_table, interior_weight_table, order_value
+from .numerics import _real, corner_weight_table, interior_weight_table, order_value
 
 __all__ = [
-    "DelayPair",
     "SystemRhs",
     "Grid",
     "Trajectory",
@@ -62,28 +61,6 @@ _BLOCK = 128
 # Shortest delay, in steps, advanced in vectorized chunks; below it a chunk
 # costs more in numpy call overhead than one scalar step per point.
 _MIN_CHUNK = 8
-
-
-@dataclass(frozen=True)
-class DelayPair:
-    """The two feedback delays.  Both must be nonnegative and finite."""
-
-    tau1: float
-    tau2: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("tau1", self.tau1), ("tau2", self.tau2)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number")
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
-
-
-def _as_delays(delays: DelayPair | tuple[float, float]) -> DelayPair:
-    if isinstance(delays, DelayPair):
-        return delays
-    tau1, tau2 = delays
-    return DelayPair(float(tau1), float(tau2))
 
 
 @dataclass(frozen=True)
@@ -162,11 +139,12 @@ class Trajectory:
 
 
 def build_grid(
-    delays: DelayPair | tuple[float, float],
+    delays: tuple[float, float],
     t_end: float,
     h_request: float,
 ) -> Grid:
-    """Write both delays and the horizon in steps of the requested size.
+    """Write both delays ``(tau1, tau2)``, each nonnegative and finite, and
+    the horizon in steps of the requested size.
 
     A delay within 1e-9 relative of ``k`` whole steps is ``k`` steps with
     offset 0.0; any other delay is ``k = floor(tau / h)`` steps plus the
@@ -178,22 +156,23 @@ def build_grid(
     float can count, or if a delay is shorter than the step: each delay
     must span at least one step, which is what makes the stepper explicit.
     """
-    d = _as_delays(delays)
+    tau1, tau2 = delays
+    tau1, tau2 = _real("tau1", tau1, "nonnegative"), _real("tau2", tau2, "nonnegative")
     t_end = float(t_end)
     h = float(h_request)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {t_end!r}")
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"requested step must be positive and finite, got {h!r}")
-    spans = (d.tau1, d.tau2, t_end)
+    spans = (tau1, tau2, t_end)
     if not all(math.isfinite(s / h) for s in spans):
         raise ValueError(
-            f"delays ({d.tau1:g}, {d.tau2:g}) and horizon {t_end:g} "
+            f"delays ({tau1:g}, {tau2:g}) and horizon {t_end:g} "
             f"span too many steps h = {h:g} to count"
         )
     (k1, theta1), (k2, theta2), (n, rest) = (_steps(s, h) for s in spans)
     if min(k1, k2) < 1:
-        raise ValueError(f"delay {min(d.tau1, d.tau2):g} is shorter than the step h = {h:g}")
+        raise ValueError(f"delay {min(tau1, tau2):g} is shorter than the step h = {h:g}")
     return Grid(h=h, n_steps=n + (rest > 0.0), k1=k1, k2=k2, theta1=theta1, theta2=theta2)
 
 

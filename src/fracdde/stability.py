@@ -24,17 +24,16 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import order_value
-from .solver import DelayPair, SystemRhs, _as_delays
+from .numerics import _real, order_value
+from .solver import SystemRhs
 
 __all__ = [
     "StabilityVerdict",
-    "LinearCoefficients",
     "CurveColumns",
     "Classification",
     "find_equilibria",
@@ -63,6 +62,9 @@ _SCAN_PER_RADIAN = 2.0
 _SCAN_SLACK = 1e-9
 _SCAN_BUDGET = 2**18
 _TWO_PI = 2.0 * math.pi
+# The least closed-form crossing frequency that classify takes: from there
+# up, 2*pi/v, which bounds the crossing's first delay, is a float.
+_V_FLOOR = _TWO_PI / sys.float_info.max
 
 
 class StabilityVerdict(str, enum.Enum):
@@ -75,36 +77,12 @@ class StabilityVerdict(str, enum.Enum):
     ON_BOUNDARY = "OnBoundary"
 
 
-@dataclass(frozen=True)
-class LinearCoefficients:
-    """Partial derivatives (a, b) of the right-hand side at an equilibrium."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("b", self.b)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _as_coef(coef: LinearCoefficients | tuple[float, float]) -> LinearCoefficients:
-    if isinstance(coef, LinearCoefficients):
-        return coef
-    a, b = coef
-    return LinearCoefficients(float(a), float(b))
-
-
-def _require_nondegenerate(coef: LinearCoefficients | tuple[float, float]) -> LinearCoefficients:
-    c = _as_coef(coef)
-    if c.a == 0.0 or c.b == 0.0:
+def _require_nondegenerate(a: float, b: float) -> None:
+    if a == 0.0 or b == 0.0:
         raise ValueError(
-            f"crossing curves require both coefficients nonzero, got a={c.a}, b={c.b}; "
+            f"crossing curves require both coefficients nonzero, got a={a}, b={b}; "
             "a vanishing coefficient reduces the problem to a single delay"
         )
-    return c
 
 
 class CurveColumns(NamedTuple):
@@ -239,8 +217,9 @@ def _illinois(
     return np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
 
 
-def linearize(rhs: SystemRhs, x_star: float) -> LinearCoefficients:
-    """Coefficients (a, b) of the linearization at an equilibrium.
+def linearize(rhs: SystemRhs, x_star: float) -> tuple[float, float]:
+    """Coefficients ``(a, b)`` of the linearization at an equilibrium, the
+    partial derivatives of the right-hand side there.
 
     Analytic partials attached to the right-hand side are used when present.
     A missing slot falls back to a central difference with one Richardson
@@ -260,7 +239,7 @@ def linearize(rhs: SystemRhs, x_star: float) -> LinearCoefficients:
         b = _numeric_partial(rhs.g, x, slot=1)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"linearization is not finite at x = {x}: a={a}, b={b}")
-    return LinearCoefficients(a, b)
+    return a, b
 
 
 def _numeric_partial(g: Callable[[float, float], float], x: float, slot: int) -> float:
@@ -278,31 +257,31 @@ def _numeric_partial(g: Callable[[float, float], float], x: float, slot: int) ->
     return (4.0 * fine - coarse) / 3.0
 
 
-def stable_at_zero_delay(
-    coef: LinearCoefficients | tuple[float, float],
-) -> StabilityVerdict:
-    """Classify an equilibrium of the delay-free problem by the sign of a+b.
+def stable_at_zero_delay(coef: tuple[float, float]) -> StabilityVerdict:
+    """Classify an equilibrium of the delay-free problem by the sign of a+b,
+    ``coef = (a, b)``.
 
     Where |a + b| is at most 1e-12 times |a| + |b| the verdict is
     OnBoundary, whatever the scale of the coefficients; the boundary band
     wins over either sign so that roundoff in computed coefficients cannot
     flip a marginal case to a definite one.
     """
-    c = _as_coef(coef)
-    s = c.a + c.b
+    a, b = coef
+    a, b = _real("a", a), _real("b", b)
+    s = a + b
     # Each term scaled on its own: |a| + |b| may overflow where a + b does not.
-    if abs(s) <= _ZERO_SUM_TOL * abs(c.a) + _ZERO_SUM_TOL * abs(c.b):
+    if abs(s) <= _ZERO_SUM_TOL * abs(a) + _ZERO_SUM_TOL * abs(b):
         return StabilityVerdict.ON_BOUNDARY
     if s < 0.0:
         return StabilityVerdict.STABLE_AT_ZERO_DELAYS
     return StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
 
 
-def _band_edges(al: float, c: LinearCoefficients) -> list[float]:
+def _band_edges(al: float, a: float, b: float) -> list[float]:
     """The band edges ``||a| - |b||**(1/alpha)`` and ``(|a| + |b|)**(1/alpha)``;
     an edge beyond the float range is inf."""
     edges = []
-    for base in (abs(abs(c.a) - abs(c.b)), abs(c.a) + abs(c.b)):
+    for base in (abs(abs(a) - abs(b)), abs(a) + abs(b)):
         try:
             edges.append(base ** (1.0 / al))
         except OverflowError:
@@ -325,7 +304,7 @@ def _argument(k: float, l: float, va, v2a):
     return (v2a + (k * k - l * l)) / ((2.0 * k) * va)
 
 
-def _band(al: float, c: LinearCoefficients, v: np.ndarray):
+def _band(al: float, a: float, b: float, v: np.ndarray):
     """Arccos arguments of both delays at the frequencies ``v``.
 
     Returns ``(a1, a2, outside, va)`` with ``va = v**alpha`` and ``outside``
@@ -336,7 +315,7 @@ def _band(al: float, c: LinearCoefficients, v: np.ndarray):
     """
     va = v ** al
     v2a = v ** (2.0 * al)
-    a1, a2 = _argument(c.a, c.b, va, v2a), _argument(c.b, c.a, va, v2a)
+    a1, a2 = _argument(a, b, va, v2a), _argument(b, a, va, v2a)
     outside = (np.abs(a1) > 1.0 + _CLAMP_SLACK) | (np.abs(a2) > 1.0 + _CLAMP_SLACK)
     return a1, a2, outside, va
 
@@ -377,7 +356,7 @@ def _residual(al: float, va, terms1, terms2):
     return np.maximum(np.abs(r1), np.abs(r2))
 
 
-def _paired_sign(c: LinearCoefficients, sign1: int) -> int:
+def _paired_sign(a: float, b: float, sign1: int) -> int:
     """The tau2 arccos sign that can pair with a tau1 row of sign ``sign1``.
 
     Rotated by ``exp(i*alpha*pi/2)``, the crossing equation at lambda = i*v
@@ -387,18 +366,18 @@ def _paired_sign(c: LinearCoefficients, sign1: int) -> int:
     ``sign2 = -sign1*sgn(a*b)`` for any windings.  Where theta2 is 0 or pi,
     a fold, both signs give the same delay and both pair.
     """
-    return -sign1 if (c.a > 0.0) == (c.b > 0.0) else sign1
+    return -sign1 if (a > 0.0) == (b > 0.0) else sign1
 
 
 def _resolve_search(
-    al: float, c: LinearCoefficients, v_range: tuple[float, float] | None
+    al: float, a: float, b: float, v_range: tuple[float, float] | None
 ) -> tuple[float, float]:
     if v_range is None:
-        hi = 4.0 * _band_edges(al, c)[1]
+        hi = 4.0 * _band_edges(al, a, b)[1]
         if math.isinf(hi):
             raise ValueError(
                 f"the default frequency window 4*(|a| + |b|)**(1/alpha) exceeds the float "
-                f"range for a={c.a}, b={c.b}, alpha={al}; curves can be given an explicit window"
+                f"range for a={a}, b={b}, alpha={al}; curves can be given an explicit window"
             )
         v_range = (1e-6, hi)
     lo, hi = float(v_range[0]), float(v_range[1])
@@ -409,12 +388,13 @@ def _resolve_search(
 
 def curve_columns(
     alpha: float,
-    coef: LinearCoefficients | tuple[float, float],
+    coef: tuple[float, float],
     v_range: tuple[float, float] | None = None,
     samples: int = _DEFAULT_SAMPLES,
     max_branch: int = _DEFAULT_MAX_BRANCH,
 ) -> CurveColumns:
-    """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane.
+    """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane of
+    the coefficients ``coef = (a, b)``.
 
     Eliminating the trigonometric unknowns from lambda = i*v confines the
     crossings to the closed-form band ``||a| - |b|| <= v**alpha <= |a| +
@@ -443,8 +423,10 @@ def curve_columns(
     delay, and when the default window's upper end exceeds the float range.
     """
     al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    lo, hi = _resolve_search(al, c, v_range)
+    a, b = coef
+    a, b = _real("a", a), _real("b", b)
+    _require_nondegenerate(a, b)
+    lo, hi = _resolve_search(al, a, b, v_range)
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -453,7 +435,7 @@ def curve_columns(
     # A window a few ulps wide repeats sample values: each distinct one is
     # computed once, and its rows are repeated.
     vs, repeats = np.unique(np.linspace(lo, hi, samples), return_counts=True)
-    a1, a2, outside, va = _band(al, c, vs)
+    a1, a2, outside, va = _band(al, a, b, vs)
     inside = ~(outside | np.isnan(a1))
     vs, va, outside, repeats = vs[inside], va[inside], outside[inside], repeats[inside]
     th1, th2 = _arccos(a1[inside], outside), _arccos(a2[inside], outside)
@@ -464,11 +446,11 @@ def curve_columns(
         tau1, tau2 = (_delay(half, th, vs, sign[:, None], m[:, None]) for th in (th1, th2))
     tau1[np.isinf(tau1)] = tau2[np.isinf(tau2)] = np.nan
     ok1, ok2 = tau1 >= 0.0, tau2 >= 0.0
-    terms1, terms2 = _terms(c.a, vs, tau1), _terms(c.b, vs, tau2)
+    terms1, terms2 = _terms(a, vs, tau1), _terms(b, vs, tau2)
     # A tau1 row of sign s meets the tau2 rows of the paired sign, and at a
     # fold those of both signs.
     fold = (th2 == 0.0) | (th2 == math.pi)
-    pairs = {s: ok2 & ((sign[:, None] == _paired_sign(c, s)) | fold) for s in (1, -1)}
+    pairs = {s: ok2 & ((sign[:, None] == _paired_sign(a, b, s)) | fold) for s in (1, -1)}
     hits = []
     # One tau1 row at a time keeps the temporaries at the size of the table.
     # The labels come ordered by (m, sign), so the tau1 rows in turn, each
@@ -485,7 +467,7 @@ def curve_columns(
     )
 
 
-def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_left, g_right):
+def _may_hide_root(al: float, a: float, b: float, q: float, left, right, g_left, g_right):
     """Where an interval of the line function g of :func:`_line_crossings`
     without a sign change may still hold a root.
 
@@ -497,7 +479,7 @@ def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_le
     ``|a1''|`` at the left end.  The first test alone never passes next to
     a root where ``|g'|`` is below its bound.  A NaN end is never a root.
     """
-    d, two_a, width = c.a * c.a - c.b * c.b, 2.0 * abs(c.a), right - left
+    d, two_a, width = a * a - b * b, 2.0 * abs(a), right - left
     va_left, va_right = left**al, right**al
     size_left, size_right = np.abs(g_left), np.abs(g_right)
     travel = q * width + (va_right - va_left + np.abs(d / va_left - d / va_right)) / two_a
@@ -508,18 +490,18 @@ def _may_hide_root(al: float, c: LinearCoefficients, q: float, left, right, g_le
     )
 
 
-def _finite_band(al: float, c: LinearCoefficients) -> list[float]:
+def _finite_band(al: float, a: float, b: float) -> list[float]:
     """:func:`_band_edges`, raising ValueError when the upper one is beyond the float range."""
-    edges = _band_edges(al, c)
+    edges = _band_edges(al, a, b)
     if math.isinf(edges[1]):
         raise ValueError(
             f"the crossing band's upper end (|a| + |b|)**(1/alpha) exceeds the float range "
-            f"for a={c.a}, b={c.b}, alpha={al}"
+            f"for a={a}, b={b}, alpha={al}"
         )
     return edges
 
 
-def _line_crossings(al: float, c: LinearCoefficients, q: float):
+def _line_crossings(al: float, a: float, b: float, q: float):
     """Every crossing on the line tau1 = q, as arrays ``(v, w, tau2)``.
 
     On the line, lambda = i*v is a root for some tau2 exactly where ``w =
@@ -539,14 +521,14 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     phase over a subnormal v), or, before allocating them, if the scan needs
     more than 2**18 frequencies, samples and split points together.
     """
-    lo, hi = _finite_band(al, c)
+    lo, hi = _finite_band(al, a, b)
     # v = 0, the lower band edge when |a| = |b|, is no crossing, and g is 0/0
     # there.  A band that underflows to 0 holds no positive float at all.
     lo, hi = max(lo * (1.0 - _SCAN_SLACK), math.ulp(0.0)), hi * (1.0 + _SCAN_SLACK)
     if not lo < hi:
         return (np.empty(0),) * 3
     half = 0.5 * math.pi * al
-    g = lambda v: _argument(c.a, c.b, v**al, v ** (2.0 * al)) - np.cos(q * v + half)
+    g = lambda v: _argument(a, b, v**al, v ** (2.0 * al)) - np.cos(q * v + half)
 
     def charge(count: float) -> None:
         if not count <= _SCAN_BUDGET:
@@ -568,7 +550,9 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     while True:
         mid = 0.5 * (v[:-1] + v[1:])
         splittable = (v[:-1] < mid) & (mid < v[1:]) & ~_sign_change(y[:-1], y[1:])
-        split = np.flatnonzero(splittable & _may_hide_root(al, c, q, v[:-1], v[1:], y[:-1], y[1:]))
+        split = np.flatnonzero(
+            splittable & _may_hide_root(al, a, b, q, v[:-1], v[1:], y[:-1], y[1:])
+        )
         if not split.size:
             break
         charge(v.size + split.size)
@@ -577,8 +561,8 @@ def _line_crossings(al: float, c: LinearCoefficients, q: float):
     # The midpoint fallback halves every bracket at least every fourth
     # step, so 360 steps reach adjacent floats wherever 90 bisection steps do.
     v = np.concatenate([v[y == 0.0], _illinois(g, v[i], v[i + 1], y[i], y[i + 1], 360)])
-    w = (1j * v) ** al - c.a * np.exp(-1j * q * v)
-    phase = np.mod(-np.angle(w / c.b), _TWO_PI)
+    w = (1j * v) ** al - a * np.exp(-1j * q * v)
+    phase = np.mod(-np.angle(w / b), _TWO_PI)
     with np.errstate(over="ignore"):
         tau2 = phase / v
     beyond = np.flatnonzero(np.isinf(tau2))
@@ -598,6 +582,10 @@ def _single_delay_crossings(al: float, k: float, c0: float) -> list[tuple[float,
     lambda = i*v is a root for some tau exactly where ``w = (i*v)**alpha -
     c0`` has modulus |k|, i.e. where u = v**alpha solves ``u*u -
     2*c0*cos(alpha*pi/2)*u + c0*c0 - k*k = 0``: at most two frequencies.
+
+    Raises ValueError for a frequency below ``2*pi/max_float``, the least v
+    whose delays (below 2*pi/v) and :func:`_side` term ``v**(alpha - 1)``
+    stay in the float range; at small orders a small u underflows there.
     """
     if k == 0.0:
         return []
@@ -612,6 +600,11 @@ def _single_delay_crossings(al: float, k: float, c0: float) -> list[tuple[float,
     for u in (big, (c0 - k) / big * (c0 + k)):
         if u > 0.0:
             v = u ** (1.0 / al)
+            if v < _V_FLOOR:
+                raise ValueError(
+                    f"the crossing frequency {u!r}**(1/alpha) = {v!r} at alpha = {al!r} "
+                    f"is too small for its delay to lie in the float range"
+                )
             w = (1j * v) ** al - c0
             crossings.append((((-cmath.phase(w / k)) % _TWO_PI) / v, v, _side(al, v, w, 0.0)))
     return crossings
@@ -678,10 +671,11 @@ class Classification(NamedTuple):
 
 def classify(
     alpha: float,
-    coef: LinearCoefficients | tuple[float, float],
-    delays: DelayPair | tuple[float, float],
+    coef: tuple[float, float],
+    delays: tuple[float, float],
 ) -> Classification:
-    """Classify an equilibrium of the linearized problem at given delays.
+    """Classify an equilibrium of the linearized problem with coefficients
+    ``coef = (a, b)`` at the delays ``delays = (tau1, tau2)``.
 
     At zero delays the verdict reduces to :func:`stable_at_zero_delay`.  An
     equilibrium already unstable without delays stays Unstable for positive
@@ -700,35 +694,38 @@ def classify(
     closer than about 2e-9*tau2); otherwise it is Stable iff the count is 0.
     A vanishing coefficient leaves one delay, whose leg is closed form too.
 
-    Raises ValueError for a band beyond the float range, coefficients whose
-    squares overflow, a line over the scan budget, a crossing delay beyond
-    the float range, or a tangential crossing on the path, where the count
-    is undefined.
+    Raises ValueError for a coefficient that is not a finite real number, a
+    delay that is not a nonnegative finite one, a band beyond the float range,
+    coefficients whose squares overflow, a line over the scan budget, a
+    crossing frequency or delay beyond the float range, or a tangential
+    crossing on the path, where the count is undefined.
     """
     al = order_value(alpha)
-    c = _as_coef(coef)
-    d = _as_delays(delays)
-    zero_verdict = stable_at_zero_delay(c)
+    a, b = coef
+    a, b = _real("a", a), _real("b", b)
+    tau1, tau2 = delays
+    tau1, tau2 = _real("tau1", tau1, "nonnegative"), _real("tau2", tau2, "nonnegative")
+    zero_verdict = stable_at_zero_delay((a, b))
     stable = zero_verdict is StabilityVerdict.STABLE_AT_ZERO_DELAYS
-    if d.tau1 == 0.0 and d.tau2 == 0.0:
+    if tau1 == 0.0 and tau2 == 0.0:
         return Classification(zero_verdict, None, 0 if stable else None)
     if zero_verdict is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS:
         return Classification(StabilityVerdict.UNSTABLE, None, None)
     if not stable:
         return Classification(StabilityVerdict.ON_BOUNDARY, None, None)
-    _finite_band(al, c)
-    leg1 = _single_delay_crossings(al, c.a, c.b)
-    last, boundary, corner = d.tau2, None, 0
-    if c.b == 0.0:
+    _finite_band(al, a, b)
+    leg1 = _single_delay_crossings(al, a, b)
+    last, boundary, corner = tau2, None, 0
+    if b == 0.0:
         # tau2 drops out: the tau1 leg reaches the point, and the tau1 line
         # meets no crossing.
-        leg1, leg2, last = [], leg1, d.tau1
-    elif c.a == 0.0:
-        leg2 = _single_delay_crossings(al, c.b, 0.0)
+        leg1, leg2, last = [], leg1, tau1
+    elif a == 0.0:
+        leg2 = _single_delay_crossings(al, b, 0.0)
         boundary = min((tau0 for tau0, _, _ in leg2), default=None)
     else:
-        q = d.tau1
-        v, w, tau0 = (x.tolist() for x in _line_crossings(al, c, q))
+        q = tau1
+        v, w, tau0 = (x.tolist() for x in _line_crossings(al, a, b, q))
         # A leg-1 crossing within rounding of tau1 puts a root on the axis at
         # the corner (tau1, 0).  The line crossing nearest its frequency is
         # that root (the rounding of tau1 can move the frequency by more),
@@ -750,19 +747,19 @@ def classify(
         for t, x, z, end in zip(tau0, v, w, at_end):
             # Sides only for the crossings that can lie below the point or
             # within rounding of it.
-            if end or t <= d.tau2 * (1.0 + _SCAN_SLACK):
-                side = _side(al, x, z, c.a * q * cmath.exp(-1j * x * q))
+            if end or t <= tau2 * (1.0 + _SCAN_SLACK):
+                side = _side(al, x, z, a * q * cmath.exp(-1j * x * q))
                 leg2.append((_TWO_PI / x if end else t, x, side))
                 corner += 2 if end and side > 0.0 else 0
     count = _tally(leg2, last)
     if count is None:
         return Classification(StabilityVerdict.ON_BOUNDARY, boundary, None)
     # Leg 1 is never None: the corner rule took its crossings that close to tau1.
-    count += corner + _tally(leg1, d.tau1)
+    count += corner + _tally(leg1, tau1)
     if count < 0:
         raise RuntimeError(
-            f"internal error: {count} right-half-plane roots counted at {d} for "
-            f"a={c.a}, b={c.b}, alpha={al}"
+            f"internal error: {count} right-half-plane roots counted at {(tau1, tau2)} for "
+            f"a={a}, b={b}, alpha={al}"
         )
     verdict = StabilityVerdict.STABLE if count == 0 else StabilityVerdict.UNSTABLE
     return Classification(verdict, boundary, count)

@@ -61,7 +61,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from fracdde import LinearCoefficients, curve_columns
+from fracdde import curve_columns
 from fracdde.numerics import (
     corner_weight_table,
     interior_weight_table,
@@ -453,7 +453,7 @@ def assert_rescaled_locus(rows: np.ndarray, want: np.ndarray, s: float, rel: flo
 
 def parametric_delays(
     alpha: float,
-    coef: LinearCoefficients | tuple[float, float],
+    coef: tuple[float, float],
     v: float,
     sign1: int = 1,
     m1: int = 0,
@@ -471,7 +471,8 @@ def parametric_delays(
     coefficient signs.
     """
     al = order_value(alpha)
-    c = _require_nondegenerate(coef)
+    a, b = map(float, coef)
+    _require_nondegenerate(a, b)
     v = float(v)
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"frequency must be positive and finite, got {v!r}")
@@ -479,14 +480,14 @@ def parametric_delays(
         raise ValueError("branch signs must be -1 or +1")
     if m1 < 0 or m2 < 0:
         raise ValueError("winding numbers must be nonnegative")
-    tau1, tau2, _ = branches(al, c, np.array([v]), [(sign1, m1), (sign2, m2)])
+    tau1, tau2, _ = branches(al, (a, b), np.array([v]), [(sign1, m1), (sign2, m2)])
     t1, t2 = float(tau1[0, 0]), float(tau2[1, 0])
     return None if math.isnan(t1) else (t1, t2)
 
 
 def object_curve_points(
     alpha: float,
-    coef: LinearCoefficients | tuple[float, float],
+    coef: tuple[float, float],
     v_range: tuple[float, float] | None = None,
     samples: int = 2000,
     max_branch: int = 8,
@@ -503,13 +504,14 @@ def object_curve_points(
     ``(v, m1, sign1, m2, sign2)`` at the end.
     """
     al = order_value(alpha)
-    c = _require_nondegenerate(coef)
-    lo, hi = _resolve_search(al, c, v_range)
+    a, b = map(float, coef)
+    _require_nondegenerate(a, b)
+    lo, hi = _resolve_search(al, a, b, v_range)
     residual_tol = float(residual_tol)
 
     vs = np.linspace(lo, hi, samples)
     labels = _branch_labels(max_branch)
-    tau1, tau2, va = branches(al, c, vs, labels)
+    tau1, tau2, va = branches(al, (a, b), vs, labels)
     inside = ~np.isnan(tau1[0])
     vs, tau1, tau2, va = vs[inside], tau1[:, inside], tau2[:, inside], va[inside]
     ok2 = tau2 >= 0.0
@@ -518,7 +520,7 @@ def object_curve_points(
         ok1 = t1 >= 0.0
         if not ok1.any():
             continue
-        residual = _residual(al, va, _terms(c.a, vs, t1), _terms(c.b, vs, tau2))
+        residual = _residual(al, va, _terms(a, vs, t1), _terms(b, vs, tau2))
         r2s, cols = np.nonzero(ok1 & ok2 & (residual <= residual_tol))
         points.extend(
             CurvePoint(v, t1_i, t2_i, *labels[r1], *labels[r2], res)
@@ -534,15 +536,16 @@ def object_curve_points(
     return points
 
 
-def branches(al: float, c: LinearCoefficients, v: np.ndarray, labels):
-    """Both delays on the arccos branches ``labels`` at the frequencies ``v``.
+def branches(al: float, coef: tuple[float, float], v: np.ndarray, labels):
+    """Both delays on the arccos branches ``labels`` at the frequencies ``v``
+    of the coefficients ``coef = (a, b)``.
 
     Returns ``(tau1, tau2, va)``: one row per branch (sign, m) in
     ``labels``, one column per entry of the 1-d array ``v``, and
     ``va = v**alpha``; a delay is ``(sign*arccos(arg) - alpha*pi/2 +
     2*pi*m) / v``, and both are NaN outside the crossing band.
     """
-    a1, a2, outside, va = _band(al, c, v)
+    a1, a2, outside, va = _band(al, *coef, v)
     sign, m = np.array(labels, dtype=float).T[:, :, None]
     half = 0.5 * math.pi * al
     tau1, tau2 = (_delay(half, _arccos(arg, outside), v, sign, m) for arg in (a1, a2))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from fracdde import (
-    DelayPair,
     StabilityVerdict,
     SystemRhs,
     build_grid,
@@ -36,7 +35,7 @@ UCAR_COEF = (1.0, -3.0)
 
 
 def max_abs_error_vs_oracle(alpha, h, t_end):
-    grid = build_grid(DelayPair(1.0, 1.0), t_end, h)
+    grid = build_grid((1.0, 1.0), t_end, h)
     traj = simulate(SystemRhs(g=lambda x1, x2: -x1), alpha, grid, 1.0)
     t = np.arange(grid.n_steps + 1) * grid.h
     exact = np.array([delayed_series_oracle(alpha, -1.0, 1.0, ti) for ti in t])
@@ -86,10 +85,10 @@ def test_c2_lowest_boundary_tau2_over_all_branches():
 def test_c3_sinusoidal_model_linearization_and_equilibria():
     start = time.perf_counter()
     rhs = ikeda_rhs()
-    coef = linearize(rhs, 2.7859)
+    _, b = linearize(rhs, 2.7859)
     roots = find_equilibria(rhs, (-10.0, 10.0))
     elapsed = time.perf_counter() - start
-    assert coef.b == pytest.approx(-22.4977, abs=1e-3)
+    assert b == pytest.approx(-22.4977, abs=1e-3)
     expected_roots = [-7.95732, -7.49775, -2.7859, 0.0, 2.7859, 7.49775, 7.95732]
     assert len(roots) == 7
     for got, expected in zip(roots, expected_roots):
@@ -174,7 +173,7 @@ def test_c7_exact_weight_and_fixed_point_identities():
         classical = np.full(n + 2, 2.0)
         classical[0] = classical[-1] = 1.0
         assert np.array_equal(row, classical)
-    grid = build_grid(DelayPair(0.4, 0.5), 5.0, 0.01)
+    grid = build_grid((0.4, 0.5), 5.0, 0.01)
     for x_star in (-1.0, 0.0, 1.0):
         traj = simulate(ucar_rhs(), 0.9, grid, x_star)
         assert np.max(np.abs(traj.values - x_star)) <= 1e-12
@@ -184,7 +183,7 @@ def test_c8_qualitative_long_run_dynamics():
     start = time.perf_counter()
 
     # Cubic model, stable delay pair: settles onto the equilibrium at 1.
-    grid = build_grid(DelayPair(0.4, 0.5), 200.0, 0.01)
+    grid = build_grid((0.4, 0.5), 200.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
@@ -193,7 +192,7 @@ def test_c8_qualitative_long_run_dynamics():
 
     # Cubic model, unstable delay pair: stays bounded but keeps oscillating
     # with amplitude above 0.5 over every late 20-unit window.
-    grid = build_grid(DelayPair(1.6, 1.4), 200.0, 0.01)
+    grid = build_grid((1.6, 1.4), 200.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
@@ -202,7 +201,7 @@ def test_c8_qualitative_long_run_dynamics():
     assert amplitudes.min() > 0.5
 
     # Sinusoidal model, stable delay pair: settles onto the upper equilibrium.
-    grid = build_grid(DelayPair(0.02, 0.01), 50.0, 0.0025)
+    grid = build_grid((0.02, 0.01), 50.0, 0.0025)
     traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
@@ -210,7 +209,7 @@ def test_c8_qualitative_long_run_dynamics():
     assert np.max(np.abs(tail - 2.7859)) <= 1e-2
 
     # Sinusoidal model, unstable delay pair: sustained bounded oscillation.
-    grid = build_grid(DelayPair(0.01, 0.1), 150.0, 0.0025)
+    grid = build_grid((0.01, 0.1), 150.0, 0.0025)
     traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
@@ -254,7 +253,7 @@ def test_c10_stability_switch_on_the_tau1_line(tau2, verdict):
     # unstable one keeps oscillating by 0.24 or more.
     coef = linearize(ucar_rhs(), 1.0)
     assert classify(0.9, coef, (1.0, tau2)).verdict.value == verdict
-    grid = build_grid(DelayPair(1.0, tau2), 400.0, 0.01)
+    grid = build_grid((1.0, tau2), 400.0, 0.01)
     traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
     assert traj.truncated_at is None
     tail = traj.values[grid.history_steps :][-(grid.n_steps // 4) :]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fracdde import (
-    DelayPair,
     SystemRhs,
     build_grid,
     curve_columns,
@@ -58,7 +57,7 @@ class TestSimulateCommand:
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["t", "x", "x_tau1", "x_tau2"]
-        grid = build_grid(DelayPair(0.4, 0.5), 5.0, 0.01)
+        grid = build_grid((0.4, 0.5), 5.0, 0.01)
         table = phase_columns(simulate(ucar_rhs(), 0.9, grid, 0.8), grid)
         assert len(rows) == len(table)
         for row, expected in zip(rows, table):
@@ -93,7 +92,7 @@ class TestSimulateCommand:
             "--out", str(out),
         ]
         assert main(argv) == 0
-        grid = build_grid(DelayPair(tau1, tau2), 120.0, 0.01)
+        grid = build_grid((tau1, tau2), 120.0, 0.01)
         rhs = SystemRhs(g=lambda x1, x2: -0.5 * x1 + 0.3 * x2)
         table = phase_columns(simulate(rhs, 0.8, grid, float(history)), grid)
         expected = ["t,x,x_tau1,x_tau2\n"]
@@ -152,6 +151,26 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("a", "nan"), ("a", "inf"), ("b", "-inf")])
+    def test_linear_model_refuses_nonfinite_coefficients(self, tmp_path, capsys, name, value):
+        # Checked by the library's rule before the output file is opened.
+        out = tmp_path / "x.csv"
+        coef = {"a": "1", "b": "1", name: value}
+        code = main(
+            [
+                "simulate",
+                "--model", "linear", f"--a={coef['a']}", f"--b={coef['b']}",
+                "--alpha", "0.9",
+                "--tau1", "0.04", "--tau2", "0.05",
+                "--T", "1", "--h", "0.01",
+                "--history", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", f"fracdde: error: {name} must be finite, got {value}\n")
+        assert not out.exists()
 
     def test_delay_shorter_than_the_step_exit_code(self, tmp_path, capsys):
         code = main(
@@ -262,7 +281,7 @@ class TestSimulateCommand:
         ]
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
-        grid = build_grid(DelayPair(0.1, 45.0), 100.0, 0.01)
+        grid = build_grid((0.1, 45.0), 100.0, 0.01)
         traj = simulate(SystemRhs(g=lambda x1, x2: 25.0 * x1 + 0.5 * x2), 0.9, grid, 1.0)
         assert grid.k2 > 4096 and 4096 < traj.truncated_at < 8192
         table = phase_columns(traj, grid)
@@ -626,6 +645,7 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("fracdde: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert "float range" in err
 
     def test_subnormal_crossing_frequency_is_a_usage_error(self, capsys):
         # The band of these coefficients at order 0.02 is subnormal, and the
@@ -825,3 +845,24 @@ class TestUsage:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_library_defaults_are_passed_on_only_when_given(self, tmp_path, monkeypatch, capsys):
+        # --samples, --max-branch and --resolution reach the library only
+        # when given, so each default has one copy, in the library.
+        calls = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(sorted(kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(cli, "curve_columns", recording(cli.curve_columns))
+        monkeypatch.setattr(cli, "find_equilibria", recording(cli.find_equilibria))
+        curves = ["curves", "--a", "1", "--b", "-3", "--alpha", "0.9", "--out", str(tmp_path / "c.csv")]
+        assert main(curves) == 0
+        assert main([*curves, "--samples", "300", "--max-branch", "2"]) == 0
+        assert main(["equilibria", "--model", "ucar"]) == 0
+        assert main(["equilibria", "--model", "ucar", "--resolution", "101"]) == 0
+        assert calls == [["v_range"], ["max_branch", "samples", "v_range"], [], ["resolution"]]

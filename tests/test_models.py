@@ -32,13 +32,12 @@ class TestUcar:
         # partials, leaving (delta, -3*delta).
         for epsilon in (0.5, 1.0, 2.0):
             rhs = ucar_rhs(1.0, epsilon)
-            coef = linearize(rhs, math.sqrt(1.0 / epsilon))
-            assert coef.a == pytest.approx(1.0, rel=1e-12)
-            assert coef.b == pytest.approx(-3.0, rel=1e-12)
+            a, b = linearize(rhs, math.sqrt(1.0 / epsilon))
+            assert a == pytest.approx(1.0, rel=1e-12)
+            assert b == pytest.approx(-3.0, rel=1e-12)
 
     def test_origin_linearization(self):
-        coef = linearize(ucar_rhs(), 0.0)
-        assert (coef.a, coef.b) == (1.0, 0.0)
+        assert linearize(ucar_rhs(), 0.0) == (1.0, 0.0)
 
     def test_default_parameters(self):
         assert same_values(ucar_rhs(), ucar_rhs(1.0, 1.0))
@@ -82,12 +81,11 @@ class TestIkeda:
 
     def test_linearization(self):
         rhs = ikeda_rhs()
-        coef = linearize(rhs, 0.0)
-        assert (coef.a, coef.b) == (-3.0, 24.0)
+        assert linearize(rhs, 0.0) == (-3.0, 24.0)
         x = 2.785902114077879
-        coef_up = linearize(rhs, x)
-        assert coef_up.a == -3.0
-        assert coef_up.b == pytest.approx(24.0 * math.cos(x), rel=1e-14)
+        a_up, b_up = linearize(rhs, x)
+        assert a_up == -3.0
+        assert b_up == pytest.approx(24.0 * math.cos(x), rel=1e-14)
 
     def test_rhs_is_elementwise(self):
         # simulate calls g on float64 arrays; every entry must equal the

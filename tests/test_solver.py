@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdde import (
-    DelayPair,
     Grid,
     SystemRhs,
     Trajectory,
@@ -24,12 +23,12 @@ def linear_rhs(a, b):
 
 class TestBuildGrid:
     def test_exact_request(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 100.0, 0.01)
+        grid = build_grid((0.4, 0.5), 100.0, 0.01)
         assert grid == Grid(h=0.01, n_steps=10000, k1=40, k2=50)
 
     def test_off_grid_delay_keeps_the_requested_step(self):
         # 0.01 is 2.5 steps of 0.004: two whole steps and an offset of a half.
-        grid = build_grid(DelayPair(0.02, 0.01), 50.0, 0.004)
+        grid = build_grid((0.02, 0.01), 50.0, 0.004)
         assert grid.h == 0.004
         assert (grid.k1, grid.theta1) == (5, 0.0)
         assert grid.k2 == 2 and grid.theta2 == pytest.approx(0.5, abs=1e-12)
@@ -38,7 +37,7 @@ class TestBuildGrid:
 
     def test_step_never_exceeds_request(self):
         for h_req in (0.01, 0.004, 0.003, 0.0007):
-            grid = build_grid(DelayPair(0.02, 0.01), 10.0, h_req)
+            grid = build_grid((0.02, 0.01), 10.0, h_req)
             assert grid.h == h_req
             assert grid.k1 >= 1 and grid.k2 >= 1
 
@@ -50,7 +49,7 @@ class TestBuildGrid:
             (0.3, 0.7, 15.0, 0.11),
             (0.4, 0.5, 10.005, 0.01),
         ]:
-            grid = build_grid(DelayPair(tau1, tau2), t_end, h_req)
+            grid = build_grid((tau1, tau2), t_end, h_req)
             assert grid.h == h_req
             for tau, k, theta in ((tau1, grid.k1, grid.theta1), (tau2, grid.k2, grid.theta2)):
                 assert 0.0 <= theta < 1.0
@@ -74,7 +73,7 @@ class TestBuildGrid:
     def test_property_delay_is_whole_steps_plus_an_offset(self, h, k, frac, jitter):
         tau = (k + frac) * h * (1.0 + jitter)
         try:
-            grid = build_grid(DelayPair(tau, 2.0 * h), 3.0 * h, h)
+            grid = build_grid((tau, 2.0 * h), 3.0 * h, h)
         except ValueError as exc:
             assert tau < h and "shorter than the step" in str(exc)
             return
@@ -90,7 +89,7 @@ class TestBuildGrid:
             assert (got_k, theta) == (k, 0.0)
 
     def test_irrational_ratio_runs_at_the_requested_step(self):
-        grid = build_grid(DelayPair(1.0, math.sqrt(2)), 10.0, 0.01)
+        grid = build_grid((1.0, math.sqrt(2)), 10.0, 0.01)
         assert (grid.h, grid.n_steps, grid.k1, grid.theta1, grid.k2) == (0.01, 1000, 100, 0.0, 141)
         assert abs((141 + grid.theta2) * 0.01 - math.sqrt(2)) <= 4 * math.ulp(math.sqrt(2))
         assert grid.history_steps == 142
@@ -99,32 +98,32 @@ class TestBuildGrid:
 
     def test_rejects_zero_delay(self):
         with pytest.raises(ValueError):
-            build_grid(DelayPair(0.0, 0.5), 10.0, 0.01)
+            build_grid((0.0, 0.5), 10.0, 0.01)
 
     def test_rejects_bad_horizon_and_step(self):
         with pytest.raises(ValueError):
-            build_grid(DelayPair(0.4, 0.5), -1.0, 0.01)
+            build_grid((0.4, 0.5), -1.0, 0.01)
         with pytest.raises(ValueError):
-            build_grid(DelayPair(0.4, 0.5), 10.0, 0.0)
+            build_grid((0.4, 0.5), 10.0, 0.0)
         # Spans whose step counts overflow to infinity.
         with pytest.raises(ValueError):
-            build_grid(DelayPair(0.4, 0.5), 1e300, 1e-300)
+            build_grid((0.4, 0.5), 1e300, 1e-300)
         with pytest.raises(ValueError):
-            build_grid(DelayPair(1e300, 0.5), 10.0, 1e-300)
+            build_grid((1e300, 0.5), 10.0, 1e-300)
 
     def test_history_steps_property(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 10.0, 0.01)
+        grid = build_grid((0.4, 0.5), 10.0, 0.01)
         assert grid.history_steps == 50
         assert grid.n_steps * grid.h == pytest.approx(10.0)
         # An off-grid delay also reads the sample one step further back.
-        assert build_grid(DelayPair(0.4, 0.505), 10.0, 0.01).history_steps == 51
+        assert build_grid((0.4, 0.505), 10.0, 0.01).history_steps == 51
 
 
 class TestSimulate:
     def test_constant_history_at_equilibrium_is_fixed(self):
         # g vanishes identically along the trajectory, so every computed
         # value is bitwise the history constant.
-        grid = build_grid(DelayPair(0.4, 0.5), 5.0, 0.01)
+        grid = build_grid((0.4, 0.5), 5.0, 0.01)
         for x_star in (0.0, 1.0, -1.0):
             traj = simulate(ucar_rhs(), 0.85, grid, x_star)
             assert np.all(traj.values == x_star)
@@ -133,7 +132,7 @@ class TestSimulate:
     def test_equilibrium_stays_fixed_through_fft_path(self):
         # 5000 steps take the far-field sum through FFT convolutions; an
         # all-zero history segment must add exactly nothing there.
-        grid = build_grid(DelayPair(0.4, 0.5), 50.0, 0.01)
+        grid = build_grid((0.4, 0.5), 50.0, 0.01)
         assert grid.n_steps == 5000
         for x_star in (0.0, 1.0, -1.0):
             traj = simulate(ucar_rhs(), 0.85, grid, x_star)
@@ -144,7 +143,7 @@ class TestSimulate:
         # At alpha = 1 the scheme must reduce to the classical trapezoid
         # rule; integrate the memoized right-hand side independently.
         a, b = rng.uniform(-1.0, 1.0, 2)
-        grid = build_grid(DelayPair(0.3, 0.7), 10.0, 0.1)
+        grid = build_grid((0.3, 0.7), 10.0, 0.1)
         traj = simulate(linear_rhs(a, b), 1.0, grid, lambda t: 1.0 + 0.5 * t)
         k, k1, k2 = grid.history_steps, grid.k1, grid.k2
         x = traj.values
@@ -158,7 +157,7 @@ class TestSimulate:
         # Up to t = tau both delayed arguments still read the constant
         # history, so x(t) = 1 - t**alpha/Gamma(alpha+1) exactly in exact
         # arithmetic; the weight-sum identity makes the scheme reproduce it.
-        grid = build_grid(DelayPair(1.0, 1.0), 1.0, 0.01)
+        grid = build_grid((1.0, 1.0), 1.0, 0.01)
         for alpha in (0.3, 0.5, 0.9, 1.0):
             traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
             t = np.arange(grid.n_steps + 1) * grid.h
@@ -168,7 +167,7 @@ class TestSimulate:
 
     def test_matches_series_oracle(self):
         for alpha, tol in ((0.5, 2e-3), (0.9, 1e-4)):
-            grid = build_grid(DelayPair(1.0, 1.0), 3.0, 0.01)
+            grid = build_grid((1.0, 1.0), 3.0, 0.01)
             traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
             t = np.arange(grid.n_steps + 1) * grid.h
             expected = np.array([delayed_series_oracle(alpha, -1.0, 1.0, ti) for ti in t])
@@ -179,7 +178,7 @@ class TestSimulate:
         # With both delays equal the two-delay solver must agree with the
         # single-delay series on g = -(x1 + x2)/2.
         alpha = 0.7
-        grid = build_grid(DelayPair(0.5, 0.5), 2.0, 0.005)
+        grid = build_grid((0.5, 0.5), 2.0, 0.005)
         traj = simulate(linear_rhs(-0.5, -0.5), alpha, grid, 1.0)
         t_check = [0.5, 1.0, 1.7, 2.0]
         for t in t_check:
@@ -201,7 +200,7 @@ class TestSimulate:
             for alpha in (0.3, 0.5, 0.7, 0.9, 1.0) if theta else (0.3, 0.5, 0.7, 0.9):
                 steps, errors = [], []
                 for n in (100, 200, 400, 800):
-                    grid = build_grid(DelayPair(1.0, 1.0), 2.0, 1.0 / (n + theta))
+                    grid = build_grid((1.0, 1.0), 2.0, 1.0 / (n + theta))
                     assert (grid.k1, grid.theta1 > 0.0) == (n, theta > 0.0)
                     traj = simulate(rhs, alpha, grid, 1.0)
                     t = np.arange(grid.n_steps + 1) * grid.h
@@ -218,7 +217,7 @@ class TestSimulate:
         # fractional relaxation equation, whose solution is E_alpha(-t**alpha).
         alpha = 0.8
         h = 5e-4
-        grid = build_grid(DelayPair(h, h), 1.0, h)
+        grid = build_grid((h, h), 1.0, h)
         traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
         t_idx = [200, 1000, 2000]
         for n in t_idx:
@@ -228,7 +227,7 @@ class TestSimulate:
 
     def test_blowup_truncates_instead_of_raising(self):
         rhs = SystemRhs(g=lambda x1, x2: x2 * x2 * x2)
-        grid = build_grid(DelayPair(0.1, 0.1), 50.0, 0.1)
+        grid = build_grid((0.1, 0.1), 50.0, 0.1)
         traj = simulate(rhs, 1.0, grid, 2.0)
         assert traj.truncated_at is not None
         j = traj.truncated_at
@@ -241,7 +240,7 @@ class TestSimulate:
         # Python's float ** raises OverflowError where IEEE gives inf; the
         # solver must convert that into truncation, not an exception.
         rhs = SystemRhs(g=lambda x1, x2: x2 ** 9)
-        grid = build_grid(DelayPair(0.1, 0.1), 50.0, 0.1)
+        grid = build_grid((0.1, 0.1), 50.0, 0.1)
         traj = simulate(rhs, 1.0, grid, 3.0)
         assert traj.truncated_at is not None
 
@@ -279,7 +278,7 @@ class TestSimulate:
     def test_leaves_no_reference_cycle(self):
         # The work arrays are freed when simulate returns, not at some later
         # garbage collection; a run deep enough to use the FFT levels.
-        grid = build_grid(DelayPair(0.4, 0.5), 40.0, 0.01)
+        grid = build_grid((0.4, 0.5), 40.0, 0.01)
         rhs = ucar_rhs()
         gc.collect()
         gc.disable()
@@ -290,19 +289,19 @@ class TestSimulate:
             gc.enable()
 
     def test_history_callable_is_sampled(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.01)
+        grid = build_grid((0.4, 0.5), 1.0, 0.01)
         traj = simulate(linear_rhs(-1.0, 0.5), 0.9, grid, lambda t: math.cos(t))
         k = grid.history_steps
         times = (np.arange(k + 1) - k) * grid.h
         assert np.allclose(traj.values[: k + 1], np.cos(times), rtol=0, atol=0)
 
     def test_nonfinite_history_rejected(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.01)
+        grid = build_grid((0.4, 0.5), 1.0, 0.01)
         with pytest.raises(ValueError):
             simulate(linear_rhs(-1.0, 0.0), 0.9, grid, lambda t: math.inf)
 
     def test_trajectory_times_alignment(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.1)
+        grid = build_grid((0.4, 0.5), 1.0, 0.1)
         traj = simulate(linear_rhs(-1.0, 0.0), 0.9, grid, 1.0)
         t = traj.times()
         assert t[0] == pytest.approx(-0.5)
@@ -374,7 +373,7 @@ class TestFastMemorySum:
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     def test_nonlinear_run_matches_direct_sum(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 40.0, 0.01)
+        grid = build_grid((0.4, 0.5), 40.0, 0.01)
         traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
         ref = direct_sum_stepper(ucar_rhs(), 0.9, grid, 0.8)
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
@@ -430,7 +429,7 @@ class TestPhaseColumns:
         assert np.array_equal(table, expected)
 
     def test_delayed_columns_lag_by_grid_offsets(self):
-        grid = build_grid(DelayPair(0.3, 0.7), 5.0, 0.1)
+        grid = build_grid((0.3, 0.7), 5.0, 0.1)
         traj = simulate(linear_rhs(-0.8, -0.1), 0.75, grid, lambda t: 1.0 + t)
         table = phase_columns(traj, grid)
         assert table.shape == (grid.n_steps + 1, 4)
@@ -441,14 +440,14 @@ class TestPhaseColumns:
 
     def test_truncated_rows_stop_at_last_finite(self):
         rhs = SystemRhs(g=lambda x1, x2: x2 * x2 * x2)
-        grid = build_grid(DelayPair(0.1, 0.1), 50.0, 0.1)
+        grid = build_grid((0.1, 0.1), 50.0, 0.1)
         traj = simulate(rhs, 1.0, grid, 2.0)
         table = phase_columns(traj, grid)
         assert len(table) == traj.truncated_at
         assert np.all(np.isfinite(table))
 
     def test_mismatched_grid_rejected(self):
-        grid = build_grid(DelayPair(0.4, 0.5), 1.0, 0.1)
+        grid = build_grid((0.4, 0.5), 1.0, 0.1)
         traj = simulate(linear_rhs(-1.0, 0.0), 0.9, grid, 1.0)
         other = Grid(h=0.1, n_steps=10, k1=4, k2=3)
         with pytest.raises(ValueError):

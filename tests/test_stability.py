@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fracdde import (
     Classification,
-    LinearCoefficients,
     StabilityVerdict,
     SystemRhs,
     classify,
@@ -73,7 +72,7 @@ def assert_line_truths(alpha, a, b, q):
     where a touching pair sits on the axis, is skipped; a line with no
     crossing is checked at tau2 = 1 and 3.
     """
-    crossings = stability._line_crossings(alpha, LinearCoefficients(a, b), q)
+    crossings = stability._line_crossings(alpha, a, b, q)
     v, w, tau0 = (x.tolist() for x in crossings)
     for x, t in zip(v, tau0):
         residual = abs(characteristic_residual(alpha, a, b, q, t, 1j * x))
@@ -216,10 +215,8 @@ class TestFindEquilibria:
 class TestLinearize:
     def test_analytic_partials_cubic(self):
         rhs = ucar_rhs()
-        coef = linearize(rhs, 1.0)
-        assert (coef.a, coef.b) == (1.0, -3.0)
-        coef0 = linearize(rhs, 0.0)
-        assert (coef0.a, coef0.b) == (1.0, 0.0)
+        assert linearize(rhs, 1.0) == (1.0, -3.0)
+        assert linearize(rhs, 0.0) == (1.0, 0.0)
 
     def test_numeric_matches_analytic_on_random_polynomials(self, rng):
         for _ in range(40):
@@ -228,11 +225,11 @@ class TestLinearize:
             g = lambda x1, x2: c[0] + c[1] * x1 + c[2] * x1 ** 3 + c[3] * x2 + c[4] * x2 ** 2
             da = c[1] + 3.0 * c[2] * x * x
             db = c[3] + 2.0 * c[4] * x
-            got = linearize(SystemRhs(g=g), x)
+            a, b = linearize(SystemRhs(g=g), x)
             if abs(da) >= 0.1:
-                assert got.a == pytest.approx(da, rel=1e-7)
+                assert a == pytest.approx(da, rel=1e-7)
             if abs(db) >= 0.1:
-                assert got.b == pytest.approx(db, rel=1e-7)
+                assert b == pytest.approx(db, rel=1e-7)
 
     def test_numeric_fallback_on_stripped_model(self):
         full = ikeda_rhs()
@@ -240,8 +237,7 @@ class TestLinearize:
         for x in (-2.7859, 0.0, 2.7859, 7.4978):
             exact = linearize(full, x)
             approx = linearize(stripped, x)
-            assert approx.a == pytest.approx(exact.a, rel=1e-7, abs=1e-8)
-            assert approx.b == pytest.approx(exact.b, rel=1e-7, abs=1e-8)
+            assert approx == pytest.approx(exact, rel=1e-7, abs=1e-8)
 
     def test_rejects_nonfinite_point(self):
         with pytest.raises(ValueError):
@@ -403,7 +399,7 @@ class TestCriticalCurve:
     )
     def test_property_rows_satisfy_both_crossing_equations(self, alpha, a, b, signs, edges):
         a, b = signs[0] * a, signs[1] * b
-        edge_lo, edge_hi = stability._band_edges(alpha, LinearCoefficients(a, b))
+        edge_lo, edge_hi = stability._band_edges(alpha, a, b)
         if edges:
             window = (max(edge_lo, 1e-6 * edge_hi), edge_hi)
         else:
@@ -422,7 +418,7 @@ class TestCriticalCurve:
         # samples are no points of the locus and drop out, with no warning,
         # and every row kept satisfies the crossing equations.
         alpha, coef = 0.05078125, (10**0.05, -1.1220184543019636)
-        window = stability._band_edges(alpha, LinearCoefficients(*coef))
+        window = stability._band_edges(alpha, *coef)
         columns = curve_columns(alpha, coef, v_range=window)
         assert len(columns.v) == 288_893
         assert all(np.isfinite(col).all() for col in columns)
@@ -624,9 +620,8 @@ class TestCriticalTau2ForTau1:
         rows = []
         argument = stability._argument
         monkeypatch.setattr(stability, "_argument", lambda *args: rows.append(args) or argument(*args))
-        assert stability._band_edges(0.02, LinearCoefficients(-2e-12, 1e-13)) == [0.0, 0.0]
-        c = LinearCoefficients(-2e-12, 1e-13)
-        assert [x.size for x in stability._line_crossings(0.02, c, 1.0)] == [0, 0, 0]
+        assert stability._band_edges(0.02, -2e-12, 1e-13) == [0.0, 0.0]
+        assert [x.size for x in stability._line_crossings(0.02, -2e-12, 1e-13, 1.0)] == [0, 0, 0]
         assert rows == []
         assert brackets == []
 
@@ -694,7 +689,7 @@ class TestCriticalTau2ForTau1:
         )
         assert_line_truths(1.0, *UCAR_COEF, q)
         roots.clear()
-        monkeypatch.setattr(stability, "_may_hide_root", lambda *args: np.zeros(len(args[3]), bool))
+        monkeypatch.setattr(stability, "_may_hide_root", lambda *args: np.zeros(len(args[4]), bool))
         classify(1.0, UCAR_COEF, (q, 1.0))
         assert not [v for v in roots if abs(v - 2.045927) < 1e-5]
 
@@ -727,7 +722,7 @@ class TestCriticalTau2ForTau1:
     @pytest.mark.parametrize("lines", ["sweep_grid", "random_set", "wide_set"])
     def test_crossings_are_roots_and_counts_match(self, rng, lines):
         if lines == "sweep_grid":
-            queries = [(alpha, c.a, c.b, q) for alpha, c, q in self.sweep_queries(rng)]
+            queries = [(alpha, *c, q) for alpha, c, q in self.sweep_queries(rng)]
         elif lines == "random_set":
             queries = [query[:4] for query in random_line_queries()]
         else:
@@ -888,11 +883,10 @@ class TestCriticalTau2ForTau1:
         # branch table on ``window``: that row touches the line at one
         # sample, with no sign change, and the line meets it twice close
         # together or once on a band edge.
-        c = stability.LinearCoefficients(*coef)
-        lo, hi = window or (1e-6, 4.0 * stability._band_edges(alpha, c)[1])
-        edges = [e for e in stability._band_edges(alpha, c) if lo < e < hi]
+        lo, hi = window or (1e-6, 4.0 * stability._band_edges(alpha, *coef)[1])
+        edges = [e for e in stability._band_edges(alpha, *coef) if lo < e < hi]
         vs = np.union1d(np.linspace(lo, hi, samples), edges)
-        table = branches(alpha, c, vs, stability._branch_labels(8))[0]
+        table = branches(alpha, coef, vs, stability._branch_labels(8))[0]
         queries = [float(q) for row in table for q in (np.nanmax(row), np.nanmin(row)) if q >= 0.0]
         assert len(queries) == lines
         for q in queries:
@@ -916,8 +910,7 @@ class TestCriticalTau2ForTau1:
         # end of the window; the scan reaches it only because it runs a
         # little past both band edges.  No lower crossing lies in the band.
         # (A branch table needs a rounding margin to keep this row.)
-        c = stability.LinearCoefficients(*coef)
-        row = branches(alpha, c, np.linspace(*window, 2), [label])[0]
+        row = branches(alpha, coef, np.linspace(*window, 2), [label])[0]
         assert np.isnan(row).sum() == 1
         q = float(np.nanmax(row))
         v, _, tau2 = assert_line_truths(alpha, *coef, q)
@@ -932,7 +925,7 @@ class TestCriticalTau2ForTau1:
         # alpha/2))/(2*pi), 11 exactly, rounds to 10.999999999999998 here,
         # so a search that cut its windings there would lose the row.  The
         # tau2 arccos is pi there too, so tau2 = (pi - pi/4)/16.
-        c = stability.LinearCoefficients(-1.0, -3.0)
+        c = (-1.0, -3.0)
         q = float(branches(0.5, c, np.array([16.0]), [(-1, 11)])[0][0, 0])
         assert (q * 16.0 + math.pi * 1.25) / (2.0 * math.pi) < 11.0
         assert first_crossing(0.5, c, q) == pytest.approx(3.0 * math.pi / 64.0, abs=1e-15)
@@ -1024,7 +1017,7 @@ class TestDelayPlaneBoundary:
 
     @staticmethod
     def line_search(tau1, alpha=1.0, coef=UCAR_COEF):
-        return stability._line_crossings(alpha, LinearCoefficients(*coef), tau1)[2]
+        return stability._line_crossings(alpha, *coef, tau1)[2]
 
     def test_equals_line_search_when_it_hits(self):
         direct = self.line_search(0.0).min()
@@ -1276,7 +1269,7 @@ class TestClassify:
         # the one positive real root of lambda**alpha = exp(-lambda*tau1)
         # shows.
         coef = linearize(ucar_rhs(), 0.0)
-        assert (coef.a, coef.b) == (1.0, 0.0)
+        assert coef == (1.0, 0.0)
         assert classify(0.9, coef, (0.4, 0.5)) == (StabilityVerdict.UNSTABLE, None, None)
         zero = classify(0.9, coef, (0.0, 0.0)).verdict
         assert zero is StabilityVerdict.UNSTABLE_AT_ZERO_DELAYS
@@ -1308,7 +1301,7 @@ class TestOverflowingBandEdge:
     def test_default_window_is_a_value_error(self, alpha, coef):
         for call in (
             lambda: curve_columns(alpha, coef),
-            lambda: stability._line_crossings(alpha, LinearCoefficients(*coef), 0.1),
+            lambda: stability._line_crossings(alpha, *coef, 0.1),
             lambda: classify(alpha, coef, (0.1, 0.1)),
         ):
             with pytest.raises(ValueError, match="float range"):
@@ -1316,16 +1309,16 @@ class TestOverflowingBandEdge:
 
     @pytest.mark.parametrize("alpha, coef, delays", OVERFLOWING_SQUARES)
     def test_overflowing_squares_are_a_value_error(self, alpha, coef, delays):
-        assert math.isfinite(stability._band_edges(alpha, LinearCoefficients(*coef))[1])
+        assert math.isfinite(stability._band_edges(alpha, *coef)[1])
         with pytest.raises(ValueError, match="float range"):
-            stability._line_crossings(alpha, LinearCoefficients(*coef), delays[0])
+            stability._line_crossings(alpha, *coef, delays[0])
         with pytest.raises(ValueError, match="float range"):
             classify(alpha, coef, delays)
 
     def test_default_window_end_beyond_the_float_range(self):
         # The band's upper edge, 1.1e308, is a float; four times it is not.
         coef = (5e307, -6e307)
-        assert math.isfinite(stability._band_edges(1.0, LinearCoefficients(*coef))[1])
+        assert math.isfinite(stability._band_edges(1.0, *coef)[1])
         with pytest.raises(ValueError, match="float range"):
             curve_columns(1.0, coef)
 
@@ -1340,7 +1333,7 @@ class TestOverflowingBandEdge:
         want = curve_columns(alpha, scaled, v_range=scaled_window, samples=200)
         assert_rescaled_locus(locus_rows(got), locus_rows(want), s, 1e-12)
         with pytest.raises(ValueError, match="float range"):
-            stability._line_crossings(alpha, LinearCoefficients(*coef), 1e-290)
+            stability._line_crossings(alpha, *coef, 1e-290)
         with pytest.raises(ValueError, match="float range"):
             classify(alpha, coef, (1e-290, 0.1))
 
@@ -1350,6 +1343,17 @@ class TestOverflowingBandEdge:
         alpha, coef, window = HUGE_BAND[1]
         assert len(curve_columns(alpha, coef, v_range=window, samples=200).v) == 26_245
         with pytest.raises(ValueError, match="float range"):
-            stability._line_crossings(alpha, LinearCoefficients(*coef), 1e-290)
+            stability._line_crossings(alpha, *coef, 1e-290)
         with pytest.raises(ValueError, match="float range"):
             classify(alpha, coef, (1e-290, 0.1))
+
+    @pytest.mark.parametrize("coef", [(-1e-7, 0.0), (0.0, -1e-7), (-3e-7, 1e-7)])
+    def test_single_delay_frequency_below_the_float_range(self, coef):
+        # At order 0.02 the closed-form crossing frequency u**50 of the
+        # tau2 = 0 leg, or of the one delay left, underflows to 0 or is
+        # subnormal, where its delay 2*pi/v and the power v**(alpha - 1) of
+        # the crossing side leave the float range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float range"):
+                classify(0.02, coef, (1.0, 1.0))
