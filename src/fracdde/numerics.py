@@ -1,8 +1,9 @@
 """The derivative order and the quadrature weights for fractional integrals.
 
 Everything in this module is plain float-valued numerics: the validated
-derivative order, the one check of every delay, coefficient and gain, and
-the product-trapezoidal weight tables that drive the time stepper.
+derivative order, the two rules every number the package takes passes
+(``_real`` for a real, ``_count`` for a count of samples, steps or
+entries), and the product-trapezoidal weight tables of the time stepper.
 """
 
 from __future__ import annotations
@@ -30,17 +31,15 @@ def order_value(alpha: float) -> float:
     The value 1 is allowed and reduces every formula in this package to its
     classical first-order counterpart.
     """
-    a = float(alpha)
-    if not math.isfinite(a):
-        raise ValueError("derivative order must be a finite real number")
+    a = _real("derivative order", alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError(f"derivative order must lie in (0, 1], got {a!r}")
     return a
 
 
 def _real(name: str, value: object, bound: str = "") -> float:
-    """``value`` as a float, checked by the rule for every delay, coefficient
-    and gain: a ``numbers.Real`` that is not a bool (numpy scalars pass,
+    """``value`` as a float, checked by the rule for every real the package
+    takes: a ``numbers.Real`` that is not a bool (numpy scalars pass,
     strings do not), finite, and ``bound`` ("nonnegative" or "positive")
     where the caller asks."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
@@ -56,6 +55,19 @@ def _real(name: str, value: object, bound: str = "") -> float:
     return x
 
 
+def _count(name: str, value: object, least: int) -> int:
+    """``value`` as an int, checked by the rule for every count: a
+    ``numbers.Integral`` that is not a bool (numpy integers pass, floats and
+    strings do not), at least ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    n = int(value)
+    if n < least:
+        need = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {need}")
+    return n
+
+
 def corner_weight_table(alpha: float, n_max: int) -> np.ndarray:
     """First-column quadrature weights ``a[0, n+1]`` for ``n = 0..n_max``.
 
@@ -63,9 +75,7 @@ def corner_weight_table(alpha: float, n_max: int) -> np.ndarray:
     step that advances the solution from index ``j`` to ``j + 1``.
     """
     a = order_value(alpha)
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = _count("n_max", n_max, 0)
     n = np.arange(n_max + 1, dtype=float)
     # Both terms grow like n**(alpha+1) while their difference stays
     # O(n**alpha), so about log10(n) digits cancel; with n <= 1e7 that leaves
@@ -87,9 +97,7 @@ def interior_weight_table(alpha: float, m_max: int) -> np.ndarray:
     every entry is exactly 2.0, the classical trapezoid interior weight.
     """
     a = order_value(alpha)
-    m_max = int(m_max)
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    m_max = _count("m_max", m_max, 0)
     beta = a + 1.0
     d2 = np.empty(m_max + 1, dtype=float)
     d2[0] = np.nan

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _real, corner_weight_table, interior_weight_table, order_value
+from .numerics import _count, _real, corner_weight_table, interior_weight_table, order_value
 
 __all__ = [
     "SystemRhs",
@@ -97,11 +97,12 @@ class Grid:
     theta2: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.h, float) and math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"step must be a positive finite float, got {self.h!r}")
-        for name, value in (("n_steps", self.n_steps), ("k1", self.k1), ("k2", self.k2)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        # Each field is stored as its rule returns it: a Python float or int.
+        checked = [("h", _real("step", self.h, "positive"))]
+        checked += [(n, _count(n, getattr(self, n), 1)) for n in ("n_steps", "k1", "k2")]
+        checked += [(n, _real(n, getattr(self, n))) for n in ("theta1", "theta2")]
+        for name, value in checked:
+            object.__setattr__(self, name, value)
         if not (0.0 <= self.theta1 < 1.0 and 0.0 <= self.theta2 < 1.0):
             raise ValueError(f"offsets must lie in [0, 1), got {self.theta1!r}, {self.theta2!r}")
 
@@ -158,12 +159,8 @@ def build_grid(
     """
     tau1, tau2 = delays
     tau1, tau2 = _real("tau1", tau1, "nonnegative"), _real("tau2", tau2, "nonnegative")
-    t_end = float(t_end)
-    h = float(h_request)
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {t_end!r}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"requested step must be positive and finite, got {h!r}")
+    t_end = _real("horizon", t_end, "positive")
+    h = _real("requested step", h_request, "positive")
     spans = (tau1, tau2, t_end)
     if not all(math.isfinite(s / h) for s in spans):
         raise ValueError(
@@ -196,7 +193,7 @@ def _delayed(x: np.ndarray, i: int, theta: float, n: int) -> np.ndarray:
 def _history_callable(history: History) -> Callable[[float], float]:
     if callable(history):
         return history
-    value = float(history)
+    value = _real("history", history)
     return lambda _t: value
 
 

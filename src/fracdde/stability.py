@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .numerics import _real, order_value
+from .numerics import _count, _real, order_value
 from .solver import SystemRhs
 
 __all__ = [
@@ -50,8 +50,6 @@ _CLAMP_SLACK = 1e-12
 _ZERO_SUM_TOL = 1e-12
 _FD_BASE_STEP = 1e-6
 
-_DEFAULT_SAMPLES = 2000
-_DEFAULT_MAX_BRANCH = 8
 # The tau1 line search samples the crossing band at _SCAN_MIN frequencies
 # plus _SCAN_PER_RADIAN per radian of tau1*v, at most _SCAN_BUDGET.  The
 # relative rounding slack _SCAN_SLACK has three uses: the scan reaches that
@@ -114,14 +112,15 @@ def find_equilibria(
     Roots closer together than the scan spacing can be missed; raise the
     resolution for wildly oscillatory right-hand sides.  ``g`` is called
     with floats only.  Returns the roots sorted increasingly, duplicates
-    merged.
+    merged.  A bracket whose width overflows a float raises ValueError.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    lo, hi = (_real("bracket", end) for end in bracket)
+    if not lo < hi:
         raise ValueError(f"bracket must be a finite increasing pair, got {bracket!r}")
-    resolution = int(resolution)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if math.isinf(hi - lo):
+        # The scan's spacing would be inf: every sample but the last NaN or inf.
+        raise ValueError(f"the width of bracket ({lo:g}, {hi:g}) exceeds the float range")
+    resolution = _count("resolution", resolution, 2)
     fun = lambda xs: np.array([float(rhs.g(x, x)) for x in xs.tolist()])
     xs = np.linspace(lo, hi, resolution)
     vals = fun(xs)
@@ -226,9 +225,7 @@ def linearize(rhs: SystemRhs, x_star: float) -> tuple[float, float]:
     extrapolation step, which is accurate to roughly 1e-9 relative for
     smooth right-hand sides at moderately sized equilibria.
     """
-    x = float(x_star)
-    if not math.isfinite(x):
-        raise ValueError(f"equilibrium must be finite, got {x_star!r}")
+    x = _real("equilibrium", x_star)
     if rhs.dg_dx1 is not None:
         a = float(rhs.dg_dx1(x, x))
     else:
@@ -292,9 +289,8 @@ def _band_edges(al: float, a: float, b: float) -> list[float]:
 def _branch_labels(max_branch: int) -> list[tuple[int, int]]:
     """Every arccos branch (sign, m) with winding number up to ``max_branch``,
     ordered by (m, sign)."""
-    if int(max_branch) < 0:
-        raise ValueError("max_branch must be nonnegative")
-    return [(sign, m) for m in range(int(max_branch) + 1) for sign in (-1, 1)]
+    max_branch = _count("max_branch", max_branch, 0)
+    return [(sign, m) for m in range(max_branch + 1) for sign in (-1, 1)]
 
 
 def _argument(k: float, l: float, va, v2a):
@@ -380,8 +376,8 @@ def _resolve_search(
                 f"range for a={a}, b={b}, alpha={al}; curves can be given an explicit window"
             )
         v_range = (1e-6, hi)
-    lo, hi = float(v_range[0]), float(v_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+    lo, hi = (_real("frequency window", end) for end in v_range)
+    if not 0.0 < lo < hi:
         raise ValueError(f"frequency window must satisfy 0 < lo < hi, got {(lo, hi)!r}")
     return lo, hi
 
@@ -390,8 +386,8 @@ def curve_columns(
     alpha: float,
     coef: tuple[float, float],
     v_range: tuple[float, float] | None = None,
-    samples: int = _DEFAULT_SAMPLES,
-    max_branch: int = _DEFAULT_MAX_BRANCH,
+    samples: int = 2000,
+    max_branch: int = 8,
 ) -> CurveColumns:
     """Sampled imaginary-axis crossing locus in the (tau1, tau2) plane of
     the coefficients ``coef = (a, b)``.
@@ -427,9 +423,7 @@ def curve_columns(
     a, b = _real("a", a), _real("b", b)
     _require_nondegenerate(a, b)
     lo, hi = _resolve_search(al, a, b, v_range)
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
+    samples = _count("samples", samples, 2)
     labels = _branch_labels(max_branch)
 
     # A window a few ulps wide repeats sample values: each distinct one is

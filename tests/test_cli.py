@@ -792,6 +792,17 @@ class TestEquilibriaCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 3
 
+    def test_bracket_wider_than_the_float_range_is_a_usage_error(self, capsys):
+        # argparse reads -1e308 as an option; -1 followed by 308 zeros is the
+        # same float.  The width overflows: one error line, and no numpy
+        # warning, which the suite turns into an error.
+        argv = ["equilibria", "--model", "ucar", "--bracket", "-1" + "0" * 308, "1e308"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fracdde: error: the width of bracket (-1e+308, 1e+308) ")
+        assert err.count("\n") == 1 and "float range" in err
+
 
 class TestUsage:
     def test_help_exits_zero(self, capsys):

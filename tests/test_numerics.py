@@ -21,18 +21,24 @@ from reference_values import (
 
 
 class TestFractionalOrder:
-    # order_value takes anything float() takes and checks the result.
+    # order_value takes a real number that is not a bool, by the rule every
+    # real the package takes passes, and checks its range.
     def test_accepts_unit_interval(self):
-        for good in [0.5, 1.0, "0.5", np.float32(0.5), True]:
+        for good in [0.5, 1.0, 1, np.float32(0.5), np.int64(1)]:
             got = order_value(good)
             assert type(got) is float and got == float(good)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None], ids=["str", "bool", "none"])
+    def test_rejects_non_real(self, bad):
+        with pytest.raises(ValueError, match="^derivative order must be a real number$"):
+            order_value(bad)
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, 1.0000001, 2.0, math.inf, math.nan])
     def test_rejects_out_of_range(self, bad):
         if math.isfinite(bad):
             message = re.escape(f"derivative order must lie in (0, 1], got {bad!r}")
         else:
-            message = "derivative order must be a finite real number"
+            message = f"derivative order must be finite, got {bad!r}"
         with pytest.raises(ValueError, match=message):
             order_value(bad)
 

@@ -111,6 +111,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid((1e300, 0.5), 10.0, 1e-300)
 
+    def test_grid_stores_python_numbers(self):
+        # Grid's fields pass the package's rules for reals and counts, and
+        # are kept as the Python float or int they stand for.
+        grid = Grid(h=1, n_steps=np.int64(10), k1=np.int32(4), k2=5, theta1=np.float32(0.5))
+        assert grid == Grid(h=1.0, n_steps=10, k1=4, k2=5, theta1=0.5)
+        fields = (grid.h, grid.n_steps, grid.k1, grid.k2, grid.theta1, grid.theta2)
+        assert [type(f) for f in fields] == [float, int, int, int, float, float]
+        assert simulate(ucar_rhs(), 0.9, grid, 0.8).truncated_at is None
+
     def test_history_steps_property(self):
         grid = build_grid((0.4, 0.5), 10.0, 0.01)
         assert grid.history_steps == 50

@@ -211,6 +211,23 @@ class TestFindEquilibria:
         with pytest.raises(ValueError):
             find_equilibria(ucar_rhs(), (0.0, 1.0), resolution=1)
 
+    @pytest.mark.parametrize(
+        "rhs, bracket",
+        [(ucar_rhs(), (-1e308, 1e308)), (ikeda_rhs(), (-1.7e308, 1.7e308))],
+        ids=["ucar", "ikeda"],
+    )
+    def test_bracket_wider_than_the_float_range_is_refused(self, rhs, bracket):
+        # hi - lo overflows: the scan's spacing would be inf and every sample
+        # but the last NaN or inf, so the roots inside would be lost without
+        # a word.  Refused before g is called, with no numpy warning.
+        calls = []
+        counted = SystemRhs(g=lambda x1, x2: calls.append(x1) or rhs.g(x1, x2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the width of bracket .* exceeds the float range$"):
+                find_equilibria(counted, bracket)
+        assert calls == []
+
 
 class TestLinearize:
     def test_analytic_partials_cubic(self):
