@@ -10,13 +10,7 @@ the (tau1, tau2) plane where characteristic roots cross the imaginary axis.
 from __future__ import annotations
 
 from .models import ikeda_rhs, ucar_rhs
-from .solver import (
-    Grid,
-    SystemRhs,
-    Trajectory,
-    build_grid,
-    simulate,
-)
+from .solver import SystemRhs, Trajectory, simulate
 from .stability import (
     Classification,
     StabilityVerdict,
@@ -32,9 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "SystemRhs",
-    "Grid",
     "Trajectory",
-    "build_grid",
     "simulate",
     "StabilityVerdict",
     "find_equilibria",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .models import ikeda_rhs, ucar_rhs
 from .numerics import _real
-from .solver import SystemRhs, _delayed, build_grid, simulate
+from .solver import SystemRhs, _delayed, simulate
 from .stability import (
     StabilityVerdict,
     classify,
@@ -106,21 +106,21 @@ def _coef_from_args(args: argparse.Namespace) -> tuple[float, float]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     rhs = _rhs_from_args(args)
-    grid = build_grid((args.tau1, args.tau2), args.T, args.h)
-    traj = simulate(rhs, args.alpha, grid, args.history)
+    traj = simulate(rhs, args.alpha, (args.tau1, args.tau2), args.T, args.h, args.history)
+    grid = traj.grid
     # One row (t, x(t), x(t - tau1), x(t - tau2)) per computed grid time
     # t >= 0, up to the last finite state.  A chunk of n rows from start reads
     # values[start : start + k + n], of which the first k were formatted by
     # the chunk before it (the history, for the first chunk); a delayed
     # column off the grid is interpolated and formatted.
-    k = traj.history_steps
-    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
+    k = grid.history_steps
+    rows = grid.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
     prev = _formatted(traj.values[:k])
     with open(args.out, "w", newline="") as fh:
         fh.write("t,x,x_tau1,x_tau2\n")
         for start in range(0, rows, _ROWS_PER_WRITE):
             n = min(_ROWS_PER_WRITE, rows - start)
-            t = _formatted(np.arange(start, start + n) * traj.h)
+            t = _formatted(np.arange(start, start + n) * grid.h)
             s = prev + _formatted(traj.values[k + start : k + start + n])
             x1, x2 = (
                 _formatted(_delayed(traj.values, k + start - lag, theta, n))

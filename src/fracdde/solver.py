@@ -38,14 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _count, _real, corner_weight_table, interior_weight_table, order_value
+from .numerics import _real, corner_weight_table, interior_weight_table, order_value
 
 __all__ = [
     "SystemRhs",
     "Grid",
     "Trajectory",
     "History",
-    "build_grid",
     "simulate",
 ]
 
@@ -86,8 +85,9 @@ class SystemRhs:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of step ``h``; delay i is ``ki >= 1`` steps plus an
-    offset ``thetai`` in [0, 1), read by interpolation when nonzero."""
+    """Uniform grid of step ``h`` that :func:`simulate` ran on; delay i is
+    ``ki >= 1`` steps plus an offset ``thetai`` in [0, 1), read by
+    interpolation when nonzero."""
 
     h: float
     n_steps: int
@@ -95,16 +95,6 @@ class Grid:
     k2: int
     theta1: float = 0.0
     theta2: float = 0.0
-
-    def __post_init__(self) -> None:
-        # Each field is stored as its rule returns it: a Python float or int.
-        checked = [("h", _real("step", self.h, "positive"))]
-        checked += [(n, _count(n, getattr(self, n), 1)) for n in ("n_steps", "k1", "k2")]
-        checked += [(n, _real(n, getattr(self, n))) for n in ("theta1", "theta2")]
-        for name, value in checked:
-            object.__setattr__(self, name, value)
-        if not (0.0 <= self.theta1 < 1.0 and 0.0 <= self.theta2 < 1.0):
-            raise ValueError(f"offsets must lie in [0, 1), got {self.theta1!r}, {self.theta2!r}")
 
     @property
     def history_steps(self) -> int:
@@ -114,49 +104,33 @@ class Grid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulation output on a uniform grid.
+    """Simulation output on the uniform ``grid`` it ran on.
 
-    ``values[j]`` is the state at time ``(j - history_steps) * h`` for
-    ``j = 0..history_steps + n_steps``; the first ``history_steps + 1``
-    entries are the history on [-history_steps * h, 0], which an off-grid
-    delay starts up to one step before -tau_max.  ``truncated_at`` is
-    None for a complete run, otherwise the step index (in time units,
+    ``values[j]`` is the state at time ``(j - k) * h`` for ``j = 0..k +
+    n_steps``, with ``k = grid.history_steps`` and ``h = grid.h``; the
+    first ``k + 1`` entries are the history on [-k * h, 0], which an
+    off-grid delay starts up to one step before -tau_max.  ``truncated_at``
+    is None for a complete run, otherwise the step index (in time units,
     ``truncated_at * h``) at which the state first left the finite float
     range; entries from that index on are NaN.
     """
 
-    h: float
-    history_steps: int
+    grid: Grid
     values: np.ndarray
     truncated_at: int | None = None
 
     @property
     def n_steps(self) -> int:
-        return len(self.values) - self.history_steps - 1
+        return self.grid.n_steps
 
     def times(self) -> np.ndarray:
         """Grid times aligned with ``values``, from -history_steps * h to n_steps * h."""
-        return (np.arange(len(self.values)) - self.history_steps) * self.h
+        return (np.arange(len(self.values)) - self.grid.history_steps) * self.grid.h
 
 
-def build_grid(
-    delays: tuple[float, float],
-    t_end: float,
-    h_request: float,
-) -> Grid:
-    """Write both delays ``(tau1, tau2)``, each nonnegative and finite, and
-    the horizon in steps of the requested size.
-
-    A delay within 1e-9 relative of ``k`` whole steps is ``k`` steps with
-    offset 0.0; any other delay is ``k = floor(tau / h)`` steps plus the
-    offset ``tau / h - k`` in (0, 1), read by linear interpolation.  The
-    horizon takes the fewest steps that reach ``t_end`` with the same slack.
-    The step is never changed.
-
-    Raises ValueError if a delay or the horizon spans more steps than a
-    float can count, or if a delay is shorter than the step: each delay
-    must span at least one step, which is what makes the stepper explicit.
-    """
+def _build_grid(delays: tuple[float, float], t_end: float, h_request: float) -> Grid:
+    # The grid that simulate's docstring describes.  Each delay must span at
+    # least one step, which is what makes the stepper explicit.
     tau1, tau2 = delays
     tau1, tau2 = _real("tau1", tau1, "nonnegative"), _real("tau2", tau2, "nonnegative")
     t_end = _real("horizon", t_end, "positive")
@@ -200,10 +174,19 @@ def _history_callable(history: History) -> Callable[[float], float]:
 def simulate(
     rhs: SystemRhs,
     alpha: float,
-    grid: Grid,
+    delays: tuple[float, float],
+    t_end: float,
+    h: float,
     history: History,
 ) -> Trajectory:
-    """Integrate the two-delay problem over the given grid.
+    """Integrate the two-delay problem up to ``t_end`` in steps of ``h``.
+
+    The step is never changed.  A delay within 1e-9 relative of ``k`` whole
+    steps is ``k`` steps with offset 0.0; any other delay is ``k =
+    floor(tau / h)`` steps plus the offset ``tau / h - k`` in (0, 1), read
+    by linear interpolation.  The horizon takes the fewest steps that reach
+    ``t_end`` with the same slack.  The trajectory carries that
+    :class:`Grid`.
 
     The right-hand side is evaluated exactly once per grid point and the
     evaluations are memoized; a delay off the grid interpolates the state
@@ -221,7 +204,7 @@ def simulate(
     ``g`` called on floats and one fixed-length dot product per step for
     the block's part of the sum.
 
-    A history callable is sampled on [-history_steps * h, 0] (up to one step
+    A history callable is sampled on [-grid.history_steps * h, 0] (up to one step
     before -tau_max for an off-grid delay) and must be finite there.
     If the state leaves the finite float range the run stops and the partial
     trajectory is returned with ``truncated_at`` set; blow-up is data, not
@@ -233,8 +216,10 @@ def simulate(
         Right-hand side of the equation; ``rhs.g`` must be elementwise.
     alpha : float
         Caputo derivative order in (0, 1].
-    grid : Grid
-        Output of :func:`build_grid`.
+    delays : (float, float)
+        The delays ``(tau1, tau2)``, each finite and at least ``h``.
+    t_end, h : float
+        Horizon and step, both positive and finite.
     history : float or callable
         Constant history value, or a function of t.
 
@@ -244,9 +229,14 @@ def simulate(
 
     Raises
     ------
+    ValueError
+        On a bad input, checked in this order: the delays, horizon and step
+        (a delay shorter than the step, or a span of more steps than a float
+        can count, included), the order, the history.
     TypeError
         If ``rhs.g`` does not accept float64 arrays.
     """
+    grid = _build_grid(delays, t_end, h)
     al = order_value(alpha)
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
     th1, th2 = grid.theta1, grid.theta2
@@ -411,4 +401,4 @@ def simulate(
             done = (hi - 1) // _BLOCK
             span = (done & -done) * _BLOCK
             add_far(hi - span, hi, min(hi + span, n_total + 1), 2 * span)
-    return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
+    return Trajectory(grid, x, truncated_at)

@@ -108,7 +108,9 @@ def find_equilibria(
     :func:`_illinois` until each bracket holds two adjacent floats or an
     exact zero; there is no tolerance on ``|g|``, so the scale of ``g``
     does not matter.  A refined point where ``|g|`` exceeds its value at
-    both scan ends is a pole, not a root, and is dropped.
+    both scan ends is a pole, not a root, and is dropped, as is one where
+    ``g`` is not finite (a bracket between infinite scan values can outlast
+    the refiner's steps).
     Roots closer together than the scan spacing can be missed; raise the
     resolution for wildly oscillatory right-hand sides.  ``g`` is called
     with floats only.  Returns the roots sorted increasingly, duplicates
@@ -127,7 +129,7 @@ def find_equilibria(
     i = np.flatnonzero(_sign_change(vals[:-1], vals[1:]))
     refined = _illinois(fun, xs[i], xs[i + 1], vals[i], vals[i + 1], 360)
     size = np.abs(fun(refined))
-    pole = (size > np.abs(vals[i])) & (size > np.abs(vals[i + 1]))
+    pole = ~np.isfinite(size) | ((size > np.abs(vals[i])) & (size > np.abs(vals[i + 1])))
     roots = sorted(np.concatenate([xs[vals == 0.0], refined[~pole]]).tolist())
     merged: list[float] = []
     for r in roots:
@@ -316,11 +318,9 @@ def _band(al: float, a: float, b: float, v: np.ndarray):
     return a1, a2, outside, va
 
 
-def _arccos(arg, outside):
-    """``arccos`` of ``arg`` clamped to [-1, 1], NaN wherever ``outside``."""
-    th = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
-    th[outside] = np.nan
-    return th
+def _arccos(arg):
+    """``arccos`` of ``arg`` clamped to [-1, 1]."""
+    return np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0))
 
 
 def _delay(half: float, th, v, sign, m):
@@ -431,8 +431,8 @@ def curve_columns(
     vs, repeats = np.unique(np.linspace(lo, hi, samples), return_counts=True)
     a1, a2, outside, va = _band(al, a, b, vs)
     inside = ~(outside | np.isnan(a1))
-    vs, va, outside, repeats = vs[inside], va[inside], outside[inside], repeats[inside]
-    th1, th2 = _arccos(a1[inside], outside), _arccos(a2[inside], outside)
+    vs, va, repeats = vs[inside], va[inside], repeats[inside]
+    th1, th2 = _arccos(a1[inside]), _arccos(a2[inside])
     half = 0.5 * math.pi * al
     sign, m = np.array(labels).T
     # A delay that overflows over a subnormal v drops out, as a negative one does.

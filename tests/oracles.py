@@ -200,22 +200,19 @@ def delayed_series_oracle(alpha: float, a: float, tau: float, t: float) -> float
     return math.fsum(terms)
 
 
-def phase_columns(traj: Trajectory, grid: Grid) -> np.ndarray:
-    """Delay-embedded view of a trajectory.
+def phase_columns(traj: Trajectory) -> np.ndarray:
+    """Delay-embedded view of a trajectory on the grid it ran on.
 
     Returns a float array with one row per computed grid time ``t >= 0`` and
     columns ``(t, x(t), x(t - tau1), x(t - tau2))``.  For a truncated run the
     rows stop at the last finite state.
     """
-    if grid.history_steps != traj.history_steps:
-        raise ValueError("grid and trajectory disagree on the history length")
-    if abs(grid.h - traj.h) > 1e-12 * grid.h:
-        raise ValueError("grid and trajectory disagree on the step size")
-    rows = traj.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
-    k = traj.history_steps
+    grid = traj.grid
+    rows = grid.n_steps + 1 if traj.truncated_at is None else traj.truncated_at
+    k = grid.history_steps
     return np.column_stack(
         [
-            np.arange(rows) * traj.h,
+            np.arange(rows) * grid.h,
             traj.values[k : k + rows],
             _delayed(traj.values, k - grid.k1, grid.theta1, rows),
             _delayed(traj.values, k - grid.k2, grid.theta2, rows),
@@ -275,8 +272,9 @@ def direct_sum_stepper(
 
     Step ``n`` costs one dot product of length ``n`` against the interior
     weight table, so the run is O(N^2).  A delay of ``ki + thetai`` steps
-    reads ``x[j - ki] + thetai * (x[j - ki - 1] - x[j - ki])``.  Arguments,
-    result and truncation contract are those of :func:`fracdde.simulate`.
+    reads ``x[j - ki] + thetai * (x[j - ki - 1] - x[j - ki])``.  It runs on
+    ``grid``, the ``Trajectory.grid`` of a :func:`fracdde.simulate` run; the
+    result and truncation contract are those of ``simulate``.
     """
     al = order_value(alpha)
     k1, k2, n_total = grid.k1, grid.k2, grid.n_steps
@@ -328,7 +326,7 @@ def direct_sum_stepper(
                 x[k + j :] = np.nan
                 break
             x[k + j] = value
-    return Trajectory(h=h, history_steps=k, values=x, truncated_at=truncated_at)
+    return Trajectory(grid, x, truncated_at)
 
 
 def scalar_equilibria(
@@ -548,7 +546,8 @@ def branches(al: float, coef: tuple[float, float], v: np.ndarray, labels):
     a1, a2, outside, va = _band(al, *coef, v)
     sign, m = np.array(labels, dtype=float).T[:, :, None]
     half = 0.5 * math.pi * al
-    tau1, tau2 = (_delay(half, _arccos(arg, outside), v, sign, m) for arg in (a1, a2))
+    th1, th2 = (np.where(outside, np.nan, _arccos(arg)) for arg in (a1, a2))
+    tau1, tau2 = (_delay(half, th, v, sign, m) for th in (th1, th2))
     return tau1, tau2, va
 
 

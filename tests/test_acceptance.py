@@ -14,7 +14,6 @@ import pytest
 from fracdde import (
     StabilityVerdict,
     SystemRhs,
-    build_grid,
     classify,
     find_equilibria,
     ikeda_rhs,
@@ -35,8 +34,8 @@ UCAR_COEF = (1.0, -3.0)
 
 
 def max_abs_error_vs_oracle(alpha, h, t_end):
-    grid = build_grid((1.0, 1.0), t_end, h)
-    traj = simulate(SystemRhs(g=lambda x1, x2: -x1), alpha, grid, 1.0)
+    traj = simulate(SystemRhs(g=lambda x1, x2: -x1), alpha, (1.0, 1.0), t_end, h, 1.0)
+    grid = traj.grid
     t = np.arange(grid.n_steps + 1) * grid.h
     exact = np.array([delayed_series_oracle(alpha, -1.0, 1.0, ti) for ti in t])
     return float(np.max(np.abs(traj.values[grid.history_steps :] - exact)))
@@ -173,9 +172,8 @@ def test_c7_exact_weight_and_fixed_point_identities():
         classical = np.full(n + 2, 2.0)
         classical[0] = classical[-1] = 1.0
         assert np.array_equal(row, classical)
-    grid = build_grid((0.4, 0.5), 5.0, 0.01)
     for x_star in (-1.0, 0.0, 1.0):
-        traj = simulate(ucar_rhs(), 0.9, grid, x_star)
+        traj = simulate(ucar_rhs(), 0.9, (0.4, 0.5), 5.0, 0.01, x_star)
         assert np.max(np.abs(traj.values - x_star)) <= 1e-12
 
 
@@ -183,8 +181,8 @@ def test_c8_qualitative_long_run_dynamics():
     start = time.perf_counter()
 
     # Cubic model, stable delay pair: settles onto the equilibrium at 1.
-    grid = build_grid((0.4, 0.5), 200.0, 0.01)
-    traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
+    traj = simulate(ucar_rhs(), 0.9, (0.4, 0.5), 200.0, 0.01, 0.8)
+    grid = traj.grid
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     tail = x[int(round(150.0 / grid.h)) :]
@@ -192,8 +190,8 @@ def test_c8_qualitative_long_run_dynamics():
 
     # Cubic model, unstable delay pair: stays bounded but keeps oscillating
     # with amplitude above 0.5 over every late 20-unit window.
-    grid = build_grid((1.6, 1.4), 200.0, 0.01)
-    traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
+    traj = simulate(ucar_rhs(), 0.9, (1.6, 1.4), 200.0, 0.01, 0.8)
+    grid = traj.grid
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     assert np.max(np.abs(x)) <= 3.0
@@ -201,16 +199,16 @@ def test_c8_qualitative_long_run_dynamics():
     assert amplitudes.min() > 0.5
 
     # Sinusoidal model, stable delay pair: settles onto the upper equilibrium.
-    grid = build_grid((0.02, 0.01), 50.0, 0.0025)
-    traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
+    traj = simulate(ikeda_rhs(), 0.7, (0.02, 0.01), 50.0, 0.0025, 2.5)
+    grid = traj.grid
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     tail = x[int(round(40.0 / grid.h)) :]
     assert np.max(np.abs(tail - 2.7859)) <= 1e-2
 
     # Sinusoidal model, unstable delay pair: sustained bounded oscillation.
-    grid = build_grid((0.01, 0.1), 150.0, 0.0025)
-    traj = simulate(ikeda_rhs(), 0.7, grid, 2.5)
+    traj = simulate(ikeda_rhs(), 0.7, (0.01, 0.1), 150.0, 0.0025, 2.5)
+    grid = traj.grid
     assert traj.truncated_at is None
     x = traj.values[grid.history_steps :]
     assert np.max(np.abs(x)) <= 50.0
@@ -253,8 +251,8 @@ def test_c10_stability_switch_on_the_tau1_line(tau2, verdict):
     # unstable one keeps oscillating by 0.24 or more.
     coef = linearize(ucar_rhs(), 1.0)
     assert classify(0.9, coef, (1.0, tau2)).verdict.value == verdict
-    grid = build_grid((1.0, tau2), 400.0, 0.01)
-    traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
+    traj = simulate(ucar_rhs(), 0.9, (1.0, tau2), 400.0, 0.01, 0.8)
+    grid = traj.grid
     assert traj.truncated_at is None
     tail = traj.values[grid.history_steps :][-(grid.n_steps // 4) :]
     swing = float(np.ptp(tail))

@@ -10,8 +10,6 @@ import pytest
 
 import fracdde
 from fracdde import (
-    Grid,
-    build_grid,
     classify,
     curve_columns,
     find_equilibria,
@@ -28,9 +26,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PUBLIC = {
     "__version__",
     "SystemRhs",
-    "Grid",
     "Trajectory",
-    "build_grid",
     "simulate",
     "StabilityVerdict",
     "find_equilibria",
@@ -45,7 +41,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 15
+    assert len(fracdde.__all__) == len(set(fracdde.__all__)) == 13
     assert set(fracdde.__all__) == PUBLIC
 
 
@@ -81,13 +77,9 @@ def locus(alpha=0.9, v_range=None, **counts):
     return [c.tolist() for c in columns]
 
 
-def run(alpha=0.9, history=0.8):
-    traj = simulate(ucar_rhs(), alpha, build_grid((0.4, 0.5), 2.0, 0.01), history)
+def run(alpha=0.9, delays=(0.4, 0.5), t_end=2.0, h=0.01, history=0.8):
+    traj = simulate(ucar_rhs(), alpha, delays, t_end, h, history)
     return traj.values.tolist(), traj.truncated_at
-
-
-def grid(**fields):
-    return Grid(**{"h": 0.5, "n_steps": 10, "k1": 4, "k2": 5, **fields})
 
 
 DELAY = "nonnegative and finite"
@@ -96,10 +88,11 @@ ORDER = "derivative order"
 
 # (entry point, name of the checked value, what it must be, a whole number
 # it may be, call with x in that slot): every real the package takes goes
-# through one rule.
+# through one rule.  simulate checks its delays, horizon and step first, in
+# the grid builder (solver._build_grid) whose name those entries carry.
 ENTRY_POINTS = [
-    ("build_grid", "tau1", DELAY, 2, lambda x: build_grid((x, 0.5), 10.0, 0.01)),
-    ("build_grid", "tau2", DELAY, 2, lambda x: build_grid((0.4, x), 10.0, 0.01)),
+    ("build_grid", "tau1", DELAY, 2, lambda x: run(delays=(x, 0.5))),
+    ("build_grid", "tau2", DELAY, 2, lambda x: run(delays=(0.4, x))),
     ("classify", "a", "finite", 2, lambda x: classify(0.9, (x, -3.0), (0.4, 0.5))),
     ("classify", "b", "finite", 2, lambda x: classify(0.9, (1.0, x), (0.4, 0.5))),
     ("classify", "tau1", DELAY, 2, lambda x: classify(0.9, (1.0, -3.0), (x, 0.5))),
@@ -117,17 +110,15 @@ ENTRY_POINTS = [
     ("simulate", ORDER, "finite", 1, lambda x: run(alpha=x)),
     ("classify", ORDER, "finite", 1, lambda x: classify(x, (1.0, -3.0), (0.4, 0.5))),
     ("curve_columns", ORDER, "finite", 1, lambda x: locus(alpha=x)),
-    ("build_grid", "horizon", POSITIVE, 2, lambda x: build_grid((0.4, 0.5), x, 0.01)),
-    ("build_grid", "requested step", POSITIVE, 2, lambda x: build_grid((4.0, 6.0), 10.0, x)),
+    ("build_grid", "horizon", POSITIVE, 2, lambda x: run(t_end=x)),
+    ("build_grid", "requested step", POSITIVE, 2,
+     lambda x: run(delays=(4.0, 6.0), t_end=10.0, h=x)),
     ("simulate", "history", "finite", 2, lambda x: run(history=x)),
     ("linearize", "equilibrium", "finite", 2, lambda x: linearize(ucar_rhs(), x)),
     ("find_equilibria-lo", "bracket", "finite", 2, lambda x: find_equilibria(ucar_rhs(), (x, 3.0))),
     ("find_equilibria-hi", "bracket", "finite", 2, lambda x: find_equilibria(ucar_rhs(), (-3.0, x))),
     ("curve_columns-lo", "frequency window", "finite", 2, lambda x: locus(v_range=(x, 5.0))),
     ("curve_columns-hi", "frequency window", "finite", 2, lambda x: locus(v_range=(0.1, x))),
-    ("Grid", "step", POSITIVE, 2, lambda x: grid(h=x)),
-    ("Grid", "theta1", "finite", 0, lambda x: grid(theta1=x)),
-    ("Grid", "theta2", "finite", 0, lambda x: grid(theta2=x)),
 ]
 DELAY_POINTS = [entry for entry in ENTRY_POINTS if entry[2] == DELAY]
 POSITIVE_POINTS = [entry for entry in ENTRY_POINTS if entry[2] == POSITIVE]
@@ -185,9 +176,6 @@ COUNT_POINTS = [
     ("curve_columns", "samples", 2, lambda n: locus(samples=n)),
     ("curve_columns", "max_branch", 0, lambda n: locus(max_branch=n)),
     ("find_equilibria", "resolution", 2, lambda n: find_equilibria(ucar_rhs(), (-3.0, 3.0), n)),
-    ("Grid", "n_steps", 1, lambda n: grid(n_steps=n)),
-    ("Grid", "k1", 1, lambda n: grid(k1=n)),
-    ("Grid", "k2", 1, lambda n: grid(k2=n)),
     ("corner_weight_table", "n_max", 0, lambda n: corner_weight_table(0.5, n).tolist()),
     # Entry 0 of the interior table is NaN on purpose.
     ("interior_weight_table", "m_max", 0, lambda n: interior_weight_table(0.5, n)[1:].tolist()),

@@ -7,7 +7,6 @@ import pytest
 
 from fracdde import (
     SystemRhs,
-    build_grid,
     curve_columns,
     linearize,
     simulate,
@@ -57,8 +56,7 @@ class TestSimulateCommand:
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["t", "x", "x_tau1", "x_tau2"]
-        grid = build_grid((0.4, 0.5), 5.0, 0.01)
-        table = phase_columns(simulate(ucar_rhs(), 0.9, grid, 0.8), grid)
+        table = phase_columns(simulate(ucar_rhs(), 0.9, (0.4, 0.5), 5.0, 0.01, 0.8))
         assert len(rows) == len(table)
         for row, expected in zip(rows, table):
             for text, value in zip(row, expected):
@@ -92,9 +90,8 @@ class TestSimulateCommand:
             "--out", str(out),
         ]
         assert main(argv) == 0
-        grid = build_grid((tau1, tau2), 120.0, 0.01)
         rhs = SystemRhs(g=lambda x1, x2: -0.5 * x1 + 0.3 * x2)
-        table = phase_columns(simulate(rhs, 0.8, grid, float(history)), grid)
+        table = phase_columns(simulate(rhs, 0.8, (tau1, tau2), 120.0, 0.01, float(history)))
         expected = ["t,x,x_tau1,x_tau2\n"]
         expected += ["%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist()]
         got = out.read_text().splitlines(keepends=True)
@@ -281,10 +278,10 @@ class TestSimulateCommand:
         ]
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
-        grid = build_grid((0.1, 45.0), 100.0, 0.01)
-        traj = simulate(SystemRhs(g=lambda x1, x2: 25.0 * x1 + 0.5 * x2), 0.9, grid, 1.0)
-        assert grid.k2 > 4096 and 4096 < traj.truncated_at < 8192
-        table = phase_columns(traj, grid)
+        rhs = SystemRhs(g=lambda x1, x2: 25.0 * x1 + 0.5 * x2)
+        traj = simulate(rhs, 0.9, (0.1, 45.0), 100.0, 0.01, 1.0)
+        assert traj.grid.k2 > 4096 and 4096 < traj.truncated_at < 8192
+        table = phase_columns(traj)
         expected = "t,x,x_tau1,x_tau2\n" + "".join(
             "%.17g,%.17g,%.17g,%.17g\n" % tuple(row) for row in table.tolist()
         )
@@ -802,6 +799,14 @@ class TestEquilibriaCommand:
         assert out == ""
         assert err.startswith("fracdde: error: the width of bracket (-1e+308, 1e+308) ")
         assert err.count("\n") == 1 and "float range" in err
+
+    def test_wide_bracket_lists_no_point_where_g_is_not_finite(self, capsys):
+        # The width 1.7e308 is a float, and every scan value is +-inf: the
+        # point the refiner stops at is no root, and nothing is listed.
+        argv = ["equilibria", "--model", "ucar", "--bracket", "-1" + "0" * 308, "7e307"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == [] and err == ""
 
 
 class TestUsage:

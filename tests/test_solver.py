@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdde import (
-    Grid,
     SystemRhs,
     Trajectory,
-    build_grid,
     simulate,
     ucar_rhs,
 )
+from fracdde.solver import Grid
 from oracles import delayed_series_oracle, direct_sum_stepper, mittag_leffler, phase_columns
 
 
@@ -21,14 +20,28 @@ def linear_rhs(a, b):
     return SystemRhs(g=lambda x1, x2: a * x1 + b * x2)
 
 
+def grid_of(delays, t_end, h):
+    """The grid that simulate runs on for these delays, horizon and step."""
+    return simulate(linear_rhs(-1.0, 0.0), 0.9, delays, t_end, h, 1.0).grid
+
+
+H = 0.01
+
+
+def in_steps(k1, k2, n_steps, theta1=0.0, theta2=0.0):
+    """simulate's delays, horizon and step for delays of ``ki + thetai``
+    steps of H and a horizon of ``n_steps`` steps."""
+    return ((k1 + theta1) * H, (k2 + theta2) * H), n_steps * H, H
+
+
 class TestBuildGrid:
     def test_exact_request(self):
-        grid = build_grid((0.4, 0.5), 100.0, 0.01)
+        grid = grid_of((0.4, 0.5), 100.0, 0.01)
         assert grid == Grid(h=0.01, n_steps=10000, k1=40, k2=50)
 
     def test_off_grid_delay_keeps_the_requested_step(self):
         # 0.01 is 2.5 steps of 0.004: two whole steps and an offset of a half.
-        grid = build_grid((0.02, 0.01), 50.0, 0.004)
+        grid = grid_of((0.02, 0.01), 50.0, 0.004)
         assert grid.h == 0.004
         assert (grid.k1, grid.theta1) == (5, 0.0)
         assert grid.k2 == 2 and grid.theta2 == pytest.approx(0.5, abs=1e-12)
@@ -37,7 +50,7 @@ class TestBuildGrid:
 
     def test_step_never_exceeds_request(self):
         for h_req in (0.01, 0.004, 0.003, 0.0007):
-            grid = build_grid((0.02, 0.01), 10.0, h_req)
+            grid = grid_of((0.02, 0.01), 10.0, h_req)
             assert grid.h == h_req
             assert grid.k1 >= 1 and grid.k2 >= 1
 
@@ -49,7 +62,7 @@ class TestBuildGrid:
             (0.3, 0.7, 15.0, 0.11),
             (0.4, 0.5, 10.005, 0.01),
         ]:
-            grid = build_grid((tau1, tau2), t_end, h_req)
+            grid = grid_of((tau1, tau2), t_end, h_req)
             assert grid.h == h_req
             for tau, k, theta in ((tau1, grid.k1, grid.theta1), (tau2, grid.k2, grid.theta2)):
                 assert 0.0 <= theta < 1.0
@@ -73,7 +86,7 @@ class TestBuildGrid:
     def test_property_delay_is_whole_steps_plus_an_offset(self, h, k, frac, jitter):
         tau = (k + frac) * h * (1.0 + jitter)
         try:
-            grid = build_grid((tau, 2.0 * h), 3.0 * h, h)
+            grid = grid_of((tau, 2.0 * h), 3.0 * h, h)
         except ValueError as exc:
             assert tau < h and "shorter than the step" in str(exc)
             return
@@ -89,62 +102,71 @@ class TestBuildGrid:
             assert (got_k, theta) == (k, 0.0)
 
     def test_irrational_ratio_runs_at_the_requested_step(self):
-        grid = build_grid((1.0, math.sqrt(2)), 10.0, 0.01)
+        traj = simulate(ucar_rhs(), 0.9, (1.0, math.sqrt(2)), 10.0, 0.01, 0.8)
+        grid = traj.grid
         assert (grid.h, grid.n_steps, grid.k1, grid.theta1, grid.k2) == (0.01, 1000, 100, 0.0, 141)
         assert abs((141 + grid.theta2) * 0.01 - math.sqrt(2)) <= 4 * math.ulp(math.sqrt(2))
         assert grid.history_steps == 142
-        traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
         assert traj.truncated_at is None and np.all(np.isfinite(traj.values))
 
     def test_rejects_zero_delay(self):
         with pytest.raises(ValueError):
-            build_grid((0.0, 0.5), 10.0, 0.01)
+            grid_of((0.0, 0.5), 10.0, 0.01)
 
     def test_rejects_bad_horizon_and_step(self):
         with pytest.raises(ValueError):
-            build_grid((0.4, 0.5), -1.0, 0.01)
+            grid_of((0.4, 0.5), -1.0, 0.01)
         with pytest.raises(ValueError):
-            build_grid((0.4, 0.5), 10.0, 0.0)
-        # Spans whose step counts overflow to infinity.
-        with pytest.raises(ValueError):
-            build_grid((0.4, 0.5), 1e300, 1e-300)
-        with pytest.raises(ValueError):
-            build_grid((1e300, 0.5), 10.0, 1e-300)
+            grid_of((0.4, 0.5), 10.0, 0.0)
+        # Spans whose step counts overflow to infinity are refused before
+        # anything is allocated.
+        with pytest.raises(ValueError, match="too many steps"):
+            grid_of((0.4, 0.5), 1e300, 1e-300)
+        with pytest.raises(ValueError, match="too many steps"):
+            grid_of((1e300, 0.5), 10.0, 1e-300)
+
+    def test_grid_is_checked_before_the_order_and_the_history(self):
+        rhs = linear_rhs(-1.0, 0.0)
+        with pytest.raises(ValueError, match="^delay 0.005 is shorter than the step h = 0.01$"):
+            simulate(rhs, 2.0, (0.005, 0.5), 1.0, 0.01, math.nan)
+        with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+            simulate(rhs, 2.0, (0.4, 0.5), 0.0, 0.01, math.nan)
+        with pytest.raises(ValueError, match="^derivative order must lie in"):
+            simulate(rhs, 2.0, (0.4, 0.5), 1.0, 0.01, math.nan)
+        with pytest.raises(ValueError, match="^history must be finite, got nan$"):
+            simulate(rhs, 0.9, (0.4, 0.5), 1.0, 0.01, math.nan)
 
     def test_grid_stores_python_numbers(self):
-        # Grid's fields pass the package's rules for reals and counts, and
-        # are kept as the Python float or int they stand for.
-        grid = Grid(h=1, n_steps=np.int64(10), k1=np.int32(4), k2=5, theta1=np.float32(0.5))
-        assert grid == Grid(h=1.0, n_steps=10, k1=4, k2=5, theta1=0.5)
+        # The delays, horizon and step pass the package's rule for reals, and
+        # the grid holds the Python floats and ints they stand for.
+        grid = grid_of((np.float32(0.625), np.int64(1)), np.int64(10), np.float32(0.25))
+        assert grid == Grid(h=0.25, n_steps=40, k1=2, k2=4, theta1=0.5)
         fields = (grid.h, grid.n_steps, grid.k1, grid.k2, grid.theta1, grid.theta2)
         assert [type(f) for f in fields] == [float, int, int, int, float, float]
-        assert simulate(ucar_rhs(), 0.9, grid, 0.8).truncated_at is None
 
     def test_history_steps_property(self):
-        grid = build_grid((0.4, 0.5), 10.0, 0.01)
+        grid = grid_of((0.4, 0.5), 10.0, 0.01)
         assert grid.history_steps == 50
         assert grid.n_steps * grid.h == pytest.approx(10.0)
         # An off-grid delay also reads the sample one step further back.
-        assert build_grid((0.4, 0.505), 10.0, 0.01).history_steps == 51
+        assert grid_of((0.4, 0.505), 10.0, 0.01).history_steps == 51
 
 
 class TestSimulate:
     def test_constant_history_at_equilibrium_is_fixed(self):
         # g vanishes identically along the trajectory, so every computed
         # value is bitwise the history constant.
-        grid = build_grid((0.4, 0.5), 5.0, 0.01)
         for x_star in (0.0, 1.0, -1.0):
-            traj = simulate(ucar_rhs(), 0.85, grid, x_star)
+            traj = simulate(ucar_rhs(), 0.85, (0.4, 0.5), 5.0, 0.01, x_star)
             assert np.all(traj.values == x_star)
             assert traj.truncated_at is None
 
     def test_equilibrium_stays_fixed_through_fft_path(self):
         # 5000 steps take the far-field sum through FFT convolutions; an
         # all-zero history segment must add exactly nothing there.
-        grid = build_grid((0.4, 0.5), 50.0, 0.01)
-        assert grid.n_steps == 5000
         for x_star in (0.0, 1.0, -1.0):
-            traj = simulate(ucar_rhs(), 0.85, grid, x_star)
+            traj = simulate(ucar_rhs(), 0.85, (0.4, 0.5), 50.0, 0.01, x_star)
+            assert traj.n_steps == 5000
             assert np.all(traj.values == x_star)
             assert traj.truncated_at is None
 
@@ -152,8 +174,8 @@ class TestSimulate:
         # At alpha = 1 the scheme must reduce to the classical trapezoid
         # rule; integrate the memoized right-hand side independently.
         a, b = rng.uniform(-1.0, 1.0, 2)
-        grid = build_grid((0.3, 0.7), 10.0, 0.1)
-        traj = simulate(linear_rhs(a, b), 1.0, grid, lambda t: 1.0 + 0.5 * t)
+        traj = simulate(linear_rhs(a, b), 1.0, (0.3, 0.7), 10.0, 0.1, lambda t: 1.0 + 0.5 * t)
+        grid = traj.grid
         k, k1, k2 = grid.history_steps, grid.k1, grid.k2
         x = traj.values
         f = a * x[k - k1 : k - k1 + grid.n_steps + 1] + b * x[k - k2 : k - k2 + grid.n_steps + 1]
@@ -166,9 +188,9 @@ class TestSimulate:
         # Up to t = tau both delayed arguments still read the constant
         # history, so x(t) = 1 - t**alpha/Gamma(alpha+1) exactly in exact
         # arithmetic; the weight-sum identity makes the scheme reproduce it.
-        grid = build_grid((1.0, 1.0), 1.0, 0.01)
         for alpha in (0.3, 0.5, 0.9, 1.0):
-            traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
+            traj = simulate(linear_rhs(-1.0, 0.0), alpha, (1.0, 1.0), 1.0, 0.01, 1.0)
+            grid = traj.grid
             t = np.arange(grid.n_steps + 1) * grid.h
             expected = 1.0 - t ** alpha / math.gamma(alpha + 1.0)
             got = traj.values[grid.history_steps :]
@@ -176,8 +198,8 @@ class TestSimulate:
 
     def test_matches_series_oracle(self):
         for alpha, tol in ((0.5, 2e-3), (0.9, 1e-4)):
-            grid = build_grid((1.0, 1.0), 3.0, 0.01)
-            traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
+            traj = simulate(linear_rhs(-1.0, 0.0), alpha, (1.0, 1.0), 3.0, 0.01, 1.0)
+            grid = traj.grid
             t = np.arange(grid.n_steps + 1) * grid.h
             expected = np.array([delayed_series_oracle(alpha, -1.0, 1.0, ti) for ti in t])
             err = np.max(np.abs(traj.values[grid.history_steps :] - expected))
@@ -187,8 +209,8 @@ class TestSimulate:
         # With both delays equal the two-delay solver must agree with the
         # single-delay series on g = -(x1 + x2)/2.
         alpha = 0.7
-        grid = build_grid((0.5, 0.5), 2.0, 0.005)
-        traj = simulate(linear_rhs(-0.5, -0.5), alpha, grid, 1.0)
+        traj = simulate(linear_rhs(-0.5, -0.5), alpha, (0.5, 0.5), 2.0, 0.005, 1.0)
+        grid = traj.grid
         t_check = [0.5, 1.0, 1.7, 2.0]
         for t in t_check:
             n = round(t / grid.h)
@@ -209,9 +231,9 @@ class TestSimulate:
             for alpha in (0.3, 0.5, 0.7, 0.9, 1.0) if theta else (0.3, 0.5, 0.7, 0.9):
                 steps, errors = [], []
                 for n in (100, 200, 400, 800):
-                    grid = build_grid((1.0, 1.0), 2.0, 1.0 / (n + theta))
+                    traj = simulate(rhs, alpha, (1.0, 1.0), 2.0, 1.0 / (n + theta), 1.0)
+                    grid = traj.grid
                     assert (grid.k1, grid.theta1 > 0.0) == (n, theta > 0.0)
-                    traj = simulate(rhs, alpha, grid, 1.0)
                     t = np.arange(grid.n_steps + 1) * grid.h
                     exact = np.array([delayed_series_oracle(alpha, -1.0, 1.0, ti) for ti in t])
                     steps.append(grid.h)
@@ -226,8 +248,8 @@ class TestSimulate:
         # fractional relaxation equation, whose solution is E_alpha(-t**alpha).
         alpha = 0.8
         h = 5e-4
-        grid = build_grid((h, h), 1.0, h)
-        traj = simulate(linear_rhs(-1.0, 0.0), alpha, grid, 1.0)
+        traj = simulate(linear_rhs(-1.0, 0.0), alpha, (h, h), 1.0, h, 1.0)
+        grid = traj.grid
         t_idx = [200, 1000, 2000]
         for n in t_idx:
             t = n * h
@@ -236,12 +258,11 @@ class TestSimulate:
 
     def test_blowup_truncates_instead_of_raising(self):
         rhs = SystemRhs(g=lambda x1, x2: x2 * x2 * x2)
-        grid = build_grid((0.1, 0.1), 50.0, 0.1)
-        traj = simulate(rhs, 1.0, grid, 2.0)
+        traj = simulate(rhs, 1.0, (0.1, 0.1), 50.0, 0.1, 2.0)
         assert traj.truncated_at is not None
         j = traj.truncated_at
-        k = traj.history_steps
-        assert 1 <= j <= grid.n_steps
+        k = traj.grid.history_steps
+        assert 1 <= j <= traj.n_steps
         assert np.all(np.isfinite(traj.values[: k + j]))
         assert np.all(np.isnan(traj.values[k + j :]))
 
@@ -249,8 +270,7 @@ class TestSimulate:
         # Python's float ** raises OverflowError where IEEE gives inf; the
         # solver must convert that into truncation, not an exception.
         rhs = SystemRhs(g=lambda x1, x2: x2 ** 9)
-        grid = build_grid((0.1, 0.1), 50.0, 0.1)
-        traj = simulate(rhs, 1.0, grid, 3.0)
+        traj = simulate(rhs, 1.0, (0.1, 0.1), 50.0, 0.1, 3.0)
         assert traj.truncated_at is not None
 
     @pytest.mark.parametrize("k1, k2", [(1, 1), (40, 50)])
@@ -263,9 +283,8 @@ class TestSimulate:
             calls.append(1)
             return -x1 + math.sin(x2)
 
-        grid = Grid(h=0.01, n_steps=100, k1=k1, k2=k2)
         with pytest.raises(TypeError, match="elementwise"):
-            simulate(SystemRhs(g=g), 0.9, grid, 0.5)
+            simulate(SystemRhs(g=g), 0.9, *in_steps(k1, k2, 100), 0.5)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("theta1, theta2", [(0.0, 0.0), (0.3, 0.7)])
@@ -279,44 +298,41 @@ class TestSimulate:
             points.append(np.size(x1))
             return -0.5 * x1 - 0.25 * x2
 
-        grid = Grid(h=0.01, n_steps=1000, k1=k1, k2=k2, theta1=theta1, theta2=theta2)
-        traj = simulate(SystemRhs(g=g), 0.8, grid, 1.0)
+        traj = simulate(SystemRhs(g=g), 0.8, *in_steps(k1, k2, 1000, theta1, theta2), 1.0)
+        grid = traj.grid
+        assert (grid.k1, grid.k2, grid.theta1 > 0.0) == (k1, k2, theta1 > 0.0)
         assert traj.truncated_at is None
-        assert sum(points) == grid.n_steps + 1
+        assert sum(points) == grid.n_steps + 1 == 1001
 
     def test_leaves_no_reference_cycle(self):
         # The work arrays are freed when simulate returns, not at some later
         # garbage collection; a run deep enough to use the FFT levels.
-        grid = build_grid((0.4, 0.5), 40.0, 0.01)
         rhs = ucar_rhs()
         gc.collect()
         gc.disable()
         try:
-            simulate(rhs, 0.9, grid, 0.8)
+            simulate(rhs, 0.9, (0.4, 0.5), 40.0, 0.01, 0.8)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_history_callable_is_sampled(self):
-        grid = build_grid((0.4, 0.5), 1.0, 0.01)
-        traj = simulate(linear_rhs(-1.0, 0.5), 0.9, grid, lambda t: math.cos(t))
-        k = grid.history_steps
-        times = (np.arange(k + 1) - k) * grid.h
+        traj = simulate(linear_rhs(-1.0, 0.5), 0.9, (0.4, 0.5), 1.0, 0.01, lambda t: math.cos(t))
+        k = traj.grid.history_steps
+        times = (np.arange(k + 1) - k) * traj.grid.h
         assert np.allclose(traj.values[: k + 1], np.cos(times), rtol=0, atol=0)
 
     def test_nonfinite_history_rejected(self):
-        grid = build_grid((0.4, 0.5), 1.0, 0.01)
         with pytest.raises(ValueError):
-            simulate(linear_rhs(-1.0, 0.0), 0.9, grid, lambda t: math.inf)
+            simulate(linear_rhs(-1.0, 0.0), 0.9, (0.4, 0.5), 1.0, 0.01, lambda t: math.inf)
 
     def test_trajectory_times_alignment(self):
-        grid = build_grid((0.4, 0.5), 1.0, 0.1)
-        traj = simulate(linear_rhs(-1.0, 0.0), 0.9, grid, 1.0)
+        traj = simulate(linear_rhs(-1.0, 0.0), 0.9, (0.4, 0.5), 1.0, 0.1, 1.0)
         t = traj.times()
         assert t[0] == pytest.approx(-0.5)
-        assert t[grid.history_steps] == 0.0
+        assert t[traj.grid.history_steps] == 0.0
         assert t[-1] == pytest.approx(1.0)
-        assert traj.n_steps == grid.n_steps
+        assert traj.n_steps == traj.grid.n_steps == 10
 
 
 def _max_relative_deviation(got, expected):
@@ -360,10 +376,12 @@ class TestFastMemorySum:
         ],
     )
     def test_converging_runs_match_direct_sum(self, n_steps, alpha, k1, k2, theta1, theta2):
-        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2, theta1=theta1, theta2=theta2)
         rhs = linear_rhs(-0.5, -0.25)
         history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
-        traj = simulate(rhs, alpha, grid, history)
+        traj = simulate(rhs, alpha, *in_steps(k1, k2, n_steps, theta1, theta2), history)
+        grid = traj.grid
+        assert (grid.k1, grid.k2, grid.n_steps) == (k1, k2, n_steps)
+        assert (grid.theta1 > 0.0, grid.theta2 > 0.0) == (theta1 > 0.0, theta2 > 0.0)
         ref = direct_sum_stepper(rhs, alpha, grid, history)
         assert traj.truncated_at is None and ref.truncated_at is None
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
@@ -373,18 +391,16 @@ class TestFastMemorySum:
     def test_run_shorter_than_a_block_and_the_delays(self, n_steps, k1, k2):
         # Every step reads only the history, and the weight tables are
         # shorter than one block.
-        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
         rhs = linear_rhs(-0.5, -0.25)
         history = lambda t: 1.0 + 0.5 * math.cos(3.0 * t)
-        traj = simulate(rhs, 0.6, grid, history)
-        ref = direct_sum_stepper(rhs, 0.6, grid, history)
+        traj = simulate(rhs, 0.6, *in_steps(k1, k2, n_steps), history)
+        ref = direct_sum_stepper(rhs, 0.6, traj.grid, history)
         assert traj.truncated_at is None
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     def test_nonlinear_run_matches_direct_sum(self):
-        grid = build_grid((0.4, 0.5), 40.0, 0.01)
-        traj = simulate(ucar_rhs(), 0.9, grid, 0.8)
-        ref = direct_sum_stepper(ucar_rhs(), 0.9, grid, 0.8)
+        traj = simulate(ucar_rhs(), 0.9, (0.4, 0.5), 40.0, 0.01, 0.8)
+        ref = direct_sum_stepper(ucar_rhs(), 0.9, traj.grid, 0.8)
         assert _max_relative_deviation(traj.values, ref.values) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -412,12 +428,11 @@ class TestFastMemorySum:
         ],
     )
     def test_diverging_runs_truncate_at_the_same_step(self, rhs, alpha, k1, k2, n_steps, history):
-        grid = Grid(h=0.01, n_steps=n_steps, k1=k1, k2=k2)
-        traj = simulate(rhs, alpha, grid, history)
-        ref = direct_sum_stepper(rhs, alpha, grid, history)
+        traj = simulate(rhs, alpha, *in_steps(k1, k2, n_steps), history)
+        ref = direct_sum_stepper(rhs, alpha, traj.grid, history)
         assert traj.truncated_at is not None
         assert traj.truncated_at == ref.truncated_at
-        end = grid.history_steps + traj.truncated_at
+        end = traj.grid.history_steps + traj.truncated_at
         assert _max_relative_deviation(traj.values[:end], ref.values[:end]) <= 1e-12
         assert np.all(np.isnan(traj.values[end:]))
 
@@ -425,9 +440,8 @@ class TestFastMemorySum:
 class TestPhaseColumns:
     def test_alignment_small_case(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
-        traj = Trajectory(h=0.5, history_steps=1, values=values)
-        grid = Grid(h=0.5, n_steps=2, k1=1, k2=1)
-        table = phase_columns(traj, grid)
+        traj = Trajectory(Grid(h=0.5, n_steps=2, k1=1, k2=1), values)
+        table = phase_columns(traj)
         expected = np.array(
             [
                 [0.0, 2.0, 1.0, 1.0],
@@ -438,9 +452,9 @@ class TestPhaseColumns:
         assert np.array_equal(table, expected)
 
     def test_delayed_columns_lag_by_grid_offsets(self):
-        grid = build_grid((0.3, 0.7), 5.0, 0.1)
-        traj = simulate(linear_rhs(-0.8, -0.1), 0.75, grid, lambda t: 1.0 + t)
-        table = phase_columns(traj, grid)
+        traj = simulate(linear_rhs(-0.8, -0.1), 0.75, (0.3, 0.7), 5.0, 0.1, lambda t: 1.0 + t)
+        grid = traj.grid
+        table = phase_columns(traj)
         assert table.shape == (grid.n_steps + 1, 4)
         k = grid.history_steps
         n = 17
@@ -449,15 +463,7 @@ class TestPhaseColumns:
 
     def test_truncated_rows_stop_at_last_finite(self):
         rhs = SystemRhs(g=lambda x1, x2: x2 * x2 * x2)
-        grid = build_grid((0.1, 0.1), 50.0, 0.1)
-        traj = simulate(rhs, 1.0, grid, 2.0)
-        table = phase_columns(traj, grid)
+        traj = simulate(rhs, 1.0, (0.1, 0.1), 50.0, 0.1, 2.0)
+        table = phase_columns(traj)
         assert len(table) == traj.truncated_at
         assert np.all(np.isfinite(table))
-
-    def test_mismatched_grid_rejected(self):
-        grid = build_grid((0.4, 0.5), 1.0, 0.1)
-        traj = simulate(linear_rhs(-1.0, 0.0), 0.9, grid, 1.0)
-        other = Grid(h=0.1, n_steps=10, k1=4, k2=3)
-        with pytest.raises(ValueError):
-            phase_columns(traj, other)

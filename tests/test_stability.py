@@ -144,6 +144,13 @@ class TestFindEquilibria:
         roots = find_equilibria(SystemRhs(g=lambda x1, x2: math.tan(x1)), (-10.0, 10.0))
         assert roots == pytest.approx([k * math.pi for k in range(-3, 4)], abs=1e-12)
 
+    def test_refined_point_where_g_is_not_finite_is_dropped(self):
+        # Every scan value is +-inf, and bisecting the one bracket between
+        # them (-4e304 to 4.5e304) down to the roots -1, 0 and 1 inside takes
+        # far more than the refiner's 360 steps.  It stops near 4.9e195,
+        # where g(x, x) is -inf: no root, so none is returned.
+        assert find_equilibria(ucar_rhs(), (-1e308, 7e307)) == []
+
     def test_steep_root_is_kept(self):
         # Only x = 3.3 itself reaches |g| <= 1e-12; at its float neighbours
         # |g| is about 4e-7.  At the larger scales the product of two scan
